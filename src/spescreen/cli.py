@@ -276,6 +276,37 @@ def map_cmd(ctx, table_path, perplexity, min_cluster_size, nbits, radius,
 
 # --- embed -----------------------------------------------------------------
 
+def _load_lj_params(path):
+    """Read {"A,B": [eps_eV, sigma_A], ...} into {("A", "B"): (eps, sigma)}.
+
+    Raises ValueError for a key that is not two comma-separated elements, a
+    value that is not two positive numbers, and "A,B" and "B,A" entries
+    that disagree.
+    """
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("LJ parameters must be a JSON object")
+    params = {}
+    for key, value in raw.items():
+        pair = tuple(key.split(","))
+        if len(pair) != 2 or not all(pair):
+            raise ValueError(
+                f"LJ key {key!r} is not two comma-separated elements"
+            )
+        if not (isinstance(value, list) and len(value) == 2 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and 0 < v < float("inf") for v in value)):
+            raise ValueError(
+                f"LJ value for {key!r} is not two positive numbers: {value!r}"
+            )
+        canon = tuple(sorted(pair))
+        if params.get(canon, tuple(value)) != tuple(value):
+            raise ValueError(f"conflicting LJ entries for pair {key!r}")
+        params[canon] = tuple(value)
+    return params
+
+
 @main.command()
 @click.option("--host", "host_path", type=click.Path(exists=True), default=None)
 @click.option("--emitter", "emitter_path", type=click.Path(exists=True),
@@ -315,12 +346,7 @@ def embed(ctx, host_path, emitter_path, cutoff, min_removed, max_removed,
 
     binding = None
     if lj_path is not None:
-        with open(lj_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        params = {
-            tuple(k.split(",")): tuple(v) for k, v in raw.items()
-        }
-        potential = LennardJonesPotential(params)
+        potential = LennardJonesPotential(_load_lj_params(lj_path))
         _, _, binding = select_most_stable(trials, potential, host, emitter,
                                            fmax=fmax)
 
@@ -367,11 +393,7 @@ def modes(ctx, structure_path, ext_path, lj_path, do_relax, fmax, out_name):
     if ext_path is not None:
         potential = ExternalPotential(ext_path)
     elif lj_path is not None:
-        with open(lj_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        potential = LennardJonesPotential(
-            {tuple(k.split(",")): tuple(v) for k, v in raw.items()}
-        )
+        potential = LennardJonesPotential(_load_lj_params(lj_path))
     else:
         raise ValueError("modes needs --potential-file or --lj-params")
 

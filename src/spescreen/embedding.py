@@ -4,7 +4,8 @@ An emitter is placed at the host center of mass, then randomly rotated and
 translated in a cumulative random walk. Host molecules with any atom
 closer than the overlap cutoff to the emitter are deleted whole, and a
 trial is kept only when the emitter bounding box lies strictly inside the
-remaining host bounding box.
+remaining host bounding box. Selection ranks the binding energies of the
+relaxed complexes whose relaxation converged.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class EmbeddingTrial:
     trial_index: int
     n_host_atoms: int                # atoms of the (reduced) host, listed first
     accepted: bool = True
+    relax_converged: bool | None = None   # set by select_most_stable
 
 
 def _random_unit_vector(rng):
@@ -142,6 +144,12 @@ def select_most_stable(trials, potential, host: AtomicStructure,
                        max_steps: int = 500):
     """Relax complex/emitter/host, compute binding energies, return argmin.
 
+    Energies are the final energies of the relaxations. Each trial's
+    `relax_converged` records whether its complex relaxation converged;
+    only converged complexes take part in the argmin, and every trial keeps
+    its (finite) binding energy. Raises FloatingPointError when the emitter
+    or the host does not converge, or when no complex does.
+
     Returns (best_trial, best_binding_energy, per_trial_energies). Ties
     break toward the earliest trial index.
     """
@@ -150,18 +158,24 @@ def select_most_stable(trials, potential, host: AtomicStructure,
         raise ValueError("no accepted trials to select from")
     em_res = relax(emitter, potential, fmax=fmax, max_steps=max_steps)
     host_res = relax(host, potential, fmax=fmax, max_steps=max_steps)
-    e_emitter = potential.energy(em_res.structure)
-    e_host = potential.energy(host_res.structure)
+    for name, res in (("emitter", em_res), ("host", host_res)):
+        if not res.converged:
+            raise FloatingPointError(
+                f"{name} relaxation did not converge "
+                f"(max force {res.max_force:.3e} eV/A)"
+            )
     energies = []
     for t in trials:
         res = relax(t.structure, potential, fmax=fmax, max_steps=max_steps)
-        e_complex = potential.energy(res.structure)
-        eb = binding_energy(
-            e_complex, e_emitter, len(t.structure), len(emitter),
-            len(host), e_host,
-        )
-        energies.append(eb)
-    best = int(np.argmin(energies))
+        t.relax_converged = res.converged
+        energies.append(binding_energy(
+            res.energies[-1], em_res.energies[-1], len(t.structure),
+            len(emitter), len(host), host_res.energies[-1],
+        ))
+    ranked = [k for k, t in enumerate(trials) if t.relax_converged]
+    if not ranked:
+        raise FloatingPointError("no complex relaxation converged")
+    best = min(ranked, key=energies.__getitem__)
     return trials[best], energies[best], energies
 
 
@@ -181,6 +195,7 @@ def write_manifest(trials, path, cfg: EmbeddingConfig, binding_energies=None,
         }
         if binding_energies is not None:
             rec["binding_energy_eV"] = round(float(binding_energies[k]), 12)
+            rec["relax_converged"] = bool(t.relax_converged)
         if xyz_prefix is not None:
             xyz_path = f"{xyz_prefix}{k:04d}.xyz"
             write_xyz(t.structure, xyz_path)

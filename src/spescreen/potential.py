@@ -3,7 +3,14 @@
 Shipped providers: a harmonic-bond + pair-repulsion toy potential, a
 Lennard-Jones pair potential, and an adapter that replays externally
 computed energies/forces/Hessians from a JSON file. All providers are
-stateless: energy(structure) -> eV, forces(structure) -> (N, 3) eV/A.
+stateless and expose energy(structure) -> eV, forces(structure) -> (N, 3)
+eV/A, and energy_and_forces(structure) -> (eV, (N, 3) eV/A), which
+relaxation calls once per step.
+
+The pair potentials share one numpy-broadcast kernel over all i<j pairs.
+Periodic displacements use the minimum-image convention: fractional
+rounding, which is exact when the lattice vectors are mutually orthogonal,
+followed by a 27-image search in skewed cells.
 """
 
 from __future__ import annotations
@@ -25,9 +32,14 @@ def _min_image_vectors(structure, deltas):
     if structure.cell is None or not any(structure.pbc):
         return deltas
     cell = structure.cell
-    inv = np.linalg.inv(cell)
-    frac = deltas @ inv
+    frac = deltas @ np.linalg.inv(cell)
     frac -= np.round(frac)
+    # mutually orthogonal lattice vectors: only the Gram diagonal (the
+    # squared lengths) is non-zero, and rounding is the exact minimum
+    # image; a pair at exactly half a cell takes -1/2, as the search does
+    if np.count_nonzero(cell @ cell.T) == 3:
+        frac[frac == 0.5] = -0.5
+        return frac @ cell
     best = frac @ cell
     # 27-image fallback for skewed cells where rounding is not exact MIC
     shifts = np.array([
@@ -37,6 +49,24 @@ def _min_image_vectors(structure, deltas):
     cand = best[:, None, :] + shifts[None, :, :]
     idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
     return cand[np.arange(len(best)), idx]
+
+
+def _pair_terms(structure):
+    """Indices, minimum-image displacements j - i and distances, i < j."""
+    ii, jj = np.triu_indices(len(structure), k=1)
+    pos = structure.positions
+    deltas = np.take(pos, jj, axis=0) - np.take(pos, ii, axis=0)
+    deltas = _min_image_vectors(structure, deltas)
+    return ii, jj, deltas, np.linalg.norm(deltas, axis=1)
+
+
+def _scatter_forces(n, ii, jj, dedr, deltas, r):
+    """Per-atom forces: dE/dr along each unit vector, +i and -j."""
+    return np.stack([
+        np.bincount(ii, weights=w, minlength=n)
+        - np.bincount(jj, weights=w, minlength=n)
+        for w in (dedr / r) * deltas.T
+    ], axis=1)
 
 
 class LennardJonesPotential:
@@ -49,42 +79,36 @@ class LennardJonesPotential:
             if eps <= 0 or sigma <= 0:
                 raise ValueError("LJ parameters must be positive")
 
-    def _pair_params(self, e1, e2):
-        try:
-            return self.params[_pair_key(e1, e2)]
-        except KeyError:
-            raise KeyError(f"missing LJ parameters for pair {e1}-{e2}") from None
+    def _pair_params(self, elements, ii, jj):
+        """Per-pair (eps, sigma) gathered from an element-type table."""
+        types = {e: k for k, e in enumerate(dict.fromkeys(elements))}
+        codes = np.array([types[e] for e in elements], dtype=int)
+        table = np.array([
+            [self.params.get(_pair_key(a, b), (np.nan, np.nan)) for b in types]
+            for a in types
+        ], dtype=float)
+        pp = table[codes[ii], codes[jj]]
+        missing = np.isnan(pp[:, 0])
+        if missing.any():
+            k = int(np.argmax(missing))
+            e1, e2 = elements[ii[k]], elements[jj[k]]
+            raise KeyError(f"missing LJ parameters for pair {e1}-{e2}")
+        return pp[:, 0], pp[:, 1]
 
-    def _pairs(self, structure):
-        n = len(structure)
-        ii, jj = np.triu_indices(n, k=1)
-        deltas = structure.positions[jj] - structure.positions[ii]
-        deltas = _min_image_vectors(structure, deltas)
-        return ii, jj, deltas
+    def energy_and_forces(self, structure):
+        ii, jj, deltas, r = _pair_terms(structure)
+        eps, sigma = self._pair_params(structure.elements, ii, jj)
+        sr6 = (sigma / r) ** 6
+        e = float(np.sum(4.0 * eps * (sr6 * sr6 - sr6)))
+        # dE/dr = 4 eps (-12 sr12 + 6 sr6)/r
+        dedr = 4.0 * eps * (-12.0 * sr6 * sr6 + 6.0 * sr6) / r
+        return e, _scatter_forces(len(structure), ii, jj, dedr, deltas, r)
 
     def energy(self, structure) -> float:
-        ii, jj, deltas = self._pairs(structure)
-        r = np.linalg.norm(deltas, axis=1)
-        e = 0.0
-        for a, b, d in zip(ii, jj, r):
-            eps, sigma = self._pair_params(structure.elements[a], structure.elements[b])
-            sr6 = (sigma / d) ** 6
-            e += 4.0 * eps * (sr6 * sr6 - sr6)
-        return float(e)
+        return self.energy_and_forces(structure)[0]
 
     def forces(self, structure) -> np.ndarray:
-        ii, jj, deltas = self._pairs(structure)
-        r = np.linalg.norm(deltas, axis=1)
-        f = np.zeros_like(structure.positions)
-        for a, b, d, vec in zip(ii, jj, r, deltas):
-            eps, sigma = self._pair_params(structure.elements[a], structure.elements[b])
-            sr6 = (sigma / d) ** 6
-            # dE/dr = 4 eps (-12 sr12 + 6 sr6)/r
-            dedr = 4.0 * eps * (-12.0 * sr6 * sr6 + 6.0 * sr6) / d
-            unit = vec / d
-            f[a] += dedr * unit
-            f[b] -= dedr * unit
-        return f
+        return self.energy_and_forces(structure)[1]
 
 
 @dataclass
@@ -112,49 +136,36 @@ class HarmonicBondPotential:
             raise ValueError("repulsion parameters must be non-negative/positive")
         self.eps_rep = eps_rep
         self.sigma_rep = sigma_rep
-        self._bonded = {(min(b.i, b.j), max(b.i, b.j)) for b in self.bonds}
+        self._bi = np.array([b.i for b in self.bonds], dtype=int)
+        self._bj = np.array([b.j for b in self.bonds], dtype=int)
+        self._k = np.array([b.k for b in self.bonds], dtype=float)
+        self._r0 = np.array([b.r0 for b in self.bonds], dtype=float)
 
-    def _delta(self, structure, i, j):
-        d = structure.positions[j] - structure.positions[i]
-        return _min_image_vectors(structure, d[None, :])[0]
+    def energy_and_forces(self, structure):
+        n = len(structure)
+        pos = structure.positions
+        deltas = _min_image_vectors(structure, pos[self._bj] - pos[self._bi])
+        r = np.linalg.norm(deltas, axis=1)
+        e = float(np.sum(0.5 * self._k * (r - self._r0) ** 2))
+        f = _scatter_forces(n, self._bi, self._bj, self._k * (r - self._r0),
+                            deltas, r)
+        if self.eps_rep > 0:
+            ii, jj, deltas, r = _pair_terms(structure)
+            bonded = np.zeros((n, n), dtype=bool)
+            bonded[np.minimum(self._bi, self._bj),
+                   np.maximum(self._bi, self._bj)] = True
+            free = ~bonded[ii, jj]
+            ii, jj, deltas, r = ii[free], jj[free], deltas[free], r[free]
+            rep = self.eps_rep * (self.sigma_rep / r) ** 12
+            e += float(np.sum(rep))
+            f += _scatter_forces(n, ii, jj, -12.0 * rep / r, deltas, r)
+        return e, f
 
     def energy(self, structure) -> float:
-        e = 0.0
-        for b in self.bonds:
-            r = np.linalg.norm(self._delta(structure, b.i, b.j))
-            e += 0.5 * b.k * (r - b.r0) ** 2
-        if self.eps_rep > 0:
-            n = len(structure)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if (i, j) in self._bonded:
-                        continue
-                    r = np.linalg.norm(self._delta(structure, i, j))
-                    e += self.eps_rep * (self.sigma_rep / r) ** 12
-        return float(e)
+        return self.energy_and_forces(structure)[0]
 
     def forces(self, structure) -> np.ndarray:
-        f = np.zeros_like(structure.positions)
-        for b in self.bonds:
-            vec = self._delta(structure, b.i, b.j)
-            r = np.linalg.norm(vec)
-            dedr = b.k * (r - b.r0)
-            unit = vec / r
-            f[b.i] += dedr * unit
-            f[b.j] -= dedr * unit
-        if self.eps_rep > 0:
-            n = len(structure)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if (i, j) in self._bonded:
-                        continue
-                    vec = self._delta(structure, i, j)
-                    r = np.linalg.norm(vec)
-                    dedr = -12.0 * self.eps_rep * (self.sigma_rep / r) ** 12 / r
-                    unit = vec / r
-                    f[i] += dedr * unit
-                    f[j] -= dedr * unit
-        return f
+        return self.energy_and_forces(structure)[1]
 
 
 class ExternalPotential:
@@ -195,6 +206,9 @@ class ExternalPotential:
         self._check(structure)
         return self._forces.copy()
 
+    def energy_and_forces(self, structure):
+        return self.energy(structure), self.forces(structure)
+
     def hessian(self, structure) -> np.ndarray:
         self._check(structure)
         if self._hessian is None:
@@ -224,6 +238,7 @@ def relax(structure: AtomicStructure, potential, fmax: float = 0.01,
 
     Stops when the largest per-atom force norm drops to fmax (eV/A) or the
     step budget is exhausted. Accepted-step energies are non-increasing.
+    Every probe makes one potential.energy_and_forces call.
     """
     if fmax <= 0:
         raise ValueError("fmax must be positive")
@@ -233,9 +248,7 @@ def relax(structure: AtomicStructure, potential, fmax: float = 0.01,
 
     def eval_at(vec):
         current.positions = vec.reshape(-1, 3)
-        e = potential.energy(current)
-        f = potential.forces(current)
-        return e, f
+        return potential.energy_and_forces(current)
 
     e, f = eval_at(x)
     if not np.isfinite(e):

@@ -105,6 +105,21 @@ class TestEmbed:
         for rec in manifest["accepted"]:
             assert (out / rec["xyz"].split("/")[-1]).exists()
 
+    def test_bad_lj_params_exit_2(self, runner, tmp_path):
+        host = tmp_path / "host.xyz"
+        emitter = tmp_path / "emitter.xyz"
+        write_xyz(lj_lattice(3), host)
+        write_xyz(dimer(r=1.2), emitter)
+        lj = tmp_path / "lj.json"
+        lj.write_text(json.dumps({"Ar,Ar,Ar": [0.0104, 3.4]}))
+        result = runner.invoke(main, [
+            "--out-dir", str(tmp_path / "out"), "embed",
+            "--host", str(host), "--emitter", str(emitter),
+            "--max-trials", "10", "--lj-params", str(lj),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "not two comma-separated elements" in result.output
+
 
 class TestModes:
     def test_lj_dimer_modes(self, runner, tmp_path):
@@ -120,6 +135,28 @@ class TestModes:
         assert result.exit_code == 0, result.output
         data = json.loads((out / "modes.json").read_text())
         assert len(data["frequencies_cm1"]) == 6
+
+    @pytest.mark.parametrize("params", [
+        {"Ar": [0.0104, 3.4]},                          # one element
+        {"Ar,Ar,Ar": [0.0104, 3.4]},                    # three elements
+        {"Ar,Ar": [0.0104]},                            # one number
+        {"Ar,Ar": [0.0104, -3.4]},                      # negative sigma
+        {"Ar,Ar": ["0.0104", 3.4]},                     # not a number
+        {"Ar,Ar": [0.0104, 3.4], "Ar,C": [0.005, 3.4],
+         "C,Ar": [0.006, 3.4], "C,C": [0.003, 3.4]},  # conflicting
+    ], ids=["one-element", "three-elements", "one-number", "negative",
+            "string", "conflicting"])
+    def test_bad_lj_params_exit_2(self, runner, tmp_path, params):
+        s = tmp_path / "dimer.xyz"
+        write_xyz(dimer(r=3.8), s)
+        lj = tmp_path / "lj.json"
+        lj.write_text(json.dumps(params))
+        result = runner.invoke(main, [
+            "--out-dir", str(tmp_path / "out"), "modes", "--structure",
+            str(s), "--lj-params", str(lj),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "validation error" in result.output
 
     def test_needs_potential(self, runner, tmp_path):
         s = tmp_path / "dimer.xyz"

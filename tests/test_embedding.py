@@ -29,6 +29,22 @@ def small_run(seed=0, per_count=3, max_trials=1500):
     return host, emitter, cfg, embed_emitter(host, emitter, cfg)
 
 
+class StalledLJ:
+    """Argon LJ, except that structures of the given sizes never relax.
+
+    They get a flat, very low energy and a constant force, so relax runs
+    out of steps with a finite energy that would win any ranking.
+    """
+
+    def __init__(self, *sizes):
+        self.sizes = sizes
+
+    def energy_and_forces(self, structure):
+        if len(structure) in self.sizes:
+            return -100.0, np.ones((len(structure), 3))
+        return AR_LJ.energy_and_forces(structure)
+
+
 @pytest.fixture(scope="module")
 def default_run():
     return small_run()
@@ -114,6 +130,39 @@ class TestSelection:
         assert len(energies) == len(trials)
         assert e_best == min(energies)
         assert best is trials[int(np.argmin(energies))]
+        assert all(t.relax_converged for t in trials)
+
+    def test_skips_unconverged_complexes(self):
+        host, emitter, cfg, trials = small_run(per_count=2, max_trials=800)
+        stalled = next(len(t.structure) for t in trials
+                       if len(t.structure) != len(host))
+        best, e_best, energies = select_most_stable(
+            trials, StalledLJ(stalled), host, emitter, fmax=0.05,
+            max_steps=200,
+        )
+        flags = [t.relax_converged for t in trials]
+        assert flags == [len(t.structure) != stalled for t in trials]
+        assert any(flags)
+        assert np.all(np.isfinite(energies))
+        assert best.relax_converged
+        assert e_best == min(e for e, ok in zip(energies, flags) if ok)
+        assert min(energies) < e_best   # a stalled complex would have won
+
+    @pytest.mark.parametrize("part", ["emitter", "host"])
+    def test_unconverged_reference_raises(self, part):
+        host, emitter, cfg, trials = small_run(per_count=2, max_trials=800)
+        size = len(emitter) if part == "emitter" else len(host)
+        with pytest.raises(FloatingPointError, match=part):
+            select_most_stable(trials, StalledLJ(size), host, emitter,
+                               fmax=0.05, max_steps=200)
+
+    def test_no_converged_complex_raises(self):
+        host, emitter, cfg, trials = small_run(per_count=2, max_trials=800)
+        sizes = {len(t.structure) for t in trials} - {len(host)}
+        trials = [t for t in trials if len(t.structure) in sizes]
+        with pytest.raises(FloatingPointError, match="no complex"):
+            select_most_stable(trials, StalledLJ(*sizes), host, emitter,
+                               fmax=0.05, max_steps=200)
 
 
 class TestManifest:
@@ -124,6 +173,23 @@ class TestManifest:
         write_manifest(trials, p1, cfg)
         write_manifest(trials, p2, cfg)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_relax_converged_recorded(self, tmp_path):
+        host, emitter, cfg, trials = small_run(per_count=2, max_trials=800)
+        stalled = next(len(t.structure) for t in trials
+                       if len(t.structure) != len(host))
+        _, _, energies = select_most_stable(
+            trials, StalledLJ(stalled), host, emitter, fmax=0.05,
+            max_steps=200,
+        )
+        p = tmp_path / "m.json"
+        write_manifest(trials, p, cfg, binding_energies=energies)
+        records = json.loads(p.read_text())["accepted"]
+        assert [r["relax_converged"] for r in records] == [
+            t.relax_converged for t in trials]
+        write_manifest(trials, p, cfg)
+        records = json.loads(p.read_text())["accepted"]
+        assert all("relax_converged" not in r for r in records)
 
     def test_contents(self, tmp_path):
         _, _, cfg, trials = small_run(seed=5, per_count=2, max_trials=800)

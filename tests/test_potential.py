@@ -4,20 +4,148 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spescreen.potential import (
     ExternalPotential,
     HarmonicBondPotential,
     LennardJonesPotential,
+    _min_image_vectors,
+    _pair_key,
     hessian_finite_difference,
     max_force_norm,
     relax,
 )
 from spescreen.structure import AtomicStructure
 
-from conftest import dimer
+from conftest import dimer, lj_lattice
 
 AR_LJ = LennardJonesPotential({("Ar", "Ar"): (0.0104, 3.4)})
+MIXED_LJ = LennardJonesPotential({
+    ("Ar", "Ar"): (0.0104, 3.4), ("C", "C"): (0.0030, 3.4),
+    ("Ne", "Ne"): (0.0031, 2.74), ("Ar", "C"): (0.0056, 3.4),
+    ("Ar", "Ne"): (0.0057, 3.07), ("C", "Ne"): (0.0031, 3.07),
+})
+# a monoclinic cell skewed enough that fractional rounding alone often
+# picks a non-minimal image
+SKEWED_CELL = np.array([[9.0, 0.0, 0.0], [0.0, 10.0, 0.0], [-4.0, 0.0, 8.0]])
+
+
+# --- slow reference implementations: the per-pair loops the vectorised
+# kernel replaced. Each returns (per-term energies, forces).
+
+def ref_min_image(structure, deltas):
+    """Fractional rounding, then a 27-image search, in every periodic cell."""
+    if structure.cell is None or not any(structure.pbc):
+        return deltas
+    cell = structure.cell
+    frac = deltas @ np.linalg.inv(cell)
+    frac -= np.round(frac)
+    best = frac @ cell
+    shifts = np.array([
+        a * cell[0] + b * cell[1] + c * cell[2]
+        for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)
+    ])
+    cand = best[:, None, :] + shifts[None, :, :]
+    idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
+    return cand[np.arange(len(best)), idx]
+
+
+def ref_lj(potential, structure):
+    n = len(structure)
+    ii, jj = np.triu_indices(n, k=1)
+    deltas = ref_min_image(
+        structure, structure.positions[jj] - structure.positions[ii])
+    r = np.linalg.norm(deltas, axis=1)
+    terms = []
+    f = np.zeros_like(structure.positions)
+    for a, b, d, vec in zip(ii, jj, r, deltas):
+        e1, e2 = structure.elements[a], structure.elements[b]
+        eps, sigma = potential.params[_pair_key(e1, e2)]
+        sr6 = (sigma / d) ** 6
+        terms.append(4.0 * eps * (sr6 * sr6 - sr6))
+        dedr = 4.0 * eps * (-12.0 * sr6 * sr6 + 6.0 * sr6) / d
+        f[a] += dedr * vec / d
+        f[b] -= dedr * vec / d
+    return terms, f
+
+
+def ref_harmonic(potential, structure):
+    def delta(i, j):
+        d = structure.positions[j] - structure.positions[i]
+        return ref_min_image(structure, d[None, :])[0]
+
+    bonded = {(min(b.i, b.j), max(b.i, b.j)) for b in potential.bonds}
+    terms = []
+    f = np.zeros_like(structure.positions)
+    for b in potential.bonds:
+        vec = delta(b.i, b.j)
+        r = np.linalg.norm(vec)
+        terms.append(0.5 * b.k * (r - b.r0) ** 2)
+        f[b.i] += b.k * (r - b.r0) * vec / r
+        f[b.j] -= b.k * (r - b.r0) * vec / r
+    if potential.eps_rep > 0:
+        n = len(structure)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (i, j) in bonded:
+                    continue
+                vec = delta(i, j)
+                r = np.linalg.norm(vec)
+                rep = potential.eps_rep * (potential.sigma_rep / r) ** 12
+                terms.append(rep)
+                f[i] += -12.0 * rep / r * vec / r
+                f[j] -= -12.0 * rep / r * vec / r
+    return terms, f
+
+
+@st.composite
+def structures(draw):
+    """2-40 atoms of 1-3 elements in a free, orthorhombic or skewed cell.
+
+    Atoms sit on distinct sites of a 4x4x4 fractional grid with a jitter
+    of up to 0.05, so no two atoms come closer than about a fifth of the
+    shortest cell length.
+    """
+    n = draw(st.integers(2, 40))
+    n_elements = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["free", "orthorhombic", "skewed"]))
+    lengths = draw(st.lists(st.floats(6.0, 14.0), min_size=3, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cell = np.diag(lengths)
+    if kind == "skewed":
+        cell[1, 0] = draw(st.floats(0.1, 0.45)) * lengths[0]
+        cell[2, :2] = rng.uniform(-0.45, 0.45, size=2) * lengths[:2]
+    sites = rng.choice(64, size=n, replace=False)
+    frac = np.stack(np.unravel_index(sites, (4, 4, 4)), axis=1) / 4.0
+    frac += rng.uniform(-0.05, 0.05, size=(n, 3))
+    elements = rng.choice(["Ar", "C", "Ne"][:n_elements], size=n).tolist()
+    if kind == "free":
+        return AtomicStructure(elements=elements, positions=frac @ cell)
+    return AtomicStructure(elements=elements, positions=frac @ cell,
+                           cell=cell, pbc=(True, True, True))
+
+
+def random_bonds(structure, rng):
+    n = len(structure)
+    pairs = [rng.choice(n, size=2, replace=False) for _ in range(n // 2)]
+    return [(int(i), int(j), float(rng.uniform(1.0, 10.0)),
+             float(rng.uniform(1.0, 2.0))) for i, j in pairs]
+
+
+def assert_matches_reference(potential, structure, reference):
+    """Kernel vs reference loops, and energy_and_forces vs its wrappers.
+
+    The energy tolerance is relative to the summed term magnitudes: that
+    bounds the rounding of a sum taken in another order.
+    """
+    terms, f_ref = reference(potential, structure)
+    e, f = potential.energy_and_forces(structure)
+    assert abs(e - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
+    assert np.allclose(f, f_ref, rtol=1e-10,
+                       atol=1e-12 * np.abs(f_ref).max())
+    assert e == potential.energy(structure)
+    assert np.array_equal(f, potential.forces(structure))
 
 
 def fd_forces(structure, potential, h=1e-5):
@@ -65,6 +193,72 @@ class TestLennardJones:
         s = dimer(element="Ne", r=3.0)
         with pytest.raises(KeyError):
             AR_LJ.energy(s)
+
+
+class TestPairKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(structures())
+    def test_lj_matches_reference(self, s):
+        assert_matches_reference(MIXED_LJ, s, ref_lj)
+
+    @settings(max_examples=40, deadline=None)
+    @given(structures(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_harmonic_matches_reference(self, s, seed, repulsion):
+        bonds = random_bonds(s, np.random.default_rng(seed))
+        pot = HarmonicBondPotential(bonds, eps_rep=0.01 if repulsion else 0.0,
+                                    sigma_rep=2.0)
+        assert_matches_reference(pot, s, ref_harmonic)
+
+    def test_missing_pair_message(self):
+        s = AtomicStructure(elements=["Ar", "Ne", "Ar"],
+                            positions=np.eye(3) * 3.0)
+        with pytest.raises(KeyError, match="for pair Ar-Ne"):
+            AR_LJ.energy_and_forces(s)
+
+
+class TestMinimumImage:
+    def test_skewed_cell_is_brute_force_minimum(self):
+        s = AtomicStructure(elements=["Ar"], positions=np.zeros((1, 3)),
+                            cell=SKEWED_CELL, pbc=(True, True, True))
+        rng = np.random.default_rng(0)
+        deltas = rng.uniform(-1.0, 1.0, size=(500, 3)) @ SKEWED_CELL
+        frac = deltas @ np.linalg.inv(SKEWED_CELL)
+        rounded = np.linalg.norm((frac - np.round(frac)) @ SKEWED_CELL, axis=1)
+        shifts = np.array([
+            [a, b, c] for a in range(-2, 3) for b in range(-2, 3)
+            for c in range(-2, 3)
+        ]) @ SKEWED_CELL
+        brute = np.linalg.norm(deltas[:, None] + shifts[None], axis=2).min(1)
+        assert np.any(rounded > brute + 1e-6)   # rounding alone falls short
+        kernel = _min_image_vectors(s, deltas)
+        assert np.allclose(np.linalg.norm(kernel, axis=1), brute,
+                           rtol=0, atol=1e-12)
+        # each returned vector is an image of its input
+        n_cells = (kernel - deltas) @ np.linalg.inv(SKEWED_CELL)
+        assert np.allclose(n_cells, np.round(n_cells), atol=1e-9)
+
+    def test_orthorhombic_fast_path_equals_search(self):
+        cell = np.diag([11.3, 7.9, 13.1])
+        s = AtomicStructure(elements=["Ar"], positions=np.zeros((1, 3)),
+                            cell=cell, pbc=(True, True, True))
+        rng = np.random.default_rng(1)
+        frac = rng.uniform(-2.0, 2.0, size=(2000, 3))
+        # near-half-box separations on every axis
+        near = rng.choice([-1.5, -0.5, 0.5, 1.5], size=(2000, 3))
+        near += rng.choice([-1e-9, -1e-12, 1e-12, 1e-9], size=(2000, 3))
+        deltas = np.vstack([frac, near]) @ cell
+        assert np.array_equal(_min_image_vectors(s, deltas),
+                              ref_min_image(s, deltas))
+
+    def test_exact_half_cell_ties_match_search(self):
+        # a 4x4x4 lattice in an 8 A box puts many pairs exactly half a
+        # cell apart; ties must resolve to the image the search picks
+        s = lj_lattice(4, spacing=2.0)
+        ii, jj = np.triu_indices(len(s), k=1)
+        deltas = s.positions[jj] - s.positions[ii]
+        assert np.any(np.abs(deltas) == 4.0)
+        assert np.array_equal(_min_image_vectors(s, deltas),
+                              ref_min_image(s, deltas))
 
 
 class TestHarmonicBond:
@@ -152,6 +346,8 @@ class TestExternalPotential:
         s = dimer(r=3.0)
         assert pot.energy(s) == -1.25
         assert pot.forces(s)[0, 2] == 0.1
+        e, f = pot.energy_and_forces(s)
+        assert e == -1.25 and np.array_equal(f, pot.forces(s))
         assert pot.hessian(s).shape == (6, 6)
 
     def test_shape_validation(self, tmp_path):
