@@ -14,6 +14,7 @@ from .fingerprint import (
     rank_by_similarity,
     similarity_summary,
     tanimoto,
+    tanimoto_matrix,
 )
 
 __all__ = [
@@ -22,5 +23,5 @@ __all__ = [
     "write_smiles",
     "Fingerprint", "linear_kernel_similarity", "load_smiles_table",
     "morgan_fingerprint", "rank_by_similarity", "similarity_summary",
-    "tanimoto",
+    "tanimoto", "tanimoto_matrix",
 ]

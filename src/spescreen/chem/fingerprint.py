@@ -31,9 +31,6 @@ class Fingerprint:
     nbits: int
     radius: int
 
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
     def __eq__(self, other):
         return (
             isinstance(other, Fingerprint)
@@ -51,7 +48,7 @@ def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
     if nbits < 8 or nbits & (nbits - 1):
         raise ValueError("nbits must be a power of two >= 8")
     ring_atoms = graph.ring_atoms()
-    neighbors = [graph.neighbors(i) for i in range(len(graph))]
+    neighbors = graph.adjacency()
     invariants = []
     for i, a in enumerate(graph.atoms):
         invariants.append(_stable_hash((
@@ -74,16 +71,36 @@ def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
     return Fingerprint(bits=bits, nbits=nbits, radius=radius)
 
 
+def _bit_matrix(fps, nbits):
+    """Stack fingerprints into a float64 (len(fps), nbits) 0/1 matrix."""
+    for fp in fps:
+        if fp.nbits != nbits:
+            raise ValueError(
+                f"fingerprint length mismatch: {nbits} vs {fp.nbits}")
+    return np.array([fp.bits for fp in fps],
+                    dtype=np.float64).reshape(len(fps), nbits)
+
+
+def tanimoto_matrix(fps_a, fps_b) -> np.ndarray:
+    """Tanimoto similarity c/(a+b-c) of every pair, as a (len_a, len_b) array.
+
+    The common-bit counts come from one float64 product of the bit
+    matrices, which is exact because every count is at most nbits, far
+    below 2**53. Two empty fingerprints count as 1.
+    """
+    fps_a, fps_b = list(fps_a), list(fps_b)
+    nbits = next((fp.nbits for fp in fps_a + fps_b), 0)
+    a = _bit_matrix(fps_a, nbits)
+    b = _bit_matrix(fps_b, nbits)
+    common = a @ b.T
+    union = a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :] - common
+    return np.divide(common, union, out=np.ones_like(common),
+                     where=union > 0)
+
+
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     """Bit-vector similarity c/(a+b-c); two empty fingerprints count as 1."""
-    if a.nbits != b.nbits:
-        raise ValueError(f"fingerprint length mismatch: {a.nbits} vs {b.nbits}")
-    pa = a.popcount()
-    pb = b.popcount()
-    c = int(np.logical_and(a.bits, b.bits).sum())
-    if pa + pb == 0:
-        return 1.0
-    return c / (pa + pb - c)
+    return float(tanimoto_matrix([a], [b])[0, 0])
 
 
 def rank_by_similarity(reference: Fingerprint, database):
@@ -94,7 +111,8 @@ def rank_by_similarity(reference: Fingerprint, database):
     entries = list(database)
     if not entries:
         raise ValueError("empty fingerprint database")
-    scored = [(str(eid), tanimoto(reference, fp)) for eid, fp in entries]
+    sims = tanimoto_matrix([reference], [fp for _, fp in entries])[0]
+    scored = [(str(eid), float(sim)) for (eid, _), sim in zip(entries, sims)]
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored
 
@@ -123,10 +141,11 @@ def linear_kernel_similarity(a, b) -> float:
 
 
 def load_smiles_table(path):
-    """Load an (id, smiles) table from a TSV/CSV file.
+    """Load and parse an (id, smiles) table from a TSV/CSV file.
 
     Rows whose SMILES fail to parse are skipped and counted.
-    Returns (entries, skipped) with entries a list of (id, smiles).
+    Returns (entries, skipped) with entries a list of (id, MolecularGraph);
+    each graph's `source` holds its SMILES text.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         sample = fh.read(4096)
@@ -150,9 +169,9 @@ def load_smiles_table(path):
             if not eid and not smi:
                 continue
             try:
-                parse_smiles(smi)
+                graph = parse_smiles(smi)
             except (SmilesParseError, ValueError):
                 skipped += 1
                 continue
-            entries.append((eid, smi))
+            entries.append((eid, graph))
     return entries, skipped

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 AROMATIC = "ar"
 
 # Allowed valences for implicit-hydrogen completion (organic subset).
@@ -60,30 +58,50 @@ class MolecularGraph:
     def __len__(self):
         return len(self.atoms)
 
-    def neighbors(self, idx):
-        """Return list of (neighbor index, bond) pairs."""
-        out = []
+    def adjacency(self):
+        """Per-atom lists of (neighbour index, bond) pairs, in bond order."""
+        adj = [[] for _ in self.atoms]
         for b in self.bonds:
-            if b.i == idx:
-                out.append((b.j, b))
-            elif b.j == idx:
-                out.append((b.i, b))
-        return out
-
-    def degree(self, idx):
-        return len(self.neighbors(idx))
-
-    def to_networkx(self):
-        g = nx.Graph()
-        g.add_nodes_from(range(len(self.atoms)))
-        for b in self.bonds:
-            g.add_edge(b.i, b.j, order=b.order)
-        return g
+            adj[b.i].append((b.j, b))
+            adj[b.j].append((b.i, b))
+        return adj
 
     def ring_bond_keys(self):
-        """Keys of bonds lying on at least one cycle (non-bridge edges)."""
-        g = self.to_networkx()
-        bridges = {tuple(sorted(e)) for e in nx.bridges(g)}
+        """Keys of bonds lying on at least one cycle (non-bridge edges).
+
+        Iterative Tarjan bridge search: the DFS tree bond from p into v is
+        a bridge when no back edge from v's subtree reaches p or an
+        ancestor of p (low[v] > disc[p]).
+        """
+        adj = self.adjacency()
+        disc = [-1] * len(adj)
+        low = [0] * len(adj)
+        bridges = set()
+        clock = 0
+        for root in range(len(adj)):
+            if disc[root] >= 0:
+                continue
+            disc[root] = low[root] = clock
+            clock += 1
+            stack = [(root, None, iter(adj[root]))]
+            while stack:
+                v, via, edges = stack[-1]
+                for w, b in edges:
+                    if b is via:
+                        continue
+                    if disc[w] < 0:
+                        disc[w] = low[w] = clock
+                        clock += 1
+                        stack.append((w, b, iter(adj[w])))
+                        break
+                    low[v] = min(low[v], disc[w])
+                else:
+                    stack.pop()
+                    if stack:
+                        parent = stack[-1][0]
+                        low[parent] = min(low[parent], low[v])
+                        if low[v] > disc[parent]:
+                            bridges.add(via.key())
         return {b.key() for b in self.bonds if b.key() not in bridges}
 
     def ring_atoms(self):
@@ -116,14 +134,13 @@ class MolecularGraph:
         return self
 
 
-def bond_order_sum(graph: MolecularGraph, idx: int) -> float:
+def bond_order_sum(atom: Atom, nbrs) -> float:
     """Valence consumed by explicit bonds, with the aromatic-system correction.
 
+    `nbrs` is the atom's (neighbour, bond) list from `adjacency()`.
     Aromatic C/N/B/P atoms contribute one delocalized pi bond on top of
     their sigma framework; aromatic O/S donate a lone pair instead.
     """
-    atom = graph.atoms[idx]
-    nbrs = graph.neighbors(idx)
     if atom.aromatic:
         sigma = len(nbrs)
         if atom.element in ("O", "S"):
@@ -141,6 +158,7 @@ def assign_implicit_hydrogens(graph: MolecularGraph, positions=None):
     `positions` optionally maps atom index -> character position in the
     source text, used for error reporting.
     """
+    adj = graph.adjacency()
     for idx, atom in enumerate(graph.atoms):
         if atom.bracket:
             continue
@@ -148,7 +166,7 @@ def assign_implicit_hydrogens(graph: MolecularGraph, positions=None):
         if valences is None:
             atom.h_count = 0
             continue
-        used = bond_order_sum(graph, idx)
+        used = bond_order_sum(atom, adj[idx])
         for v in valences:
             if used <= v:
                 atom.h_count = int(round(v - used))
@@ -161,9 +179,3 @@ def assign_implicit_hydrogens(graph: MolecularGraph, positions=None):
                 f"bond order sum {used} exceeds {max(valences)}"
             )
     return graph
-
-
-def graphs_match_canonically(a: MolecularGraph, b: MolecularGraph) -> bool:
-    from .smiles import canonicalize
-
-    return canonicalize(a) == canonicalize(b)

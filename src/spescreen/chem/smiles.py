@@ -9,8 +9,6 @@ graph but carry no geometric meaning here.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .graph import (
     AROMATIC,
     AROMATIC_ELEMENTS,
@@ -120,6 +118,7 @@ def parse_smiles(text: str) -> MolecularGraph:
     pending_bond = None  # explicit bond symbol awaiting use
     stack = []
     ring_open = {}       # closure number -> (atom index, bond symbol, char pos)
+    bond_keys = set()
     pos = 0
     n = len(text)
 
@@ -130,15 +129,15 @@ def parse_smiles(text: str) -> MolecularGraph:
         return idx
 
     def connect(a, b, symbol, at):
-        nonlocal pending_bond
         if symbol is None:
             ai, bi = graph.atoms[a], graph.atoms[b]
             order = AROMATIC if (ai.aromatic and bi.aromatic) else 1
         else:
             order = symbol
-        for existing in graph.bonds:
-            if existing.key() == (min(a, b), max(a, b)):
-                raise SmilesParseError("duplicate bond", at)
+        key = (min(a, b), max(a, b))
+        if key in bond_keys:
+            raise SmilesParseError("duplicate bond", at)
+        bond_keys.add(key)
         graph.bonds.append(Bond(a, b, order))
 
     while pos < n:
@@ -238,12 +237,10 @@ def parse_smiles(text: str) -> MolecularGraph:
     return graph
 
 
-def _pi_contribution(graph, idx):
+def _pi_contribution(atom, nbrs):
     """Electrons an atom donates to a candidate aromatic ring, or None."""
-    atom = graph.atoms[idx]
     if atom.element not in AROMATIC_ELEMENTS:
         return None
-    nbrs = graph.neighbors(idx)
     if len(nbrs) > 3:
         return None
     if atom.aromatic:
@@ -271,42 +268,72 @@ def _pi_contribution(graph, idx):
     return None
 
 
-def perceive_aromaticity(graph: MolecularGraph):
-    """Mark Hueckel 4n+2 simple rings aromatic (atoms and in-ring bonds).
+_MAX_RING = 8
 
-    Works on the minimum cycle basis; chorded 'rings' are skipped. This is
-    deliberately simple-ring perception, enough to unify kekulized and
+
+def _chordless_rings(adj):
+    """Every chordless ring of 3 to 8 atoms, as (atoms, bonds) lists.
+
+    A bounded DFS from each ring's lowest-index atom s walks chordless
+    paths over atoms above s: an atom may join a path only when none of
+    its neighbours lies on it except the path's end and s. An atom bonded
+    to s closes the ring, and the walk stops there, since that bond would
+    otherwise be a chord. Each ring is walked in both directions; the
+    direction whose second atom is below its last atom is kept.
+    """
+    nbr_sets = [{j for j, _ in nbrs} for nbrs in adj]
+    rings = []
+
+    def extend(path, on_path, bonds):
+        s, end = path[0], path[-1]
+        for w, b in adj[end]:
+            if w <= s or w in on_path:
+                continue
+            touching = nbr_sets[w] & on_path
+            if not touching <= {s, end}:
+                continue
+            if s in touching:
+                if path[1] < w:
+                    closing = next(c for j, c in adj[w] if j == s)
+                    rings.append((path + [w], bonds + [b, closing]))
+            elif len(path) + 1 < _MAX_RING:
+                extend(path + [w], on_path | {w}, bonds + [b])
+
+    for s, nbrs in enumerate(adj):
+        for v, b in nbrs:
+            if v > s:
+                extend([s, v], {s, v}, [b])
+    return rings
+
+
+def perceive_aromaticity(graph: MolecularGraph):
+    """Mark Hueckel 4n+2 simple rings aromatic (atoms and ring bonds).
+
+    Candidate rings are all chordless rings of 3 to 8 atoms. Passes repeat
+    until no ring changes, because marking one ring can complete the pi
+    count of a fused neighbour. In bridged and cage systems (norbornane,
+    cubane) this set is larger than a minimum cycle basis; the extra rings
+    there run through sp3 bridgeheads, which donate no pi electrons. This
+    is deliberately simple-ring perception, enough to unify kekulized and
     aromatic spellings of fused polycyclic systems.
     """
-    g = graph.to_networkx()
-    try:
-        basis = nx.minimum_cycle_basis(g)
-    except Exception:
-        basis = []
-    rings = []
-    for nodes in basis:
-        nodeset = set(nodes)
-        if not 3 <= len(nodeset) <= 8:
-            continue
-        induced = [b for b in graph.bonds if b.i in nodeset and b.j in nodeset]
-        if len(induced) != len(nodeset):
-            continue  # chorded
-        rings.append((nodeset, induced))
+    adj = graph.adjacency()
+    rings = _chordless_rings(adj)
 
     changed = True
     while changed:
         changed = False
-        for nodeset, induced in rings:
-            if all(graph.atoms[i].aromatic for i in nodeset):
+        for ring, ring_bonds in rings:
+            if all(graph.atoms[i].aromatic for i in ring):
                 continue
-            pis = [_pi_contribution(graph, i) for i in nodeset]
+            pis = [_pi_contribution(graph.atoms[i], adj[i]) for i in ring]
             if any(p is None for p in pis):
                 continue
             if sum(pis) % 4 != 2:
                 continue
-            for i in nodeset:
+            for i in ring:
                 graph.atoms[i].aromatic = True
-            for b in induced:
+            for b in ring_bonds:
                 b.order = AROMATIC
             changed = True
     # bonds written ':' or defaulted to aromatic between already-aromatic
@@ -328,28 +355,27 @@ def _dense_rank(keys):
     return [order[k] for k in keys]
 
 
-def _wl_refine(graph, ranks):
-    nbrs = [graph.neighbors(i) for i in range(len(graph))]
+def _wl_refine(adj, ranks):
+    envs = [[(_BOND_RANK[b.order], j) for j, b in nbrs] for nbrs in adj]
     while True:
-        keys = []
-        for i in range(len(graph)):
-            env = sorted((_BOND_RANK[b.order], ranks[j]) for j, b in nbrs[i])
-            keys.append((ranks[i], tuple(env)))
-        new = _dense_rank(keys)
+        new = _dense_rank([
+            (ranks[i], tuple(sorted([(order, ranks[j]) for order, j in env])))
+            for i, env in enumerate(envs)
+        ])
         if len(set(new)) == len(set(ranks)):
             return new
         ranks = new
 
 
-def _initial_ranks(graph):
+def _initial_ranks(graph, adj):
     keys = []
     for i, a in enumerate(graph.atoms):
-        keys.append((a.element, graph.degree(i), a.h_count, a.charge,
+        keys.append((a.element, len(adj[i]), a.h_count, a.charge,
                      a.aromatic, a.isotope or 0))
     return _dense_rank(keys)
 
 
-def _discrete_rankings(graph, ranks, budget):
+def _discrete_rankings(adj, ranks, budget):
     """Yield total orderings via individualization-refinement (bounded)."""
     stack = [ranks]
     while stack and budget[0] > 0:
@@ -365,31 +391,29 @@ def _discrete_rankings(graph, ranks, budget):
         cell = cells[tied[0]]
         for a in cell:
             keys = [(r, 0 if i == a else 1) for i, r in enumerate(ranks)]
-            stack.append(_wl_refine(graph, _dense_rank(keys)))
+            stack.append(_wl_refine(adj, _dense_rank(keys)))
 
 
-def _implicit_h_if_bare(graph, idx):
+def _implicit_h_if_bare(atom, nbrs):
     """H count a reparse would assign to a bare (non-bracket) atom token."""
-    atom = graph.atoms[idx]
     valences = DEFAULT_VALENCES.get(atom.element)
     if valences is None:
         return None
-    used = bond_order_sum(graph, idx)
+    used = bond_order_sum(atom, nbrs)
     for v in valences:
         if used <= v:
             return int(round(v - used))
     return None
 
 
-def _atom_token(graph, idx):
-    atom = graph.atoms[idx]
+def _atom_token(atom, nbrs):
     sym = atom.element.lower() if atom.aromatic else atom.element
     needs_bracket = (
         atom.isotope is not None
         or atom.charge != 0
         or atom.element not in ORGANIC_SUBSET
         or (atom.aromatic and atom.element not in AROMATIC_ELEMENTS)
-        or _implicit_h_if_bare(graph, idx) != atom.h_count
+        or _implicit_h_if_bare(atom, nbrs) != atom.h_count
     )
     if not needs_bracket:
         return sym
@@ -421,18 +445,23 @@ def _bond_token(graph, bond):
     return ""
 
 
-def _component_string(graph, ranks, atoms_in_comp):
+def _component_string(graph, adj, ranks, atoms_in_comp):
     start = min(atoms_in_comp, key=lambda i: ranks[i])
 
-    # pass 1: build the DFS spanning tree and classify ring-closure bonds
-    visited = set()
+    # pass 1: build the DFS spanning tree and classify ring-closure bonds;
+    # an explicit stack of (atom, remaining neighbours) keeps long chains
+    # off the interpreter's recursion limit
+    def by_rank(i):
+        return iter(sorted(adj[i], key=lambda nb: ranks[nb[0]]))
+
+    visited = {start}
     children = {i: [] for i in atoms_in_comp}
     closure_bonds = {i: [] for i in atoms_in_comp}
     seen_keys = set()
-
-    def dfs(i):
-        visited.add(i)
-        for j, b in sorted(graph.neighbors(i), key=lambda nb: ranks[nb[0]]):
+    stack = [(start, by_rank(start))]
+    while stack:
+        i, pending = stack[-1]
+        for j, b in pending:
             key = b.key()
             if key in seen_keys:
                 continue
@@ -442,11 +471,14 @@ def _component_string(graph, ranks, atoms_in_comp):
                 closure_bonds[j].append(b)
             else:
                 children[i].append((j, b))
-                dfs(j)
+                visited.add(j)
+                stack.append((j, by_rank(j)))
+                break
+        else:
+            stack.pop()
 
-    dfs(start)
-
-    # pass 2: emit atoms in tree order with closure digits
+    # pass 2: emit atoms in tree order with closure digits; the stack holds
+    # atom indices still to emit and literal tokens, in reverse order
     out = []
     open_numbers = {}
     free_numbers = list(range(99, 0, -1))
@@ -454,8 +486,14 @@ def _component_string(graph, ranks, atoms_in_comp):
     def digit_str(num):
         return str(num) if num < 10 else f"%{num:02d}"
 
-    def emit(i):
-        out.append(_atom_token(graph, i))
+    stack = [start]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        i = item
+        out.append(_atom_token(graph.atoms[i], adj[i]))
         for b in sorted(closure_bonds[i],
                         key=lambda b: ranks[b.j if b.i == i else b.i]):
             key = b.key()
@@ -468,16 +506,16 @@ def _component_string(graph, ranks, atoms_in_comp):
                 num = free_numbers.pop()
                 open_numbers[key] = num
                 out.append(_bond_token(graph, b) + digit_str(num))
-        for k, (j, b) in enumerate(children[i]):
-            last = k == len(children[i]) - 1
-            if not last:
-                out.append("(")
-            out.append(_bond_token(graph, b))
-            emit(j)
-            if not last:
-                out.append(")")
-
-    emit(start)
+        kids = children[i]
+        for k in range(len(kids) - 1, -1, -1):
+            j, b = kids[k]
+            branch = k < len(kids) - 1
+            if branch:
+                stack.append(")")
+            stack.append(j)
+            stack.append(_bond_token(graph, b))
+            if branch:
+                stack.append("(")
     return "".join(out)
 
 
@@ -485,9 +523,23 @@ def write_smiles(graph: MolecularGraph, ranks=None) -> str:
     """Serialize a molecular graph to SMILES using the given atom ranks."""
     if ranks is None:
         ranks = list(range(len(graph)))
-    g = graph.to_networkx()
-    comps = [sorted(c) for c in nx.connected_components(g)]
-    parts = sorted(_component_string(graph, ranks, c) for c in comps)
+    adj = graph.adjacency()
+    seen = [False] * len(adj)
+    comps = []
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        stack = [root]
+        while stack:
+            for j, _ in adj[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+                    stack.append(j)
+        comps.append(sorted(comp))
+    parts = sorted(_component_string(graph, adj, ranks, c) for c in comps)
     return ".".join(parts)
 
 
@@ -500,10 +552,11 @@ def canonicalize(graph: MolecularGraph, max_leaves: int = 200) -> str:
     """
     if len(graph) == 0:
         raise ValueError("cannot canonicalize an empty graph")
-    ranks0 = _wl_refine(graph, _initial_ranks(graph))
+    adj = graph.adjacency()
+    ranks0 = _wl_refine(adj, _initial_ranks(graph, adj))
     budget = [max_leaves]
     best = None
-    for ranks in _discrete_rankings(graph, ranks0, budget):
+    for ranks in _discrete_rankings(adj, ranks0, budget):
         s = write_smiles(graph, ranks)
         if best is None or s < best:
             best = s

@@ -28,7 +28,7 @@ from .chem import (
     parse_smiles,
     rank_by_similarity,
     similarity_summary,
-    tanimoto,
+    tanimoto_matrix,
 )
 from .embedding import EmbeddingConfig, embed_emitter, select_most_stable, write_manifest
 from .ml import feature_matrix, gpc_predict, gpc_train, hdbscan, label_good, pca, tsne
@@ -85,7 +85,11 @@ def _write_stage_manifest(ctx, stage, inputs, params, outputs):
 
 
 def _stage(func):
-    """Map stage exceptions onto the documented exit codes."""
+    """Map stage exceptions onto the documented exit codes.
+
+    Numerical failures exit 3; every other exception exits 2 with a
+    one-line message, so no stage ends in a traceback with exit 1.
+    """
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
@@ -97,6 +101,10 @@ def _stage(func):
             sys.exit(EXIT_NUMERICAL)
         except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
             click.echo(f"[{stage}] validation error: {exc}", err=True)
+            sys.exit(EXIT_VALIDATION)
+        except Exception as exc:
+            click.echo(f"[{stage}] error: {type(exc).__name__}: {exc}",
+                       err=True)
             sys.exit(EXIT_VALIDATION)
 
     return wrapper
@@ -127,14 +135,11 @@ def _out(ctx, name):
 @click.option("--config", "config_path", type=click.Path(exists=True),
               default=None, help="INI config with per-stage sections.")
 @click.option("--seed", type=int, default=None, help="Global random seed.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads within a stage (outputs are "
-                   "deterministic regardless).")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".",
               show_default=True, help="Directory for stage outputs.")
 @click.version_option(__version__)
 @click.pass_context
-def main(ctx, config_path, seed, threads, out_dir):
+def main(ctx, config_path, seed, out_dir):
     """Emitter-host screening pipeline."""
     parser = None
     if config_path:
@@ -147,7 +152,6 @@ def main(ctx, config_path, seed, threads, out_dir):
     ctx.obj = {
         "config": parser,
         "seed": 0 if seed is None else seed,
-        "threads": threads,
         "out_dir": out_dir,
     }
 
@@ -173,12 +177,13 @@ def similarity(ctx, table_path, reference, nbits, radius):
         raise ValueError("similarity needs --smiles and --reference")
 
     entries, skipped = load_smiles_table(table_path)
-    by_id = dict(entries)
-    ref_smiles = by_id.get(reference, reference)
-    ref_fp = morgan_fingerprint(parse_smiles(ref_smiles), radius, nbits)
+    ref_graph = dict(entries).get(reference)
+    if ref_graph is None:
+        ref_graph = parse_smiles(reference)
+    ref_fp = morgan_fingerprint(ref_graph, radius, nbits)
     database = [
-        (cid, morgan_fingerprint(parse_smiles(smi), radius, nbits))
-        for cid, smi in entries
+        (cid, morgan_fingerprint(graph, radius, nbits))
+        for cid, graph in entries
     ]
     ranked = rank_by_similarity(ref_fp, database)
     summary = similarity_summary(ranked)
@@ -236,15 +241,8 @@ def map_cmd(ctx, table_path, perplexity, min_cluster_size, nbits, radius,
 
     entries, skipped = load_smiles_table(table_path)
     ids = [cid for cid, _ in entries]
-    fps = [
-        morgan_fingerprint(parse_smiles(smi), radius, nbits)
-        for _, smi in entries
-    ]
-    n = len(fps)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = 1.0 - tanimoto(fps[i], fps[j])
+    fps = [morgan_fingerprint(graph, radius, nbits) for _, graph in entries]
+    dist = 1.0 - tanimoto_matrix(fps, fps)
 
     result = tsne(dist, perplexity=perplexity, seed=ctx.obj["seed"],
                   metric="precomputed")
@@ -269,7 +267,7 @@ def map_cmd(ctx, table_path, perplexity, min_cluster_size, nbits, radius,
         [out_path],
     )
     click.echo(
-        f"mapped {n} entries into {clusters.n_clusters} clusters "
+        f"mapped {len(ids)} entries into {clusters.n_clusters} clusters "
         f"(kl={result.kl_divergence:.4f})"
     )
 
@@ -426,13 +424,33 @@ def modes(ctx, structure_path, ext_path, lj_path, do_relax, fmax, out_name):
 # --- vibronic --------------------------------------------------------------
 
 def _parse_atom_selection(spec, n):
-    """'a:b' slice or comma list of indices; None means all atoms."""
+    """'a:b' slice or comma list of indices; None means all atoms.
+
+    Raises ValueError for a token that is not an integer, an empty
+    selection, an index outside [0, n) or a repeated index.
+    """
     if spec is None:
         return list(range(n))
-    if ":" in spec:
-        a, b = spec.split(":", 1)
-        return list(range(int(a or 0), int(b or n)))
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+    try:
+        if ":" in spec:
+            a, b = spec.split(":", 1)
+            # a lazy range: a huge slice fails below without being built
+            atoms = range(int(a or 0), int(b or n))
+        else:
+            atoms = [int(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(
+            f"atom selection {spec!r} has a token that is not an integer"
+        ) from None
+    if not atoms:
+        raise ValueError(f"atom selection {spec!r} is empty")
+    outside = next((i for i in atoms if not 0 <= i < n), None)
+    if outside is not None:
+        raise ValueError(
+            f"atom selection {spec!r}: index {outside} is outside [0, {n})")
+    if len(set(atoms)) != len(atoms):
+        raise ValueError(f"atom selection {spec!r} repeats an index")
+    return list(atoms)
 
 
 @main.command()

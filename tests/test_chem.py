@@ -1,10 +1,19 @@
 """SMILES parsing, canonicalization, and fingerprint tests."""
 
+import contextlib
+import subprocess
+import sys
+from unittest import mock
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spescreen.chem import (
     AROMATIC,
+    Atom,
+    Bond,
     Fingerprint,
     MolecularGraph,
     SmilesParseError,
@@ -17,7 +26,21 @@ from spescreen.chem import (
     rank_by_similarity,
     similarity_summary,
     tanimoto,
+    tanimoto_matrix,
+    write_smiles,
 )
+from spescreen.chem import smiles as smiles_module
+from spescreen.chem.graph import AROMATIC_ELEMENTS, assign_implicit_hydrogens
+
+from conftest import (
+    DBT_CENTERS,
+    NEAR_DBT_A_CENTERS,
+    NEAR_DBT_B_CENTERS,
+    SQ3,
+    TERRYLENE_CENTERS,
+    pah_graph,
+)
+from test_acceptance import _random_molecule
 
 MOLECULES = [
     "C", "CC", "CCO", "C=C", "C#N", "CC(C)=O", "c1ccccc1", "c1ccsc1",
@@ -177,3 +200,400 @@ class TestRanking:
         entries, skipped = load_smiles_table(p)
         assert [e[0] for e in entries] == ["x", "z"]
         assert skipped == 1
+        # rows come back parsed, with the SMILES text kept as the source
+        assert [g.source for _, g in entries] == ["CCO", "c1ccccc1"]
+        assert canonicalize(entries[1][1]) == canonical_smiles("c1ccccc1")
+
+
+# --- slow references: the networkx-based ring code the package replaced ----
+
+def _ref_neighbors(graph, idx):
+    out = []
+    for b in graph.bonds:
+        if b.i == idx:
+            out.append((b.j, b))
+        elif b.j == idx:
+            out.append((b.i, b))
+    return out
+
+
+def _ref_nx_graph(graph):
+    g = nx.Graph()
+    g.add_nodes_from(range(len(graph.atoms)))
+    for b in graph.bonds:
+        g.add_edge(b.i, b.j, order=b.order)
+    return g
+
+
+def _ref_ring_bond_keys(graph):
+    """Keys of non-bridge bonds, from networkx's bridge search."""
+    bridges = {tuple(sorted(e)) for e in nx.bridges(_ref_nx_graph(graph))}
+    return {b.key() for b in graph.bonds if b.key() not in bridges}
+
+
+def _ref_pi_contribution(graph, idx):
+    atom = graph.atoms[idx]
+    if atom.element not in AROMATIC_ELEMENTS:
+        return None
+    nbrs = _ref_neighbors(graph, idx)
+    if len(nbrs) > 3:
+        return None
+    if atom.aromatic:
+        return 2 if atom.element in ("O", "S") and not any(
+            b.order == 2 for _, b in nbrs) else 1
+    has_double = any(b.order == 2 for _, b in nbrs)
+    if atom.element == "C":
+        if has_double:
+            return 1
+        if atom.charge == -1:
+            return 2
+        if atom.charge == 1:
+            return 0
+        return None
+    if atom.element in ("N", "P"):
+        if has_double:
+            return 1
+        if atom.h_count > 0 or len(nbrs) == 3:
+            return 2
+        return None
+    if atom.element in ("O", "S"):
+        return None if has_double else 2
+    if atom.element == "B":
+        return 0
+    return None
+
+
+def _ref_perceive_aromaticity(graph):
+    """Hueckel perception over the chordless 3-8 rings of a minimum cycle basis."""
+    basis = nx.minimum_cycle_basis(_ref_nx_graph(graph))
+    rings = []
+    for nodes in basis:
+        nodeset = set(nodes)
+        if not 3 <= len(nodeset) <= 8:
+            continue
+        induced = [b for b in graph.bonds if b.i in nodeset and b.j in nodeset]
+        if len(induced) != len(nodeset):
+            continue  # chorded
+        rings.append((nodeset, induced))
+    changed = True
+    while changed:
+        changed = False
+        for nodeset, induced in rings:
+            if all(graph.atoms[i].aromatic for i in nodeset):
+                continue
+            pis = [_ref_pi_contribution(graph, i) for i in nodeset]
+            if any(p is None for p in pis):
+                continue
+            if sum(pis) % 4 != 2:
+                continue
+            for i in nodeset:
+                graph.atoms[i].aromatic = True
+            for b in induced:
+                b.order = AROMATIC
+            changed = True
+    for b in graph.bonds:
+        if b.order == AROMATIC:
+            graph.atoms[b.i].aromatic = True
+            graph.atoms[b.j].aromatic = True
+    return graph
+
+
+def _ref_component_string(graph, ranks, atoms_in_comp):
+    """Recursive two-pass DFS writer (same tokens, same order)."""
+    start = min(atoms_in_comp, key=lambda i: ranks[i])
+    visited = set()
+    children = {i: [] for i in atoms_in_comp}
+    closure_bonds = {i: [] for i in atoms_in_comp}
+    seen_keys = set()
+
+    def dfs(i):
+        visited.add(i)
+        for j, b in sorted(_ref_neighbors(graph, i),
+                           key=lambda nb: ranks[nb[0]]):
+            if b.key() in seen_keys:
+                continue
+            seen_keys.add(b.key())
+            if j in visited:
+                closure_bonds[i].append(b)
+                closure_bonds[j].append(b)
+            else:
+                children[i].append((j, b))
+                dfs(j)
+
+    dfs(start)
+    out = []
+    open_numbers = {}
+    free_numbers = list(range(99, 0, -1))
+
+    def digit_str(num):
+        return str(num) if num < 10 else f"%{num:02d}"
+
+    def emit(i):
+        out.append(smiles_module._atom_token(graph.atoms[i],
+                                             _ref_neighbors(graph, i)))
+        for b in sorted(closure_bonds[i],
+                        key=lambda b: ranks[b.j if b.i == i else b.i]):
+            key = b.key()
+            if key in open_numbers:
+                num = open_numbers.pop(key)
+                free_numbers.append(num)
+                free_numbers.sort(reverse=True)
+                out.append(digit_str(num))
+            else:
+                num = free_numbers.pop()
+                open_numbers[key] = num
+                out.append(smiles_module._bond_token(graph, b)
+                           + digit_str(num))
+        for k, (j, b) in enumerate(children[i]):
+            last = k == len(children[i]) - 1
+            if not last:
+                out.append("(")
+            out.append(smiles_module._bond_token(graph, b))
+            emit(j)
+            if not last:
+                out.append(")")
+
+    emit(start)
+    return "".join(out)
+
+
+def _ref_write_smiles(graph, ranks=None):
+    if ranks is None:
+        ranks = list(range(len(graph)))
+    comps = [sorted(c) for c in nx.connected_components(_ref_nx_graph(graph))]
+    return ".".join(sorted(_ref_component_string(graph, ranks, c)
+                           for c in comps))
+
+
+@contextlib.contextmanager
+def _reference_chem():
+    """Swap the ring perception, bridge search and writer for the references."""
+    with mock.patch.object(smiles_module, "perceive_aromaticity",
+                           _ref_perceive_aromaticity), \
+            mock.patch.object(smiles_module, "write_smiles",
+                              _ref_write_smiles), \
+            mock.patch.object(MolecularGraph, "ring_bond_keys",
+                              _ref_ring_bond_keys):
+        yield
+
+
+def _profile(smiles):
+    """Everything the ring code decides for one SMILES string."""
+    try:
+        g = parse_smiles(smiles)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return (
+        [(a.aromatic, a.h_count) for a in g.atoms],
+        [(b.key(), b.order) for b in g.bonds],
+        sorted(g.ring_bond_keys()),
+        sorted(g.ring_atoms()),
+        canonicalize(g),
+        tuple(np.flatnonzero(morgan_fingerprint(g).bits)),
+    )
+
+
+def _assert_matches_reference(smiles):
+    new = _profile(smiles)
+    with _reference_chem():
+        ref = _profile(smiles)
+    assert new == ref, smiles
+
+
+def _ref_tanimoto(a, b):
+    pa, pb = int(a.bits.sum()), int(b.bits.sum())
+    c = int(np.logical_and(a.bits, b.bits).sum())
+    return 1.0 if pa + pb == 0 else c / (pa + pb - c)
+
+
+# --- random fused-ring graphs -----------------------------------------------
+
+_HEX_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+
+
+def _polyhex_topology(rnd, n_cells):
+    """Bonds of a random hole-free polyhex of up to n_cells hexagons."""
+    cells = [(0, 0)]
+    while len(cells) < n_cells:
+        q, r = rnd.choice(cells)
+        dq, dr = rnd.choice(_HEX_STEPS)
+        cell = (q + dq, r + dr)
+        if cell in cells:
+            continue
+        g = pah_graph([(SQ3 * (cq + cr / 2), 1.5 * cr)
+                       for cq, cr in cells + [cell]])
+        # Euler: V - E + (hexagons + outer face + holes) = 2
+        if 1 - len(g.atoms) + len(g.bonds) - len(cells) - 1 > 0:
+            continue
+        cells.append(cell)
+    g = pah_graph([(SQ3 * (q + r / 2), 1.5 * r) for q, r in cells])
+    return len(g.atoms), [b.key() for b in g.bonds]
+
+
+def _fused_ring_topology(rnd, n_rings):
+    """Bonds of n_rings ortho-fused rings of 5, 6 or 7 atoms.
+
+    Each new ring is fused onto a bond whose atoms both have degree 2, so
+    the rings are the graph's only chordless cycles.
+    """
+    size = rnd.choice((5, 6, 7))
+    bonds = [(k, (k + 1) % size) for k in range(size)]
+    n = size
+    for _ in range(n_rings - 1):
+        degree = [0] * n
+        for i, j in bonds:
+            degree[i] += 1
+            degree[j] += 1
+        free = [(i, j) for i, j in bonds if degree[i] == degree[j] == 2]
+        u, v = rnd.choice(free)
+        path = [u] + list(range(n, n + rnd.choice((5, 6, 7)) - 2)) + [v]
+        n = path[-2] + 1
+        bonds += list(zip(path, path[1:]))
+    return n, [(min(b), max(b)) for b in bonds]
+
+
+def _decorate(rnd, n, bonds):
+    """Random elements and a random set of non-adjacent double bonds.
+
+    C takes any bond order, N a double bond only at degree 2, O and S only
+    single bonds at degree 2; atoms left without a double bond carry
+    hydrogens, so some rings come out aromatic and some do not.
+    """
+    degree = [0] * n
+    for i, j in bonds:
+        degree[i] += 1
+        degree[j] += 1
+    elements = []
+    for d in degree:
+        pool = "CCCCNOS" if d == 2 else "CCCCN"
+        elements.append(rnd.choice(pool))
+    doubled = set()
+    orders = []
+    for i, j in bonds:
+        ok = all(elements[a] == "C" or (elements[a] == "N" and degree[a] == 2)
+                 for a in (i, j))
+        if ok and not {i, j} & doubled and rnd.random() < 0.8:
+            doubled |= {i, j}
+            orders.append(2)
+        else:
+            orders.append(1)
+    graph = MolecularGraph(atoms=[Atom(e) for e in elements],
+                           bonds=[Bond(i, j, o)
+                                  for (i, j), o in zip(bonds, orders)])
+    return write_smiles(assign_implicit_hydrogens(graph))
+
+
+class TestReferenceRingCode:
+    """Aromaticity, ring atoms, canonical SMILES and fingerprints agree with
+    the minimum-cycle-basis / bridge-search code the package replaced."""
+
+    @pytest.mark.parametrize("smiles", MOLECULES + [
+        "C1=C[CH+]1",                 # 3-ring, 2 pi electrons
+        "C1=CC=C[CH+]C=C1",           # tropylium, 7-ring
+        "[CH-]1C=CC=C[CH-]C=C1",      # 8-ring, 10 pi electrons
+        "[CH-]1C=CC=CC=CC=C1",        # 9-ring: too large, stays kekulized
+    ])
+    def test_molecules(self, smiles):
+        _assert_matches_reference(smiles)
+
+    @pytest.mark.parametrize("centers", [
+        TERRYLENE_CENTERS, DBT_CENTERS, NEAR_DBT_A_CENTERS,
+        NEAR_DBT_B_CENTERS,
+    ], ids=["terrylene", "dbt", "near-a", "near-b"])
+    def test_pah_fixtures(self, centers):
+        _assert_matches_reference(write_smiles(pah_graph(centers)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 7),
+           st.booleans())
+    def test_polyhex(self, rnd, n_cells, aromatic_input):
+        n, bonds = _polyhex_topology(rnd, n_cells)
+        if aromatic_input:
+            graph = MolecularGraph(
+                atoms=[Atom("C", aromatic=True) for _ in range(n)],
+                bonds=[Bond(i, j, AROMATIC) for i, j in bonds])
+            smiles = write_smiles(assign_implicit_hydrogens(graph))
+        else:
+            smiles = _decorate(rnd, n, bonds)
+        _assert_matches_reference(smiles)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 5))
+    def test_fused_5_6_7(self, rnd, n_rings):
+        _assert_matches_reference(_decorate(rnd, *_fused_ring_topology(
+            rnd, n_rings)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_molecules(self, seed):
+        _assert_matches_reference(_random_molecule(np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("smiles", [
+        "C1CC2CCC1C2",            # norbornane
+        "C1CC2CCC1CC2",           # bicyclo[2.2.2]octane
+        "C12C3C4C1C5C2C3C45",     # cubane
+        "C1=CC2C=CC1C=C2",        # barrelene
+    ])
+    def test_bridged_and_cage(self, smiles):
+        g = parse_smiles(smiles)
+        rings = smiles_module._chordless_rings(g.adjacency())
+        assert len(rings) > len(nx.minimum_cycle_basis(_ref_nx_graph(g)))
+        # the extra rings contain sp3 bridgeheads, for which
+        # _pi_contribution returns None, so no ring is marked aromatic
+        _assert_matches_reference(smiles)
+
+
+def test_long_chain_canonicalizes():
+    """A chain longer than the recursion limit writes and canonicalizes.
+
+    The canonical form of the chain is the input text itself, so this one
+    call also shows that the string re-canonicalizes to itself.
+    """
+    chain = "C" * 1100
+    canon = canonical_smiles(chain)
+    assert isinstance(canon, str)
+    assert canon == chain
+
+
+class TestTanimotoMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
+    def test_matches_scalar_reference(self, seed, na, nb):
+        rng = np.random.default_rng(seed)
+
+        def fps(k):
+            # rows range from empty to dense; two empty rows make a 0/0 pair
+            return [Fingerprint(bits=rng.random(64) < rng.choice(
+                [0.0, 0.05, 0.5, 1.0]), nbits=64, radius=2)
+                for _ in range(k)]
+
+        a, b = fps(na), fps(nb)
+        m = tanimoto_matrix(a, b)
+        assert m.shape == (na, nb)
+        for i in range(na):
+            for j in range(nb):
+                assert m[i, j] == _ref_tanimoto(a[i], b[j])
+                assert tanimoto_matrix([a[i]], [b[j]]) == \
+                    [[tanimoto(a[i], b[j])]]
+
+    def test_all_zero_pair(self):
+        z = Fingerprint(bits=np.zeros(64, dtype=bool), nbits=64, radius=2)
+        one = Fingerprint(bits=np.eye(64, dtype=bool)[3], nbits=64, radius=2)
+        assert tanimoto_matrix([z, one], [z, one]).tolist() == \
+            [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_nbits_mismatch(self):
+        a = Fingerprint(bits=np.ones(64, dtype=bool), nbits=64, radius=2)
+        b = Fingerprint(bits=np.ones(128, dtype=bool), nbits=128, radius=2)
+        with pytest.raises(ValueError, match="length mismatch"):
+            tanimoto_matrix([a], [a, b])
+        with pytest.raises(ValueError, match="length mismatch"):
+            tanimoto(a, b)
+
+
+def test_cli_import_leaves_out_networkx():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spescreen.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,12 +1,18 @@
 """End-to-end checks of the command-line pipeline driver."""
 
 import json
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from spescreen.cli import main
+from spescreen import cli
+from spescreen.chem import fingerprint
+from spescreen.cli import _parse_atom_selection, main
 from spescreen.spectro import write_candidates_csv
 from spescreen.structure import write_xyz
 from spescreen.vibronic import normal_modes, save_mode_set
@@ -60,6 +66,43 @@ class TestSimilarity:
         result = runner.invoke(main, ["--out-dir", str(tmp_path),
                                       "similarity"])
         assert result.exit_code == 2
+
+    def test_each_row_parsed_once(self, runner, tmp_path, smiles_table):
+        """An id reference reuses the table's graph; a SMILES is parsed."""
+        for reference, ref_parses in (("x3", 0), ("c1ccc2cc3ccccc3cc2c1", 1)):
+            out = tmp_path / str(ref_parses)
+            with mock.patch.object(cli, "parse_smiles",
+                                   wraps=cli.parse_smiles) as ref, \
+                    mock.patch.object(fingerprint, "parse_smiles",
+                                      wraps=fingerprint.parse_smiles) as rows:
+                result = runner.invoke(main, [
+                    "--out-dir", str(out), "similarity",
+                    "--smiles", str(smiles_table), "--reference", reference,
+                ])
+            assert result.exit_code == 0, result.output
+            assert rows.call_count == 10
+            assert ref.call_count == ref_parses
+            assert (out / "ranking.csv").read_text().splitlines()[1] \
+                .startswith("x3,1.000000")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.text(max_size=12), st.text(max_size=30)),
+                    max_size=6),
+           st.text(max_size=12))
+    def test_fuzzed_table_exit_codes(self, rows, reference):
+        """Any table text and reference give exit 0, 2 or 3, never 1."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.tsv")
+            with open(path, "w", encoding="utf-8",
+                      errors="surrogatepass") as fh:
+                fh.write("id\tsmiles\n")
+                fh.writelines(f"{i}\t{s}\n" for i, s in rows)
+            result = CliRunner().invoke(main, [
+                "--out-dir", os.path.join(tmp, "out"), "similarity",
+                "--smiles", path, "--reference", reference,
+            ])
+        assert result.exit_code in (0, 2, 3), (result.output,
+                                               result.exc_info)
 
 
 class TestMap:
@@ -168,7 +211,9 @@ class TestModes:
 
 
 class TestVibronic:
-    def test_report_json(self, runner, tmp_path):
+    @staticmethod
+    def _inputs(tmp_path):
+        """Flags for a 2-atom emitter in a 4-atom complex, minus the atoms."""
         rng = np.random.default_rng(2)
 
         def rand_modes(masses):
@@ -190,22 +235,48 @@ class TestVibronic:
                             positions=[[0, 0, 0.02], [1.45, 0, 0]])
         write_xyz(g, tmp_path / "rg.xyz")
         write_xyz(x, tmp_path / "rx.xyz")
-        out = tmp_path / "out"
-        result = runner.invoke(main, [
-            "--out-dir", str(out), "vibronic",
+        return [
+            "vibronic",
             "--isolated", str(tmp_path / "iso.json"),
             "--embedded", str(tmp_path / "emb.json"),
             "--forces", str(tmp_path / "forces.json"),
-            "--emitter-atoms", "2:4",
             "--r-ground", str(tmp_path / "rg.xyz"),
             "--r-excited", str(tmp_path / "rx.xyz"),
-        ])
+        ]
+
+    def test_report_json(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out-dir", str(out)]
+                               + self._inputs(tmp_path)
+                               + ["--emitter-atoms", "2:4"])
         assert result.exit_code == 0, result.output
         data = json.loads((out / "vibronic.json").read_text())
         assert set(data) == {
             "g", "s_projection", "huang_rhys", "weighted_huang_rhys",
             "svc", "sum_g", "sum_weighted_hr", "direct_fc",
         }
+
+    def test_atoms_outside_complex_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["--out-dir", str(tmp_path / "out")]
+                               + self._inputs(tmp_path)
+                               + ["--emitter-atoms", "3:5"])
+        assert result.exit_code == 2, result.output
+        assert "outside [0, 4)" in result.output
+
+    @pytest.mark.parametrize("spec", [
+        "3:5", "4", "-1,0", "-1:2", "0,0", "1,2,1", "2:2", ",", "",
+        "a", "0:x", "1.5", "0:1:2", "0:1000000000000",
+    ])
+    def test_bad_atom_selection(self, spec):
+        with pytest.raises(ValueError):
+            _parse_atom_selection(spec, 4)
+
+    @pytest.mark.parametrize("spec, atoms", [
+        (None, [0, 1, 2, 3]), ("2:4", [2, 3]), (":2", [0, 1]),
+        ("1:", [1, 2, 3]), ("3, 0", [3, 0]),
+    ])
+    def test_atom_selection(self, spec, atoms):
+        assert _parse_atom_selection(spec, 4) == atoms
 
 
 class TestSpinStark:
