@@ -84,6 +84,26 @@ def _write_stage_manifest(ctx, stage, inputs, params, outputs):
     return path
 
 
+def _write_csv(path, header, rows):
+    """Write one header row and then every row of `rows` as CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _gpc_counters(model):
+    """Deterministic fit diagnostics of a GPCModel for a stage manifest."""
+    return {
+        "log_marginal_likelihood": model.log_marginal_likelihood,
+        "grad_norm": model.grad_norm,
+        "n_evaluations": model.n_evaluations,
+        "optimizer_converged": model.optimizer_converged,
+        "laplace_iterations": model.laplace_iterations,
+        "laplace_converged": model.laplace_converged,
+    }
+
+
 def _stage(func):
     """Map stage exceptions onto the documented exit codes.
 
@@ -190,11 +210,8 @@ def similarity(ctx, table_path, reference, nbits, radius):
     summary["skipped_rows"] = skipped
 
     ranking_path = _out(ctx, "ranking.csv")
-    with open(ranking_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "tanimoto"])
-        for cid, sim in ranked:
-            writer.writerow([cid, f"{sim:.6f}"])
+    _write_csv(ranking_path, ["id", "tanimoto"],
+               ([cid, f"{sim:.6f}"] for cid, sim in ranked))
 
     sims = np.array([s for _, s in ranked])
     edges = np.linspace(0.0, 1.0, 21)
@@ -249,16 +266,10 @@ def map_cmd(ctx, table_path, perplexity, min_cluster_size, nbits, radius,
     clusters = hdbscan(result.embedding, min_cluster_size=min_cluster_size)
 
     out_path = _out(ctx, out_name)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "cluster", "id"])
-        for k, cid in enumerate(ids):
-            writer.writerow([
-                f"{result.embedding[k, 0]:.6f}",
-                f"{result.embedding[k, 1]:.6f}",
-                int(clusters.labels[k]),
-                cid,
-            ])
+    _write_csv(out_path, ["x", "y", "cluster", "id"], (
+        [f"{xy[0]:.6f}", f"{xy[1]:.6f}", int(lab), cid]
+        for xy, lab, cid in zip(result.embedding, clusters.labels, ids)
+    ))
     _write_stage_manifest(
         ctx, "map", {"smiles": table_path},
         {"perplexity": perplexity, "min_cluster_size": min_cluster_size,
@@ -623,11 +634,8 @@ def label(ctx, records_path, lambda_host, no_soc, out_name):
         ctx, records_path, lambda_host, no_soc, "label"
     )
     out_path = _out(ctx, out_name)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"])
-        for rec, g in zip(records, good):
-            writer.writerow([rec.id, int(g)])
+    _write_csv(out_path, ["id", "label"],
+               ([rec.id, int(g)] for rec, g in zip(records, good)))
     _write_stage_manifest(
         ctx, "label", {"records": records_path},
         {"lambda_host": lambda_host, "include_soc": not no_soc},
@@ -653,15 +661,15 @@ def classify(ctx, records_path, lambda_host, no_soc, out_name):
     model = gpc_train(features.values, good.astype(float))
     probs = gpc_predict(model, features.values)
     out_path = _out(ctx, out_name)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label", "probability"])
-        for rec, g, p in zip(records, good, probs):
-            writer.writerow([rec.id, int(g), f"{p:.6f}"])
+    _write_csv(out_path, ["id", "label", "probability"], (
+        [rec.id, int(g), f"{p:.6f}"]
+        for rec, g, p in zip(records, good, probs)
+    ))
     _write_stage_manifest(
         ctx, "classify", {"records": records_path},
         {"lambda_host": lambda_host, "include_soc": not no_soc,
-         "sigma2": model.sigma2, "lengthscale": model.lengthscale},
+         "sigma2": model.sigma2, "lengthscale": model.lengthscale,
+         **_gpc_counters(model)},
         [out_path],
     )
     click.echo(
@@ -698,6 +706,7 @@ def report(ctx, records_path, lambda_host, no_soc, vibronic_dir):
     if not records:
         raise ValueError("record table is empty")
     outputs = []
+    grid_model = {}   # fit parameters and counters of the fig4-grid GPC
 
     table_csv = _out(ctx, "table1.csv")
     write_candidates_csv(records, table_csv)
@@ -711,13 +720,10 @@ def report(ctx, records_path, lambda_host, no_soc, vibronic_dir):
 
     for metric in _FIG3_METRICS:
         path = _out(ctx, f"fig3_{metric}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "tanimoto", metric])
-            for r in records:
-                writer.writerow([
-                    r.id, f"{r.tanimoto:.4f}", f"{getattr(r, metric):.4f}",
-                ])
+        _write_csv(path, ["id", "tanimoto", metric], (
+            [r.id, f"{r.tanimoto:.4f}", f"{getattr(r, metric):.4f}"]
+            for r in records
+        ))
         outputs.append(path)
 
     if lambda_host is not None:
@@ -725,13 +731,10 @@ def report(ctx, records_path, lambda_host, no_soc, vibronic_dir):
         features = feature_matrix(records)
         comp = pca(features.values, k=2)
         path = _out(ctx, "fig4_pca.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "pc1", "pc2", "label"])
-            for r, row, g in zip(records, comp.scores, good):
-                writer.writerow([
-                    r.id, f"{row[0]:.6f}", f"{row[1]:.6f}", int(g),
-                ])
+        _write_csv(path, ["id", "pc1", "pc2", "label"], (
+            [r.id, f"{row[0]:.6f}", f"{row[1]:.6f}", int(g)]
+            for r, row, g in zip(records, comp.scores, good)
+        ))
         outputs.append(path)
         if 0 < int(good.sum()) < len(records):
             model = gpc_train(comp.scores, good.astype(float))
@@ -742,12 +745,14 @@ def report(ctx, records_path, lambda_host, no_soc, vibronic_dir):
             grid = np.column_stack([gx.ravel(), gy.ravel()])
             probs = gpc_predict(model, grid)
             path = _out(ctx, "fig4_grid.csv")
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["pc1", "pc2", "probability"])
-                for (x, y), p in zip(grid, probs):
-                    writer.writerow([f"{x:.6f}", f"{y:.6f}", f"{p:.6f}"])
+            _write_csv(path, ["pc1", "pc2", "probability"], (
+                [f"{x:.6f}", f"{y:.6f}", f"{p:.6f}"]
+                for (x, y), p in zip(grid, probs)
+            ))
             outputs.append(path)
+            grid_model = {"sigma2": model.sigma2,
+                          "lengthscale": model.lengthscale,
+                          **_gpc_counters(model)}
 
     if vibronic_dir is not None:
         rows = []
@@ -763,17 +768,15 @@ def report(ctx, records_path, lambda_host, no_soc, vibronic_dir):
             path = _out(ctx, name)
             header = ["id", "svc",
                       "sum_weighted_hr" if col == 2 else "sum_g"]
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([row[0], f"{row[1]:.4f}",
-                                     f"{row[col]:.4f}"])
+            _write_csv(path, header, (
+                [row[0], f"{row[1]:.4f}", f"{row[col]:.4f}"] for row in rows
+            ))
             outputs.append(path)
 
     _write_stage_manifest(
         ctx, "report", {"records": records_path},
-        {"lambda_host": lambda_host, "include_soc": not no_soc},
+        {"lambda_host": lambda_host, "include_soc": not no_soc,
+         **grid_model},
         outputs,
     )
     click.echo(f"wrote {len(outputs)} report files")

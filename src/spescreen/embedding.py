@@ -28,7 +28,6 @@ class EmbeddingConfig:
     structures_per_count: int = 25
     max_trials: int = 10000
     seed: int = 0
-    cumulative: bool = True            # random walk vs fresh-from-center draws
 
     def __post_init__(self):
         if self.overlap_cutoff <= 0:
@@ -70,18 +69,14 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
     labels = identify_molecules(host)
     lengths = _cell_lengths(host)
 
-    base = emitter.copy()
-    base.translate(host.center_of_mass() - base.center_of_mass())
-
-    walker = base.copy()
+    walker = emitter.copy()
+    walker.translate(host.center_of_mass() - walker.center_of_mass())
     accepted = []
     per_count = {k: 0 for k in range(cfg.min_removed, cfg.max_removed + 1)}
 
     for trial in range(cfg.max_trials):
         if all(v >= cfg.structures_per_count for v in per_count.values()):
             break
-        if not cfg.cumulative:
-            walker = base.copy()
         axis = _random_unit_vector(rng)
         angle = float(rng.uniform(0.0, 360.0))
         walker.rotate(axis, angle)
@@ -201,7 +196,9 @@ def write_manifest(trials, path, cfg: EmbeddingConfig, binding_energies=None,
             write_xyz(t.structure, xyz_path)
             rec["xyz"] = xyz_path
         records.append(rec)
-    payload = {"config": asdict(cfg), "accepted": records}
+    # the walk is always cumulative; the key keeps the manifest format
+    payload = {"config": {**asdict(cfg), "cumulative": True},
+               "accepted": records}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     return payload

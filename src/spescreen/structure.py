@@ -86,12 +86,6 @@ class AtomicStructure:
             pbc=tuple(self.pbc),
         )
 
-    def element_histogram(self):
-        hist = {}
-        for e in self.elements:
-            hist[e] = hist.get(e, 0) + 1
-        return hist
-
 
 @dataclass
 class MoleculeLabels:

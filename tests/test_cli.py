@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line pipeline driver."""
 
+import csv
 import json
 import os
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from spescreen import cli
 from spescreen.chem import fingerprint
 from spescreen.cli import _parse_atom_selection, main
-from spescreen.spectro import write_candidates_csv
+from spescreen.spectro import CANDIDATE_COLUMNS, write_candidates_csv
 from spescreen.structure import write_xyz
 from spescreen.vibronic import normal_modes, save_mode_set
 
@@ -354,6 +355,33 @@ class TestLabelClassifyReport:
         assert (out / "fig3_svc.csv").exists()
         assert (out / "fig4_pca.csv").exists()
 
+    def test_gpc_counters_in_manifests(self, runner, tmp_path, records_csv):
+        counters = {"log_marginal_likelihood", "grad_norm", "n_evaluations",
+                    "optimizer_converged", "laplace_iterations",
+                    "laplace_converged"}
+        for stage in ("classify", "report"):
+            out = tmp_path / stage
+            result = runner.invoke(main, [
+                "--out-dir", str(out), stage,
+                "--records", str(records_csv), "--lambda-host", "500",
+            ])
+            assert result.exit_code == 0, result.output
+            params = json.loads(
+                (out / f"{stage}_manifest.json").read_text())["parameters"]
+            assert counters | {"sigma2", "lengthscale"} <= set(params)
+            assert params["n_evaluations"] > 49
+            assert params["laplace_iterations"] >= 1
+            assert params["laplace_converged"] is True
+            assert isinstance(params["optimizer_converged"], bool)
+        out = tmp_path / "no_grid"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "report", "--records", str(records_csv),
+        ])
+        assert result.exit_code == 0, result.output
+        params = json.loads(
+            (out / "report_manifest.json").read_text())["parameters"]
+        assert not counters & set(params)
+
     def test_empty_records_exit_2(self, runner, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text(
@@ -364,6 +392,69 @@ class TestLabelClassifyReport:
             "--out-dir", str(tmp_path), "report", "--records", str(p),
         ])
         assert result.exit_code == 2
+
+
+def _exit_code(argv):
+    """Exit code of one in-process CLI call; other exceptions propagate."""
+    try:
+        main(argv, standalone_mode=False)
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
+_BAD_CELLS = ("nan", "inf", "-inf", "x", "", "1e400")
+
+
+@st.composite
+def record_tables(draw):
+    """Header and rows of a candidate table, malformed in drawn ways."""
+    columns = list(CANDIDATE_COLUMNS)
+    shape = draw(st.sampled_from(["plain", "missing", "extra"]))
+    if shape == "missing":
+        columns.remove(draw(st.sampled_from(CANDIDATE_COLUMNS)))
+    elif shape == "extra":
+        columns.append("extra")
+    n = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [[f"c{k}"] + [f"{v:.6g}" for v in rng.uniform(0, 900,
+                                                         len(columns) - 1)]
+            for k in range(n)]
+    if n:
+        cells = st.tuples(st.integers(0, n - 1), st.integers(1, len(columns) - 1),
+                          st.sampled_from(_BAD_CELLS))
+        for i, j, value in draw(st.lists(cells, max_size=3)):
+            rows[i][j] = value
+        for j in draw(st.lists(st.integers(1, len(columns) - 1),
+                               max_size=2)):
+            for row in rows:
+                row[j] = "1.5"           # zero-variance column
+        if draw(st.booleans()):
+            rows[-1] = rows[-1][:-1] if draw(st.booleans()) \
+                else rows[-1] + ["9"]   # short or long row
+    return columns, rows
+
+
+class TestRecordTableFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(record_tables())
+    def test_record_stages_exit_codes(self, table):
+        """label, classify and report exit 0, 2 or 3 on any table."""
+        columns, rows = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(columns)
+                writer.writerows(rows)
+            out = ["--out-dir", os.path.join(tmp, "out")]
+            records = ["--records", path]
+            host = ["--lambda-host", "450"]
+            for argv in (["label"] + records + host,
+                         ["classify"] + records + host,
+                         ["report"] + records,
+                         ["report"] + records + host):
+                assert _exit_code(out + argv) in (0, 2, 3), argv
 
 
 class TestConfig:

@@ -1,9 +1,16 @@
 """Labeling, PCA, GPC, t-SNE, and HDBSCAN tests."""
 
+import sys
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import minimize as scipy_minimize
 
+from spescreen.ml import gpc as gpc_module
 from spescreen.ml import (
     FEATURE_COLUMNS,
     calibrate_bandwidths,
@@ -161,6 +168,258 @@ class TestGPC:
             gpc_train(np.zeros((4, 1)), np.array([0.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             gpc_train(np.zeros((2, 1)), np.array([0.0, 2.0]))
+
+
+# --- slow reference: the GPC fit before the direct-LAPACK rewrite ----------
+# Copied verbatim but for the ref_ names and the SimpleNamespace model, so
+# the rewrite can be held to bit-identical results.
+
+_sigmoid = gpc_module._sigmoid
+
+
+def ref_rbf_kernel(xa, xb, sigma2, lengthscale):
+    xa = np.atleast_2d(np.asarray(xa, dtype=float))
+    xb = np.atleast_2d(np.asarray(xb, dtype=float))
+    d2 = ((xa[:, None, :] - xb[None, :, :]) ** 2).sum(axis=2)
+    return sigma2 * np.exp(-0.5 * d2 / lengthscale**2)
+
+
+def ref_laplace_mode(K, y, tol=1e-10, max_iter=200):
+    """Newton iteration for the posterior mode (stable B-matrix form)."""
+    n = len(y)
+    f = np.zeros(n)
+    a = np.zeros(n)
+    obj_prev = -np.inf
+    for _ in range(max_iter):
+        pi = _sigmoid(f)
+        W = pi * (1.0 - pi)
+        sw = np.sqrt(W)
+        B = np.eye(n) + sw[:, None] * K * sw[None, :]
+        L = cholesky(B, lower=True)
+        b = W * f + (y - pi)
+        v = solve_triangular(L, sw * (K @ b), lower=True)
+        a = b - sw * solve_triangular(L.T, v, lower=False)
+        f = K @ a
+        # log p(y|f) for logistic link
+        loglik = -np.logaddexp(0.0, -(2.0 * y - 1.0) * f).sum()
+        obj = -0.5 * (a @ f) + loglik
+        if abs(obj - obj_prev) < tol:
+            break
+        obj_prev = obj
+    pi = _sigmoid(f)
+    W = pi * (1.0 - pi)
+    sw = np.sqrt(W)
+    B = np.eye(n) + sw[:, None] * K * sw[None, :]
+    L = cholesky(B, lower=True)
+    grad_norm = float(np.linalg.norm((y - pi) - a))
+    logml = (-0.5 * (a @ f)
+             - np.logaddexp(0.0, -(2.0 * y - 1.0) * f).sum()
+             - np.log(np.diagonal(L)).sum())
+    return f, pi, sw, L, grad_norm, float(logml)
+
+
+def ref_gpc_train(x, y, sigma2_bounds=gpc_module.DEFAULT_SIGMA2_BOUNDS,
+                  lengthscale_bounds=gpc_module.DEFAULT_LENGTHSCALE_BOUNDS,
+                  grid_size: int = 7, optimize: bool = True,
+                  sigma2: float | None = None,
+                  lengthscale: float | None = None):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    if set(np.unique(y)) - {0.0, 1.0}:
+        raise ValueError("labels must be binary 0/1")
+    if len(np.unique(y)) < 2:
+        raise ValueError("training set must contain both classes")
+
+    def neg_logml(log_theta):
+        s2 = float(np.clip(np.exp(log_theta[0]), *sigma2_bounds))
+        ls = float(np.clip(np.exp(log_theta[1]), *lengthscale_bounds))
+        K = ref_rbf_kernel(x, x, s2, ls)
+        try:
+            _, _, _, _, _, logml = ref_laplace_mode(K, y)
+        except np.linalg.LinAlgError:
+            return np.inf
+        return -logml
+
+    if sigma2 is not None and lengthscale is not None:
+        best = (sigma2, lengthscale)
+    elif not optimize:
+        best = (1.0, 1.0)
+    else:
+        s2_grid = np.exp(np.linspace(*np.log(sigma2_bounds), grid_size))
+        ls_grid = np.exp(np.linspace(*np.log(lengthscale_bounds), grid_size))
+        best_val = np.inf
+        best = (1.0, 1.0)
+        for s2 in s2_grid:
+            for ls in ls_grid:
+                val = neg_logml(np.log([s2, ls]))
+                if val < best_val:
+                    best_val = val
+                    best = (s2, ls)
+        res = scipy_minimize(neg_logml, np.log(best), method="Nelder-Mead",
+                             options={"xatol": 1e-8, "fatol": 1e-10,
+                                      "maxiter": 500})
+        if res.fun < best_val:
+            best = tuple(np.clip(np.exp(res.x),
+                                 [sigma2_bounds[0], lengthscale_bounds[0]],
+                                 [sigma2_bounds[1], lengthscale_bounds[1]]))
+
+    s2, ls = float(best[0]), float(best[1])
+    K = ref_rbf_kernel(x, x, s2, ls)
+    f, pi, sw, L, grad_norm, logml = ref_laplace_mode(K, y)
+    return SimpleNamespace(
+        x_train=x, y_train=y, sigma2=s2, lengthscale=ls,
+        f_hat=f, pi_hat=pi, sqrt_w=sw, chol_b=L,
+        grad_norm=grad_norm, log_marginal_likelihood=logml,
+    )
+
+
+def ref_gpc_predict(model, x_star):
+    x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
+    ks = ref_rbf_kernel(x_star, model.x_train, model.sigma2,
+                        model.lengthscale)
+    mean = ks @ (model.y_train - model.pi_hat)
+    v = solve_triangular(model.chol_b, (model.sqrt_w[:, None] * ks.T),
+                         lower=True)
+    var = model.sigma2 - (v**2).sum(axis=0)
+    var = np.clip(var, 0.0, None)
+    z = (mean[:, None]
+         + np.sqrt(2.0 * var)[:, None] * gpc_module._GH_NODES[None, :])
+    probs = ((gpc_module._GH_WEIGHTS[None, :] * _sigmoid(z)).sum(axis=1)
+             / np.sqrt(np.pi))
+    return np.clip(probs, 1e-12, 1.0 - 1e-12)
+
+
+def ref_fit(x, y, **kwargs):
+    """Reference fit and its marginal-likelihood evaluation count."""
+    with mock.patch.object(sys.modules[__name__], "ref_laplace_mode",
+                           wraps=ref_laplace_mode) as spy:
+        model = ref_gpc_train(x, y, **kwargs)
+    return model, spy.call_count - 1   # minus the final fit
+
+
+_EXACT_FIELDS = ("sigma2", "lengthscale", "f_hat", "pi_hat", "sqrt_w",
+                 "chol_b", "grad_norm", "log_marginal_likelihood")
+
+
+def assert_same_fit(model, ref, ref_evaluations, x_star):
+    for name in _EXACT_FIELDS:
+        assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+    assert model.n_evaluations == ref_evaluations
+    assert np.array_equal(gpc_predict(model, x_star),
+                          ref_gpc_predict(ref, x_star))
+
+
+@st.composite
+def gpc_problems(draw):
+    """Inputs, binary labels with both classes, and gpc_train options."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 10.0])),
+                   size=(n, d))
+    if draw(st.booleans()):
+        x[rng.integers(0, n, size=n // 3)] = x[0]    # repeated rows
+    if draw(st.booleans()):
+        y = (x[:, 0] > np.median(x[:, 0])).astype(float)
+    else:
+        y = (rng.random(n) < 0.5).astype(float)
+    y[:2] = (0.0, 1.0) if x[0, 0] <= x[1, 0] else (1.0, 0.0)
+    kind = draw(st.sampled_from(["optimised", "pinned", "fixed"]))
+    if kind == "pinned":
+        kwargs = {"sigma2": draw(st.floats(1e-2, 1e2)),
+                  "lengthscale": draw(st.floats(5e-2, 2e1))}
+    elif kind == "fixed":
+        kwargs = {"optimize": False}
+    else:
+        kwargs = {"grid_size": draw(st.integers(2, 7))}
+        if draw(st.booleans()):
+            for key, (lo, hi) in (("sigma2_bounds", (-3.0, 2.0)),
+                                  ("lengthscale_bounds", (-2.0, 1.5))):
+                low = draw(st.floats(lo, hi))
+                kwargs[key] = (10.0**low,
+                               10.0**(low + draw(st.floats(0.25, 2.0))))
+    x_star = np.vstack([x, rng.normal(size=(5, d))])
+    return x, y, kwargs, x_star
+
+
+class TestGPCReference:
+    @settings(max_examples=30, deadline=None)
+    @given(gpc_problems())
+    def test_bit_identical_to_reference(self, problem):
+        x, y, kwargs, x_star = problem
+        ref, ref_evaluations = ref_fit(x, y, **kwargs)
+        model = gpc_train(x, y, **kwargs)
+        assert_same_fit(model, ref, ref_evaluations, x_star)
+        if "grid_size" not in kwargs:
+            assert model.n_evaluations == 0 and model.optimizer_converged
+
+    def test_failed_factorisation_is_inf_in_search(self):
+        """An indefinite B makes potrf fail; the search scores it +inf."""
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(25, 3))
+        y = (x[:, 0] > 0).astype(float)
+
+        def flip(kernel):
+            # a negated kernel of variance > 4 makes B indefinite at f = 0
+            def wrapped(*args):
+                K = kernel(*args)
+                return -K if np.max(K) > 4.0 else K
+            return wrapped
+
+        failed = []
+        laplace_mode = gpc_module._laplace_mode
+
+        def recording(K, y_):
+            try:
+                return laplace_mode(K, y_)
+            except np.linalg.LinAlgError:
+                failed.append(np.max(-K))
+                raise
+
+        with mock.patch.object(gpc_module, "_rbf", flip(gpc_module._rbf)), \
+                mock.patch.object(gpc_module, "_laplace_mode", recording):
+            model = gpc_train(x, y)
+        with mock.patch.object(sys.modules[__name__], "ref_rbf_kernel",
+                               flip(ref_rbf_kernel)):
+            ref, ref_evaluations = ref_fit(x, y)
+        assert failed
+        assert model.sigma2 <= 4.0
+        assert_same_fit(model, ref, ref_evaluations, x)
+
+    def test_indefinite_b_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            gpc_module._laplace_mode(-10.0 * np.eye(3),
+                                     np.array([0.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+        y = np.array([0.0, 1.0, 1.0])
+        x_bad = x.copy()
+        x_bad[1, 0] = bad
+        for kwargs in ({}, {"optimize": False},
+                       {"sigma2": 1.0, "lengthscale": 1.0}):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                gpc_train(x_bad, y, **kwargs)
+        model = gpc_train(x, y, optimize=False)
+        if np.isnan(bad):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                gpc_predict(model, x_bad)
+
+    def test_laplace_counters(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(20, 2))
+        y = (x[:, 0] > 0).astype(float)
+        K = rbf_kernel(x, x, 2.0, 1.0)
+        *_, steps, converged = gpc_module._laplace_mode(K, y, max_iter=1)
+        assert (steps, converged) == (1, False)
+        *_, steps, converged = gpc_module._laplace_mode(K, y)
+        assert converged and 1 < steps < 200
+        model = gpc_train(x, y, sigma2=2.0, lengthscale=1.0)
+        assert (model.laplace_iterations, model.laplace_converged) == (
+            steps, True)
+        fitted = gpc_train(x, y)
+        assert fitted.n_evaluations > 49 and fitted.optimizer_converged
 
 
 class TestTSNE:
