@@ -311,7 +311,12 @@ def perceive_aromaticity(graph: MolecularGraph):
 
     Candidate rings are all chordless rings of 3 to 8 atoms. Passes repeat
     until no ring changes, because marking one ring can complete the pi
-    count of a fused neighbour. In bridged and cage systems (norbornane,
+    count of a fused neighbour. Each pass judges every ring on the graph
+    as the pass found it and marks the qualifying rings together, so the
+    result does not depend on the order of the rings or of the atoms:
+    judged one after another, two fused rings that each count 4n+2 on the
+    Kekule input can disqualify each other, and which one stays aromatic
+    would follow the atom numbering. In bridged and cage systems (norbornane,
     cubane) this set is larger than a minimum cycle basis; the extra rings
     there run through sp3 bridgeheads, which donate no pi electrons. This
     is deliberately simple-ring perception, enough to unify kekulized and
@@ -320,9 +325,8 @@ def perceive_aromaticity(graph: MolecularGraph):
     adj = graph.adjacency()
     rings = _chordless_rings(adj)
 
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        passing = []
         for ring, ring_bonds in rings:
             if all(graph.atoms[i].aromatic for i in ring):
                 continue
@@ -331,11 +335,14 @@ def perceive_aromaticity(graph: MolecularGraph):
                 continue
             if sum(pis) % 4 != 2:
                 continue
+            passing.append((ring, ring_bonds))
+        if not passing:
+            break
+        for ring, ring_bonds in passing:
             for i in ring:
                 graph.atoms[i].aromatic = True
             for b in ring_bonds:
                 b.order = AROMATIC
-            changed = True
     # bonds written ':' or defaulted to aromatic between already-aromatic
     # bracket atoms may sit outside a perceived ring; keep validate() happy
     for b in graph.bonds:

@@ -1,6 +1,7 @@
 """SMILES parsing, canonicalization, and fingerprint tests."""
 
 import contextlib
+import random
 import subprocess
 import sys
 from unittest import mock
@@ -275,9 +276,11 @@ def _ref_perceive_aromaticity(graph):
         if len(induced) != len(nodeset):
             continue  # chorded
         rings.append((nodeset, induced))
-    changed = True
-    while changed:
-        changed = False
+    # each pass judges every ring on the graph as the pass found it: the
+    # order of minimum_cycle_basis is networkx's, so a ring-by-ring update
+    # would make the outcome for mutually exclusive fused rings arbitrary
+    while True:
+        passing = []
         for nodeset, induced in rings:
             if all(graph.atoms[i].aromatic for i in nodeset):
                 continue
@@ -286,11 +289,14 @@ def _ref_perceive_aromaticity(graph):
                 continue
             if sum(pis) % 4 != 2:
                 continue
+            passing.append((nodeset, induced))
+        if not passing:
+            break
+        for nodeset, induced in passing:
             for i in nodeset:
                 graph.atoms[i].aromatic = True
             for b in induced:
                 b.order = AROMATIC
-            changed = True
     for b in graph.bonds:
         if b.order == AROMATIC:
             graph.atoms[b.i].aromatic = True
@@ -452,7 +458,27 @@ def _fused_ring_topology(rnd, n_rings):
     return n, [(min(b), max(b)) for b in bonds]
 
 
+def _kekule_graph(smiles):
+    """The graph of a SMILES string as written, before ring perception."""
+    with mock.patch.object(smiles_module, "perceive_aromaticity",
+                           lambda graph: graph):
+        return parse_smiles(smiles)
+
+
+def _assert_atom_order_invariant(graph, rnd):
+    """Spellings of one graph in shuffled atom orders canonicalize alike."""
+    canon = canonical_smiles(write_smiles(graph))
+    ranks = list(range(len(graph)))
+    for _ in range(16):
+        rnd.shuffle(ranks)
+        assert canonical_smiles(write_smiles(graph, ranks)) == canon
+
+
 def _decorate(rnd, n, bonds):
+    return write_smiles(_decorated_graph(rnd, n, bonds))
+
+
+def _decorated_graph(rnd, n, bonds):
     """Random elements and a random set of non-adjacent double bonds.
 
     C takes any bond order, N a double bond only at degree 2, O and S only
@@ -480,7 +506,7 @@ def _decorate(rnd, n, bonds):
     graph = MolecularGraph(atoms=[Atom(e) for e in elements],
                            bonds=[Bond(i, j, o)
                                   for (i, j), o in zip(bonds, orders)])
-    return write_smiles(assign_implicit_hydrogens(graph))
+    return assign_implicit_hydrogens(graph)
 
 
 class TestReferenceRingCode:
@@ -492,6 +518,8 @@ class TestReferenceRingCode:
         "C1=CC=C[CH+]C=C1",           # tropylium, 7-ring
         "[CH-]1C=CC=C[CH-]C=C1",      # 8-ring, 10 pi electrons
         "[CH-]1C=CC=CC=CC=C1",        # 9-ring: too large, stays kekulized
+        # fused 5-rings sharing N-C, each 6 pi on the Kekule input
+        "C12=C(N3C(=C1)C=1C(=C3)C=CC1)OCC1=C2C=CC1",
     ])
     def test_molecules(self, smiles):
         _assert_matches_reference(smiles)
@@ -522,6 +550,23 @@ class TestReferenceRingCode:
     def test_fused_5_6_7(self, rnd, n_rings):
         _assert_matches_reference(_decorate(rnd, *_fused_ring_topology(
             rnd, n_rings)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(2, 5))
+    def test_fused_atom_order(self, rnd, n_rings):
+        _assert_atom_order_invariant(
+            _decorated_graph(rnd, *_fused_ring_topology(rnd, n_rings)), rnd)
+
+    @pytest.mark.parametrize("smiles", [
+        "C12=C(N3C(=C1)C=1C(=C3)C=CC1)OCC1=C2C=CC1",
+        "C1=C2C(=CC3=C1C=CC=C3)NN1N(N2)OC=CN1",
+        "C1=2N(OC=3N(O1)C=C1C3COC1)CN1C2C=CC1",
+        "N12CN3C(N4N1N1N(C5=C4C=CCO5)NONN1NO2)OCOC3",
+    ])
+    def test_exclusive_rings_atom_order(self, smiles):
+        """Fused rings that each count 4n+2 alone, but not once the other
+        is marked aromatic, are marked whatever the atom order."""
+        _assert_atom_order_invariant(_kekule_graph(smiles), random.Random(0))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
