@@ -397,6 +397,10 @@ def modes(ctx, structure_path, ext_path, lj_path, do_relax, fmax, out_name):
     structure_path = _resolve(structure_path, ctx, "modes", "structure")
     if structure_path is None:
         raise ValueError("modes needs --structure")
+    if not np.isfinite(fmax):
+        # unused without --relax, but recorded in the manifest, which
+        # must stay valid JSON
+        raise ValueError("fmax must be finite")
     structure = parse_xyz(structure_path)
 
     if ext_path is not None:
@@ -406,8 +410,11 @@ def modes(ctx, structure_path, ext_path, lj_path, do_relax, fmax, out_name):
     else:
         raise ValueError("modes needs --potential-file or --lj-params")
 
+    params = {"relax": do_relax, "fmax": fmax}
     if do_relax:
         result = relax(structure, potential, fmax=fmax)
+        params.update(relax_iterations=result.iterations,
+                      relax_converged=result.converged)
         if not result.converged:
             raise FloatingPointError(
                 f"relaxation stalled at max force {result.max_force:.3e}"
@@ -416,19 +423,25 @@ def modes(ctx, structure_path, ext_path, lj_path, do_relax, fmax, out_name):
 
     if ext_path is not None:
         hessian = potential.hessian(structure)
+        info = {"h": None, "pair_evaluations": 0,
+                "asymmetry": float(np.abs(hessian - hessian.T).max())}
     else:
-        hessian = hessian_finite_difference(structure, potential)
+        info = {}
+        hessian = hessian_finite_difference(structure, potential, info=info)
     modeset = normal_modes(hessian, structure.masses)
     out_path = _out(ctx, out_name)
     save_mode_set(modeset, out_path)
+    n_im = int((modeset.frequencies < 0).sum())
+    params.update(h=info["h"], n_atoms=len(structure), n_imaginary=n_im,
+                  pair_evaluations=info["pair_evaluations"],
+                  hessian_asymmetry=info["asymmetry"])
     _write_stage_manifest(
         ctx, "modes",
         {"structure": structure_path, "potential_file": ext_path,
          "lj_params": lj_path},
-        {"relax": do_relax, "fmax": fmax},
+        params,
         [out_path],
     )
-    n_im = int((modeset.frequencies < 0).sum())
     click.echo(f"{len(modeset.frequencies)} modes ({n_im} imaginary)")
 
 

@@ -7,16 +7,21 @@ stateless and expose energy(structure) -> eV, forces(structure) -> (N, 3)
 eV/A, and energy_and_forces(structure) -> (eV, (N, 3) eV/A), which
 relaxation calls once per step.
 
-The pair potentials share one numpy-broadcast kernel over all i<j pairs.
-Periodic displacements use the minimum-image convention: fractional
-rounding, which is exact when the lattice vectors are mutually orthogonal,
-followed by a 27-image search in skewed cells.
+The pair potentials describe themselves as pair terms, each a set of
+(i, j) pairs with its energy and dE/dr, and share one numpy-broadcast
+kernel over them. Periodic displacements use the minimum-image
+convention: fractional rounding, which is exact when the lattice vectors
+are mutually orthogonal, followed by a 27-image search in skewed cells.
+The finite-difference Hessian re-evaluates only the displaced atom's
+pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +30,10 @@ from .structure import AtomicStructure
 
 def _pair_key(e1, e2):
     return tuple(sorted((e1, e2)))
+
+
+# the 27 lattice translations a, b, c in {-1, 0, 1}, a slowest
+_IMAGES = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
 
 
 def _min_image_vectors(structure, deltas):
@@ -42,31 +51,70 @@ def _min_image_vectors(structure, deltas):
         return frac @ cell
     best = frac @ cell
     # 27-image fallback for skewed cells where rounding is not exact MIC
-    shifts = np.array([
-        a * cell[0] + b * cell[1] + c * cell[2]
-        for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)
-    ])
+    shifts = (_IMAGES[:, :1] * cell[0] + _IMAGES[:, 1:2] * cell[1]
+              + _IMAGES[:, 2:] * cell[2])
     cand = best[:, None, :] + shifts[None, :, :]
     idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
     return cand[np.arange(len(best)), idx]
 
 
-def _pair_terms(structure):
-    """Indices, minimum-image displacements j - i and distances, i < j."""
-    ii, jj = np.triu_indices(len(structure), k=1)
-    pos = structure.positions
-    deltas = np.take(pos, jj, axis=0) - np.take(pos, ii, axis=0)
-    deltas = _min_image_vectors(structure, deltas)
-    return ii, jj, deltas, np.linalg.norm(deltas, axis=1)
+def _upper_pairs(n):
+    """Index arrays (ii, jj) of all pairs i < j in row order.
+
+    Equal to np.triu_indices(n, k=1), which costs several times more at the
+    sizes relaxation evaluates over and over.
+    """
+    return np.nonzero(~np.tri(n, dtype=bool))
 
 
-def _scatter_forces(n, ii, jj, dedr, deltas, r):
-    """Per-atom forces: dE/dr along each unit vector, +i and -j."""
+@dataclass(frozen=True)
+class _PairTerm:
+    """One pair term of a provider: its (ii, jj) pairs and their physics.
+
+    `evaluate(r, sel)` takes distances of the pairs that `sel` indexes
+    (a slice or an index array into ii/jj, repeats allowed) and returns
+    their energies and dE/dr.
+    """
+    ii: np.ndarray
+    jj: np.ndarray
+    evaluate: Callable
+
+
+def _displacements(structure, positions, ii, jj):
+    """Minimum-image vectors j - i and their lengths for the pairs (ii, jj).
+
+    `positions` is (N, 3) or a stack (C, N, 3) of displaced copies; the
+    copies' pairs come back copy-major in one (C * len(ii), 3) array.
+    """
+    deltas = np.take(positions, jj, axis=-2) - np.take(positions, ii, axis=-2)
+    deltas = _min_image_vectors(structure, deltas.reshape(-1, 3))
+    return deltas, np.linalg.norm(deltas, axis=1)
+
+
+def _pair_weights(dedr, deltas, r):
+    """(3, P) per-pair force components: dE/dr along each unit vector."""
+    return (dedr / r) * deltas.T
+
+
+def _scatter_forces(n, ii, jj, weights):
+    """Per-atom forces from (3, P) pair weights, +i and -j."""
     return np.stack([
         np.bincount(ii, weights=w, minlength=n)
         - np.bincount(jj, weights=w, minlength=n)
-        for w in (dedr / r) * deltas.T
+        for w in weights
     ], axis=1)
+
+
+def _pair_energy_and_forces(structure, terms):
+    """Energy and forces summed over pair terms, in term order."""
+    n = len(structure)
+    e, f = 0.0, np.zeros((n, 3))
+    for t in terms:
+        deltas, r = _displacements(structure, structure.positions, t.ii, t.jj)
+        pair_e, dedr = t.evaluate(r, slice(None))
+        e += float(np.sum(pair_e))
+        f += _scatter_forces(n, t.ii, t.jj, _pair_weights(dedr, deltas, r))
+    return e, f
 
 
 class LennardJonesPotential:
@@ -95,14 +143,21 @@ class LennardJonesPotential:
             raise KeyError(f"missing LJ parameters for pair {e1}-{e2}")
         return pp[:, 0], pp[:, 1]
 
-    def energy_and_forces(self, structure):
-        ii, jj, deltas, r = _pair_terms(structure)
+    def _pair_terms(self, structure):
+        """One term over all i < j pairs."""
+        ii, jj = _upper_pairs(len(structure))
         eps, sigma = self._pair_params(structure.elements, ii, jj)
-        sr6 = (sigma / r) ** 6
-        e = float(np.sum(4.0 * eps * (sr6 * sr6 - sr6)))
-        # dE/dr = 4 eps (-12 sr12 + 6 sr6)/r
-        dedr = 4.0 * eps * (-12.0 * sr6 * sr6 + 6.0 * sr6) / r
-        return e, _scatter_forces(len(structure), ii, jj, dedr, deltas, r)
+
+        def evaluate(r, sel):
+            e, sr6 = eps[sel], (sigma[sel] / r) ** 6
+            # dE/dr = 4 eps (-12 sr12 + 6 sr6)/r
+            return (4.0 * e * (sr6 * sr6 - sr6),
+                    4.0 * e * (-12.0 * sr6 * sr6 + 6.0 * sr6) / r)
+
+        return [_PairTerm(ii, jj, evaluate)]
+
+    def energy_and_forces(self, structure):
+        return _pair_energy_and_forces(structure, self._pair_terms(structure))
 
     def energy(self, structure) -> float:
         return self.energy_and_forces(structure)[0]
@@ -141,25 +196,32 @@ class HarmonicBondPotential:
         self._k = np.array([b.k for b in self.bonds], dtype=float)
         self._r0 = np.array([b.r0 for b in self.bonds], dtype=float)
 
-    def energy_and_forces(self, structure):
-        n = len(structure)
-        pos = structure.positions
-        deltas = _min_image_vectors(structure, pos[self._bj] - pos[self._bi])
-        r = np.linalg.norm(deltas, axis=1)
-        e = float(np.sum(0.5 * self._k * (r - self._r0) ** 2))
-        f = _scatter_forces(n, self._bi, self._bj, self._k * (r - self._r0),
-                            deltas, r)
+    def _pair_terms(self, structure):
+        """The bond term, then the repulsion over non-bonded i < j pairs."""
+        k, r0 = self._k, self._r0
+
+        def bond(r, sel):
+            stretch = r - r0[sel]
+            return 0.5 * k[sel] * stretch ** 2, k[sel] * stretch
+
+        terms = [_PairTerm(self._bi, self._bj, bond)]
         if self.eps_rep > 0:
-            ii, jj, deltas, r = _pair_terms(structure)
+            n = len(structure)
+            ii, jj = _upper_pairs(n)
             bonded = np.zeros((n, n), dtype=bool)
             bonded[np.minimum(self._bi, self._bj),
                    np.maximum(self._bi, self._bj)] = True
             free = ~bonded[ii, jj]
-            ii, jj, deltas, r = ii[free], jj[free], deltas[free], r[free]
-            rep = self.eps_rep * (self.sigma_rep / r) ** 12
-            e += float(np.sum(rep))
-            f += _scatter_forces(n, ii, jj, -12.0 * rep / r, deltas, r)
-        return e, f
+
+            def repulsion(r, sel):
+                rep = self.eps_rep * (self.sigma_rep / r) ** 12
+                return rep, -12.0 * rep / r
+
+            terms.append(_PairTerm(ii[free], jj[free], repulsion))
+        return terms
+
+    def energy_and_forces(self, structure):
+        return _pair_energy_and_forces(structure, self._pair_terms(structure))
 
     def energy(self, structure) -> float:
         return self.energy_and_forces(structure)[0]
@@ -240,8 +302,8 @@ def relax(structure: AtomicStructure, potential, fmax: float = 0.01,
     step budget is exhausted. Accepted-step energies are non-increasing.
     Every probe makes one potential.energy_and_forces call.
     """
-    if fmax <= 0:
-        raise ValueError("fmax must be positive")
+    if not (np.isfinite(fmax) and fmax > 0):
+        raise ValueError("fmax must be positive and finite")
     current = structure.copy()
     x = current.positions.ravel().copy()
     n = x.size
@@ -315,21 +377,58 @@ def relax(structure: AtomicStructure, potential, fmax: float = 0.01,
 # --- Hessian ---------------------------------------------------------------
 
 def hessian_finite_difference(structure: AtomicStructure, potential,
-                              h: float = 0.01) -> np.ndarray:
-    """Central-difference Hessian of the energy, symmetrized, in eV/A^2."""
-    if h <= 0:
-        raise ValueError("displacement must be positive")
-    work = structure.copy()
-    n3 = 3 * len(structure)
-    K = np.zeros((n3, n3))
-    base = structure.positions.copy()
-    for col in range(n3):
-        atom, axis = divmod(col, 3)
-        work.positions = base.copy()
-        work.positions[atom, axis] += h
-        f_plus = potential.forces(work).ravel()
-        work.positions = base.copy()
-        work.positions[atom, axis] -= h
-        f_minus = potential.forces(work).ravel()
-        K[:, col] = -(f_plus - f_minus) / (2.0 * h)
+                              h: float = 0.01, info: dict | None = None
+                              ) -> np.ndarray:
+    """Central-difference Hessian of the energy, symmetrized, in eV/A^2.
+
+    Column 3a + k is -(F(x + h e_ak) - F(x - h e_ak)) / 2h. Moving atom a
+    changes only the pairs that contain it, so the pair force weights are
+    computed once at the base geometry and, per atom, only a's pairs are
+    re-evaluated, at all six displacements in one batch. Each displaced
+    force vector is the same bincount over all pairs as in
+    `energy_and_forces`, so every column equals the one from two full
+    force calls bit for bit.
+
+    Needs a provider with pair terms (the Lennard-Jones and harmonic-bond
+    potentials); others raise TypeError. A dict passed as `info` receives
+    the step `h`, `pair_evaluations` (base pairs plus six per
+    displaced-atom pair) and `asymmetry` (max |K - K^T| before
+    symmetrization).
+    """
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError("displacement must be positive and finite")
+    pair_terms = getattr(potential, "_pair_terms", None)
+    if pair_terms is None:
+        raise TypeError(f"{type(potential).__name__} has no pair terms for "
+                        "a finite-difference Hessian")
+    n = len(structure)
+    base = structure.positions
+    offsets = n * np.arange(6)[:, None]
+    terms = []
+    for t in pair_terms(structure):
+        deltas, r = _displacements(structure, base, t.ii, t.jj)
+        weights = _pair_weights(t.evaluate(r, slice(None))[1], deltas, r)
+        # the six copies' forces land in bins c * n + atom
+        bins = ((t.ii + offsets).ravel(), (t.jj + offsets).ravel())
+        terms.append((t, weights, bins))
+    evaluations = sum(len(t.ii) for t, _, _ in terms)
+    K = np.zeros((3 * n, 3 * n))
+    for a in range(n):
+        # copy 2k displaces a by +h along axis k, copy 2k + 1 by -h
+        moved = np.repeat(base[None], 6, axis=0)
+        moved[np.arange(6), a, np.arange(6) // 2] += np.tile([h, -h], 3)
+        forces = np.zeros((6 * n, 3))
+        for t, weights, bins in terms:
+            sel = np.flatnonzero((t.ii == a) | (t.jj == a))
+            deltas, r = _displacements(structure, moved, t.ii[sel], t.jj[sel])
+            dedr = t.evaluate(r, np.tile(sel, 6))[1]
+            w6 = np.repeat(weights[:, None, :], 6, axis=1)
+            w6[:, :, sel] = _pair_weights(dedr, deltas, r).reshape(3, 6, -1)
+            forces += _scatter_forces(6 * n, *bins, w6.reshape(3, -1))
+            evaluations += 6 * len(sel)
+        forces = forces.reshape(6, 3 * n)
+        K[:, 3 * a:3 * a + 3] = (-(forces[0::2] - forces[1::2]) / (2.0 * h)).T
+    if info is not None:
+        info.update(h=h, pair_evaluations=evaluations,
+                    asymmetry=float(np.abs(K - K.T).max()))
     return 0.5 * (K + K.T)

@@ -71,12 +71,24 @@ class NormalModeSet:
         return self.frequencies_cm1 > floor_cm1
 
 
+def canonical_mode_signs(modes) -> np.ndarray:
+    """Flip each mode row so that its largest-magnitude component is positive.
+
+    Ties go to the lowest index (the rule of scikit-learn's svd_flip), so
+    the signs no longer depend on the ones an eigensolver happens to return.
+    """
+    modes = np.asarray(modes, dtype=float)
+    lead = modes[np.arange(len(modes)), np.argmax(np.abs(modes), axis=1)]
+    return np.where(lead[:, None] < 0.0, -modes, modes)
+
+
 def normal_modes(hessian, masses, symmetry_tol: float = 1e-6) -> NormalModeSet:
     """Diagonalize the mass-weighted Hessian.
 
     Solves [M^-1/2 K M^-1/2] u = w^2 u; eigenvectors come back orthonormal
-    in mass-weighted coordinates, sorted ascending in w^2, with negative
-    eigenvalues flagged as imaginary via a negative frequency entry.
+    in mass-weighted coordinates, sorted ascending in w^2, with the sign
+    convention of `canonical_mode_signs`, and negative eigenvalues flagged
+    as imaginary via a negative frequency entry.
     """
     K = np.asarray(hessian, dtype=float)
     masses = np.asarray(masses, dtype=float)
@@ -91,7 +103,8 @@ def normal_modes(hessian, masses, symmetry_tol: float = 1e-6) -> NormalModeSet:
     D = K * np.outer(inv_sqrt_m, inv_sqrt_m)
     evals, evecs = np.linalg.eigh(D)
     freqs = np.sign(evals) * np.sqrt(np.abs(evals))
-    return NormalModeSet(frequencies=freqs, modes=evecs.T, masses=masses)
+    return NormalModeSet(frequencies=freqs, modes=canonical_mode_signs(evecs.T),
+                         masses=masses)
 
 
 def reweight_external_modes(raw_modes, masses, convention) -> NormalModeSet:

@@ -210,6 +210,100 @@ class TestModes:
         ])
         assert result.exit_code == 2
 
+    def test_manifest_counters(self, runner, tmp_path):
+        s = tmp_path / "dimer.xyz"
+        write_xyz(dimer(r=3.5), s)
+        lj = tmp_path / "lj.json"
+        lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+        for flag in ("--no-relax", "--relax"):
+            out = tmp_path / flag
+            result = runner.invoke(main, [
+                "--out-dir", str(out), "modes", "--structure", str(s),
+                "--lj-params", str(lj), flag,
+            ])
+            assert result.exit_code == 0, result.output
+            params = json.loads(
+                (out / "modes_manifest.json").read_text())["parameters"]
+            assert params["relax"] == (flag == "--relax")
+            assert params["fmax"] == 0.01
+            assert params["h"] == 0.01
+            assert params["n_atoms"] == 2
+            assert params["pair_evaluations"] == 13
+            assert 0.0 <= params["hessian_asymmetry"] < 1e-10
+            assert f"({params['n_imaginary']} imaginary)" in result.output
+            relax_keys = {"relax_iterations", "relax_converged"}
+            if flag == "--relax":
+                assert params["relax_converged"] is True
+                assert params["relax_iterations"] > 0
+            else:
+                assert not relax_keys & params.keys()
+
+    @pytest.mark.parametrize("fmax, flag", [
+        ("nan", "--relax"), ("inf", "--relax"), ("-inf", "--relax"),
+        ("0", "--relax"), ("nan", "--no-relax"), ("inf", "--no-relax"),
+    ])
+    def test_bad_fmax_exit_2(self, runner, tmp_path, fmax, flag):
+        s = tmp_path / "dimer.xyz"
+        write_xyz(dimer(r=3.8), s)
+        lj = tmp_path / "lj.json"
+        lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+        result = runner.invoke(main, [
+            "--out-dir", str(tmp_path / "out"), "modes", "--structure",
+            str(s), "--lj-params", str(lj), flag, "--fmax", fmax,
+        ])
+        assert result.exit_code == 2, result.output
+        assert "fmax" in result.output
+
+
+_BAD_NUMBERS = ("nan", "inf", "-inf", "1e400", "x", "")
+
+
+@st.composite
+def xyz_texts(draw):
+    """XYZ text of 1-4 atoms, of which a drawn few parts are malformed."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(st.sampled_from(["Ar", "C"]))]
+            + [f"{draw(st.floats(-6.0, 6.0)):.3f}" for _ in range(3)]
+            for _ in range(n)]
+    for i, j, bad in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, 3),
+            st.sampled_from(_BAD_NUMBERS + ("Xx", "0"))), max_size=2)):
+        rows[i][j] = bad
+    count = draw(st.one_of(st.just(str(n)),
+                           st.sampled_from(["", "x", "-1", "0", "9"])))
+    comment = draw(st.sampled_from([
+        "", 'Lattice="9 0 0 0 9 0 0 0 9"', 'Lattice="9 0 0 3 9 0 -4 0 8"',
+        'Lattice="1 2 3"', 'Lattice="0 0 0 0 0 0 0 0 0"',
+        'Lattice="9 0 0 0 nan 0 0 0 9"']))
+    lines = [count, comment] + [" ".join(r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+_LJ_TEXTS = st.sampled_from([
+    '{"Ar,Ar": [0.0104, 3.4], "C,C": [0.003, 3.4], "Ar,C": [0.0056, 3.4]}',
+    '{"Ar,Ar": [0.0104, 3.4]}', '{"Ar,Ar": [NaN, 3.4]}',
+    '{"Ar,Ar": [0.0104, Infinity]}', '{"Ar,Ar": [0.0104]}', "[]", "{",
+    '{"Ar": [0.0104, 3.4]}', "",
+])
+
+
+class TestModesFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(xyz_texts(), _LJ_TEXTS,
+           st.sampled_from(["0.01", "nan", "inf", "-inf", "0", "-1"]),
+           st.booleans())
+    def test_modes_exit_codes(self, xyz, lj, fmax, do_relax):
+        """modes exits 0, 2 or 3 on any structure, parameters and fmax."""
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("s.xyz", "lj.json")]
+            for path, text in zip(paths, (xyz, lj)):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            argv = ["--out-dir", os.path.join(tmp, "out"), "modes",
+                    "--structure", paths[0], "--lj-params", paths[1],
+                    "--fmax", fmax, "--relax" if do_relax else "--no-relax"]
+            assert _exit_code(argv) in (0, 2, 3), argv
+
 
 class TestVibronic:
     @staticmethod

@@ -99,9 +99,31 @@ def ref_harmonic(potential, structure):
     return terms, f
 
 
+def ref_hessian(structure, potential, h=0.01):
+    """The per-column loop: two full force calls per coordinate."""
+    if h <= 0:
+        raise ValueError("displacement must be positive")
+    work = structure.copy()
+    n3 = 3 * len(structure)
+    K = np.zeros((n3, n3))
+    base = structure.positions.copy()
+    for col in range(n3):
+        atom, axis = divmod(col, 3)
+        work.positions = base.copy()
+        work.positions[atom, axis] += h
+        f_plus = potential.forces(work).ravel()
+        work.positions = base.copy()
+        work.positions[atom, axis] -= h
+        f_minus = potential.forces(work).ravel()
+        K[:, col] = -(f_plus - f_minus) / (2.0 * h)
+    return 0.5 * (K + K.T)
+
+
 @st.composite
 def structures(draw):
     """2-40 atoms of 1-3 elements in a free, orthorhombic or skewed cell.
+
+    A cell is periodic along all three axes or only along two.
 
     Atoms sit on distinct sites of a 4x4x4 fractional grid with a jitter
     of up to 0.05, so no two atoms come closer than about a fifth of the
@@ -122,8 +144,9 @@ def structures(draw):
     elements = rng.choice(["Ar", "C", "Ne"][:n_elements], size=n).tolist()
     if kind == "free":
         return AtomicStructure(elements=elements, positions=frac @ cell)
+    pbc = draw(st.sampled_from([(True, True, True), (True, False, True)]))
     return AtomicStructure(elements=elements, positions=frac @ cell,
-                           cell=cell, pbc=(True, True, True))
+                           cell=cell, pbc=pbc)
 
 
 def random_bonds(structure, rng):
@@ -307,6 +330,11 @@ class TestRelax:
         assert result.converged
         assert result.max_force <= 0.01
 
+    @pytest.mark.parametrize("fmax", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_fmax(self, fmax):
+        with pytest.raises(ValueError, match="fmax"):
+            relax(dimer(r=3.0), AR_LJ, fmax=fmax)
+
     def test_input_untouched(self):
         s = dimer(r=3.0)
         before = s.positions.copy()
@@ -330,6 +358,54 @@ class TestHessian:
         # at equilibrium the xx block is the bond constant
         assert K[0, 0] == pytest.approx(5.0, rel=1e-5)
         assert K[0, 3] == pytest.approx(-5.0, rel=1e-5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(structures(), st.sampled_from([0.05, 0.01, 1e-3, 1e-4]))
+    def test_lj_equals_column_loop(self, s, h):
+        assert np.array_equal(hessian_finite_difference(s, MIXED_LJ, h=h),
+                              ref_hessian(s, MIXED_LJ, h=h))
+
+    @settings(max_examples=30, deadline=None)
+    @given(structures(), st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from([0.05, 0.01, 1e-3, 1e-4]))
+    def test_harmonic_equals_column_loop(self, s, seed, repulsion, h):
+        bonds = random_bonds(s, np.random.default_rng(seed))
+        pot = HarmonicBondPotential(bonds, eps_rep=0.01 if repulsion else 0.0,
+                                    sigma_rep=2.0)
+        assert np.array_equal(hessian_finite_difference(s, pot, h=h),
+                              ref_hessian(s, pot, h=h))
+
+    def test_counters(self):
+        s = lj_lattice(3, spacing=3.8)
+        info = {}
+        K = hessian_finite_difference(s, AR_LJ, info=info)
+        pairs = 27 * 26 // 2
+        # base pairs, then six displaced copies of each atom's 26 pairs
+        assert info["pair_evaluations"] == pairs + 6 * 27 * 26
+        assert 0.0 <= info["asymmetry"] < 1e-8 * np.abs(K).max()
+        # a bonded chain 0-1-2 with the repulsion on the free pair 0-2
+        pot = HarmonicBondPotential([(0, 1, 5.0, 1.0), (1, 2, 5.0, 1.0)],
+                                    eps_rep=0.01)
+        chain = AtomicStructure(elements=["C"] * 3,
+                                positions=np.array([[0.0, 0, 0], [1.0, 0, 0],
+                                                    [1.5, 0.9, 0]]))
+        info = {}
+        hessian_finite_difference(chain, pot, info=info)
+        assert info["pair_evaluations"] == 3 + 6 * 2 * 3
+
+    def test_external_potential_rejected(self, tmp_path):
+        p = tmp_path / "sp.json"
+        p.write_text(json.dumps({
+            "n_atoms": 2, "energy_eV": 0.0,
+            "forces_eV_per_A": [[0.0, 0.0, 0.1], [0.0, 0.0, -0.1]],
+        }))
+        with pytest.raises(TypeError, match="ExternalPotential"):
+            hessian_finite_difference(dimer(r=3.0), ExternalPotential(p))
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.01])
+    def test_rejects_bad_step(self, h):
+        with pytest.raises(ValueError, match="displacement"):
+            hessian_finite_difference(dimer(r=3.6), AR_LJ, h=h)
 
 
 class TestExternalPotential:

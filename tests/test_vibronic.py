@@ -14,6 +14,7 @@ from spescreen.vibronic import (
     MASS_WEIGHTED_ORTHONORMAL,
     MASS_WEIGHTED_THEN_NORMALIZED,
     NormalModeSet,
+    canonical_mode_signs,
     direct_fc_metric,
     force_projection,
     huang_rhys,
@@ -65,6 +66,34 @@ class TestNormalModes:
         K = -np.eye(6)
         ms = normal_modes(K, [1.0, 1.0])
         assert np.all(ms.imaginary)
+
+    def test_sign_convention(self):
+        ms = random_mode_set(4, seed=3)
+        lead = np.argmax(np.abs(ms.modes), axis=1)
+        assert np.all(ms.modes[np.arange(12), lead] > 0.0)
+
+    def test_sign_ties_go_to_lowest_index(self):
+        modes = np.array([[-0.5, 0.5, 0.1], [0.2, -0.7, 0.7], [0.0, 0.0, 0.0]])
+        assert np.array_equal(canonical_mode_signs(modes), [
+            [0.5, -0.5, -0.1], [-0.2, 0.7, -0.7], [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flipped_signs_recanonicalise(self, seed):
+        """Negating any subset of rows changes neither modes nor direct_fc."""
+        masses_e = np.array([12.0, 12.0])
+        iso = random_mode_set(2, seed=10, masses=masses_e)
+        emb = random_mode_set(5, seed=11 + seed,
+                              masses=np.concatenate([np.full(3, 40.0),
+                                                     masses_e]))
+        f = np.random.default_rng(12).normal(size=6)
+        flips = np.random.default_rng(seed).choice([-1.0, 1.0], size=15)
+        flipped = NormalModeSet(emb.frequencies, flips[:, None] * emb.modes,
+                                emb.masses)
+        canon = NormalModeSet(emb.frequencies,
+                              canonical_mode_signs(flipped.modes), emb.masses)
+        assert np.array_equal(canon.modes, emb.modes)
+        fc = direct_fc_metric(f, emb, range(3, 5), isolated=iso)
+        assert direct_fc_metric(f, canon, range(3, 5), isolated=iso) == fc
 
 
 class TestConventions:
