@@ -1,14 +1,7 @@
 from .graph import AROMATIC, Atom, Bond, MolecularGraph
-from .smiles import (
-    SmilesParseError,
-    canonical_smiles,
-    canonicalize,
-    parse_smiles,
-    write_smiles,
-)
+from .smiles import SmilesParseError, parse_smiles
 from .fingerprint import (
     Fingerprint,
-    linear_kernel_similarity,
     load_smiles_table,
     morgan_fingerprint,
     rank_by_similarity,
@@ -19,9 +12,7 @@ from .fingerprint import (
 
 __all__ = [
     "AROMATIC", "Atom", "Bond", "MolecularGraph",
-    "SmilesParseError", "canonical_smiles", "canonicalize", "parse_smiles",
-    "write_smiles",
-    "Fingerprint", "linear_kernel_similarity", "load_smiles_table",
-    "morgan_fingerprint", "rank_by_similarity", "similarity_summary",
-    "tanimoto", "tanimoto_matrix",
+    "SmilesParseError", "parse_smiles",
+    "Fingerprint", "load_smiles_table", "morgan_fingerprint",
+    "rank_by_similarity", "similarity_summary", "tanimoto", "tanimoto_matrix",
 ]

@@ -127,19 +127,6 @@ def similarity_summary(ranked, thresholds=(0.4, 0.5)) -> dict:
     return summary
 
 
-def linear_kernel_similarity(a, b) -> float:
-    """Normalized linear kernel (cosine) between two descriptor vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("descriptor vectors must be finite")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("descriptor vector has zero norm")
-    return float(a @ b / (na * nb))
-
-
 def load_smiles_table(path):
     """Load and parse an (id, smiles) table from a TSV/CSV file.
 

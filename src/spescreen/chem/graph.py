@@ -25,7 +25,6 @@ DEFAULT_VALENCES = {
     "I": (1,),
 }
 
-ORGANIC_SUBSET = set(DEFAULT_VALENCES)
 AROMATIC_ELEMENTS = {"B", "C", "N", "O", "P", "S"}
 
 

@@ -1,4 +1,4 @@
-"""SMILES parsing, aromaticity perception, and canonical output.
+"""SMILES parsing and aromaticity perception.
 
 Supported grammar: the organic subset (B C N O P S F Cl Br I and the
 aromatic forms b c n o p s), bracket atoms with isotope/charge/H-count,
@@ -16,9 +16,7 @@ from .graph import (
     Bond,
     DEFAULT_VALENCES,
     MolecularGraph,
-    ORGANIC_SUBSET,
     assign_implicit_hydrogens,
-    bond_order_sum,
 )
 
 
@@ -350,225 +348,3 @@ def perceive_aromaticity(graph: MolecularGraph):
             graph.atoms[b.i].aromatic = True
             graph.atoms[b.j].aromatic = True
     return graph
-
-
-# --- canonical output ------------------------------------------------------
-
-_BOND_RANK = {1: 1, 2: 2, 3: 3, AROMATIC: 4}
-
-
-def _dense_rank(keys):
-    order = {k: r for r, k in enumerate(sorted(set(keys)))}
-    return [order[k] for k in keys]
-
-
-def _wl_refine(adj, ranks):
-    envs = [[(_BOND_RANK[b.order], j) for j, b in nbrs] for nbrs in adj]
-    while True:
-        new = _dense_rank([
-            (ranks[i], tuple(sorted([(order, ranks[j]) for order, j in env])))
-            for i, env in enumerate(envs)
-        ])
-        if len(set(new)) == len(set(ranks)):
-            return new
-        ranks = new
-
-
-def _initial_ranks(graph, adj):
-    keys = []
-    for i, a in enumerate(graph.atoms):
-        keys.append((a.element, len(adj[i]), a.h_count, a.charge,
-                     a.aromatic, a.isotope or 0))
-    return _dense_rank(keys)
-
-
-def _discrete_rankings(adj, ranks, budget):
-    """Yield total orderings via individualization-refinement (bounded)."""
-    stack = [ranks]
-    while stack and budget[0] > 0:
-        ranks = stack.pop()
-        cells = {}
-        for i, r in enumerate(ranks):
-            cells.setdefault(r, []).append(i)
-        tied = [c for c in sorted(cells) if len(cells[c]) > 1]
-        if not tied:
-            budget[0] -= 1
-            yield ranks
-            continue
-        cell = cells[tied[0]]
-        for a in cell:
-            keys = [(r, 0 if i == a else 1) for i, r in enumerate(ranks)]
-            stack.append(_wl_refine(adj, _dense_rank(keys)))
-
-
-def _implicit_h_if_bare(atom, nbrs):
-    """H count a reparse would assign to a bare (non-bracket) atom token."""
-    valences = DEFAULT_VALENCES.get(atom.element)
-    if valences is None:
-        return None
-    used = bond_order_sum(atom, nbrs)
-    for v in valences:
-        if used <= v:
-            return int(round(v - used))
-    return None
-
-
-def _atom_token(atom, nbrs):
-    sym = atom.element.lower() if atom.aromatic else atom.element
-    needs_bracket = (
-        atom.isotope is not None
-        or atom.charge != 0
-        or atom.element not in ORGANIC_SUBSET
-        or (atom.aromatic and atom.element not in AROMATIC_ELEMENTS)
-        or _implicit_h_if_bare(atom, nbrs) != atom.h_count
-    )
-    if not needs_bracket:
-        return sym
-    parts = ["["]
-    if atom.isotope is not None:
-        parts.append(str(atom.isotope))
-    parts.append(sym)
-    if atom.h_count == 1:
-        parts.append("H")
-    elif atom.h_count > 1:
-        parts.append(f"H{atom.h_count}")
-    if atom.charge:
-        sign = "+" if atom.charge > 0 else "-"
-        mag = abs(atom.charge)
-        parts.append(sign if mag == 1 else f"{sign}{mag}")
-    parts.append("]")
-    return "".join(parts)
-
-
-def _bond_token(graph, bond):
-    if bond.order == 2:
-        return "="
-    if bond.order == 3:
-        return "#"
-    if bond.order == AROMATIC:
-        return ""
-    if graph.atoms[bond.i].aromatic and graph.atoms[bond.j].aromatic:
-        return "-"  # single bond between aromatic atoms must be explicit
-    return ""
-
-
-def _component_string(graph, adj, ranks, atoms_in_comp):
-    start = min(atoms_in_comp, key=lambda i: ranks[i])
-
-    # pass 1: build the DFS spanning tree and classify ring-closure bonds;
-    # an explicit stack of (atom, remaining neighbours) keeps long chains
-    # off the interpreter's recursion limit
-    def by_rank(i):
-        return iter(sorted(adj[i], key=lambda nb: ranks[nb[0]]))
-
-    visited = {start}
-    children = {i: [] for i in atoms_in_comp}
-    closure_bonds = {i: [] for i in atoms_in_comp}
-    seen_keys = set()
-    stack = [(start, by_rank(start))]
-    while stack:
-        i, pending = stack[-1]
-        for j, b in pending:
-            key = b.key()
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            if j in visited:
-                closure_bonds[i].append(b)
-                closure_bonds[j].append(b)
-            else:
-                children[i].append((j, b))
-                visited.add(j)
-                stack.append((j, by_rank(j)))
-                break
-        else:
-            stack.pop()
-
-    # pass 2: emit atoms in tree order with closure digits; the stack holds
-    # atom indices still to emit and literal tokens, in reverse order
-    out = []
-    open_numbers = {}
-    free_numbers = list(range(99, 0, -1))
-
-    def digit_str(num):
-        return str(num) if num < 10 else f"%{num:02d}"
-
-    stack = [start]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        i = item
-        out.append(_atom_token(graph.atoms[i], adj[i]))
-        for b in sorted(closure_bonds[i],
-                        key=lambda b: ranks[b.j if b.i == i else b.i]):
-            key = b.key()
-            if key in open_numbers:
-                num = open_numbers.pop(key)
-                free_numbers.append(num)
-                free_numbers.sort(reverse=True)
-                out.append(digit_str(num))
-            else:
-                num = free_numbers.pop()
-                open_numbers[key] = num
-                out.append(_bond_token(graph, b) + digit_str(num))
-        kids = children[i]
-        for k in range(len(kids) - 1, -1, -1):
-            j, b = kids[k]
-            branch = k < len(kids) - 1
-            if branch:
-                stack.append(")")
-            stack.append(j)
-            stack.append(_bond_token(graph, b))
-            if branch:
-                stack.append("(")
-    return "".join(out)
-
-
-def write_smiles(graph: MolecularGraph, ranks=None) -> str:
-    """Serialize a molecular graph to SMILES using the given atom ranks."""
-    if ranks is None:
-        ranks = list(range(len(graph)))
-    adj = graph.adjacency()
-    seen = [False] * len(adj)
-    comps = []
-    for root in range(len(adj)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        stack = [root]
-        while stack:
-            for j, _ in adj[stack.pop()]:
-                if not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
-    parts = sorted(_component_string(graph, adj, ranks, c) for c in comps)
-    return ".".join(parts)
-
-
-def canonicalize(graph: MolecularGraph, max_leaves: int = 200) -> str:
-    """Return a canonical SMILES string, invariant under atom relabeling.
-
-    Uses Weisfeiler-Lehman refinement with individualization; among the
-    explored discrete orderings the lexicographically smallest serialization
-    is returned. `max_leaves` bounds the symmetry search.
-    """
-    if len(graph) == 0:
-        raise ValueError("cannot canonicalize an empty graph")
-    adj = graph.adjacency()
-    ranks0 = _wl_refine(adj, _initial_ranks(graph, adj))
-    budget = [max_leaves]
-    best = None
-    for ranks in _discrete_rankings(adj, ranks0, budget):
-        s = write_smiles(graph, ranks)
-        if best is None or s < best:
-            best = s
-    return best
-
-
-def canonical_smiles(text: str) -> str:
-    return canonicalize(parse_smiles(text))

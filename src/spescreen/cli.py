@@ -36,6 +36,7 @@ from .potential import (
     ExternalPotential,
     LennardJonesPotential,
     hessian_finite_difference,
+    max_force_norm,
     relax,
 )
 from .spectro import (
@@ -66,6 +67,20 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _write_json(path, payload):
+    """Write `payload` as indented, key-sorted JSON.
+
+    A NaN or infinity cannot be written as JSON: it is a numerical failure
+    (exit 3), and the file is left unwritten.
+    """
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"{os.path.basename(path)}: {exc}") from None
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _write_stage_manifest(ctx, stage, inputs, params, outputs):
     """Record inputs (with hashes), parameters, and outputs for a stage."""
     manifest = {
@@ -79,8 +94,7 @@ def _write_stage_manifest(ctx, stage, inputs, params, outputs):
         "outputs": sorted(str(o) for o in outputs),
     }
     path = os.path.join(ctx.obj["out_dir"], f"{stage}_manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(path, manifest)
     return path
 
 
@@ -217,12 +231,11 @@ def similarity(ctx, table_path, reference, nbits, radius):
     edges = np.linspace(0.0, 1.0, 21)
     counts, _ = np.histogram(sims, bins=edges)
     hist_path = _out(ctx, "histogram.json")
-    with open(hist_path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "bin_edges": edges.tolist(),
-            "counts": counts.tolist(),
-            "summary": summary,
-        }, fh, indent=2, sort_keys=True)
+    _write_json(hist_path, {
+        "bin_edges": edges.tolist(),
+        "counts": counts.tolist(),
+        "summary": summary,
+    })
 
     _write_stage_manifest(
         ctx, "similarity", {"smiles": table_path},
@@ -432,9 +445,12 @@ def modes(ctx, structure_path, ext_path, lj_path, do_relax, fmax, out_name):
     out_path = _out(ctx, out_name)
     save_mode_set(modeset, out_path)
     n_im = int((modeset.frequencies < 0).sum())
+    # a Hessian describes vibrations only at a stationary point
+    max_force = max_force_norm(potential.forces(structure))
     params.update(h=info["h"], n_atoms=len(structure), n_imaginary=n_im,
                   pair_evaluations=info["pair_evaluations"],
-                  hessian_asymmetry=info["asymmetry"])
+                  hessian_asymmetry=info["asymmetry"],
+                  max_force=max_force, stationary=max_force <= fmax)
     _write_stage_manifest(
         ctx, "modes",
         {"structure": structure_path, "potential_file": ext_path,
@@ -512,6 +528,8 @@ def vibronic(ctx, iso_path, emb_path, forces_path, emitter_atoms, rg_path,
     embedded = load_mode_set(emb_path)
     with open(forces_path, encoding="utf-8") as fh:
         forces = np.asarray(json.load(fh), dtype=float)
+    if not np.isfinite(forces).all():
+        raise ValueError("forces must be finite")
     r_ground = parse_xyz(rg_path).positions
     r_excited = parse_xyz(re_path).positions
     n_complex = embedded.modes.shape[1] // 3
@@ -520,17 +538,16 @@ def vibronic(ctx, iso_path, emb_path, forces_path, emitter_atoms, rg_path,
     report = vibronic_report(isolated, embedded, atoms, forces,
                              r_ground, r_excited)
     out_path = _out(ctx, out_name)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "g": report.g.tolist(),
-            "s_projection": report.s_projection.tolist(),
-            "huang_rhys": report.huang_rhys.tolist(),
-            "weighted_huang_rhys": report.weighted_huang_rhys.tolist(),
-            "svc": report.svc,
-            "sum_g": report.sum_g,
-            "sum_weighted_hr": report.sum_weighted_hr,
-            "direct_fc": report.direct_fc,
-        }, fh, indent=2, sort_keys=True)
+    _write_json(out_path, {
+        "g": report.g.tolist(),
+        "s_projection": report.s_projection.tolist(),
+        "huang_rhys": report.huang_rhys.tolist(),
+        "weighted_huang_rhys": report.weighted_huang_rhys.tolist(),
+        "svc": report.svc,
+        "sum_g": report.sum_g,
+        "sum_weighted_hr": report.sum_weighted_hr,
+        "direct_fc": report.direct_fc,
+    })
     _write_stage_manifest(
         ctx, "vibronic",
         {"isolated": iso_path, "embedded": emb_path, "forces": forces_path,
@@ -565,8 +582,7 @@ def spin(ctx, states_path, out_name):
         "n_triplets": len(table.triplets),
     }
     out_path = _out(ctx, out_name)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(out_path, payload)
     _write_stage_manifest(ctx, "spin", {"states": states_path}, {},
                           [out_path])
     click.echo(
@@ -604,8 +620,7 @@ def stark(ctx, delta_mu, delta_alpha, fields, out_name):
         ],
     }
     out_path = _out(ctx, out_name)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(out_path, payload)
     _write_stage_manifest(
         ctx, "stark", {},
         {"delta_mu": delta_mu, "delta_alpha": delta_alpha},
@@ -724,11 +739,8 @@ def report(ctx, records_path, lambda_host, no_soc, vibronic_dir):
     table_csv = _out(ctx, "table1.csv")
     write_candidates_csv(records, table_csv)
     table_json = _out(ctx, "table1.json")
-    with open(table_json, "w", encoding="utf-8") as fh:
-        json.dump(
-            [dict(zip(CANDIDATE_COLUMNS, r.as_row())) for r in records],
-            fh, indent=2, sort_keys=True,
-        )
+    _write_json(table_json,
+                [dict(zip(CANDIDATE_COLUMNS, r.as_row())) for r in records])
     outputs += [table_csv, table_json]
 
     for metric in _FIG3_METRICS:

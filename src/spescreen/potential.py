@@ -253,6 +253,10 @@ class ExternalPotential:
             self._hessian = np.asarray(data["hessian_eV_per_A2"], dtype=float)
             if self._hessian.shape != (3 * self.n_atoms, 3 * self.n_atoms):
                 raise ValueError("hessian shape does not match 3N x 3N")
+        if not (np.isfinite(self._energy) and np.isfinite(self._forces).all()
+                and (self._hessian is None
+                     or np.isfinite(self._hessian).all())):
+            raise ValueError(f"{path}: non-finite energy, force or Hessian")
 
     def _check(self, structure):
         if len(structure) != self.n_atoms:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -17,6 +18,16 @@ from .constants import (
     STARK_LINEAR_MHZ_PER_AU_KVCM,
     STARK_QUADRATIC_MHZ_PER_AU_KVCM2,
 )
+
+
+def _require_finite(name, value):
+    """Raise ValueError unless `value` is a finite real number."""
+    try:
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -40,6 +51,12 @@ class ExcitedStateTable:
     gs_soc_t1_cm1: float | None = None  # |<T_1|H_SO|S_0>|
 
     def __post_init__(self):
+        for state in [*self.singlets, *self.triplets]:
+            for f in fields(state):
+                _require_finite(f"{type(state).__name__}.{f.name}",
+                                getattr(state, f.name))
+        if self.gs_soc_t1_cm1 is not None:
+            _require_finite("gs_soc_t1_cm1", self.gs_soc_t1_cm1)
         for s in self.singlets:
             if s.energy_eV <= 0:
                 raise ValueError("singlet energies must be positive")
@@ -110,6 +127,8 @@ class StarkInput:
     delta_alpha_au: float  # polarizability difference, atomic units (may be < 0)
 
     def __post_init__(self):
+        _require_finite("delta_mu", self.delta_mu_au)
+        _require_finite("delta_alpha", self.delta_alpha_au)
         if self.delta_mu_au < 0:
             raise ValueError("|delta mu| must be >= 0")
 
@@ -120,6 +139,7 @@ class StarkCoefficients:
     b_mhz_per_kvcm2: float
 
     def shift_mhz(self, field_kv_cm: float) -> float:
+        _require_finite("field", field_kv_cm)
         e = abs(field_kv_cm)
         return self.a_mhz_per_kvcm * e + self.b_mhz_per_kvcm2 * e**2
 

@@ -1,8 +1,8 @@
 """Atomic structures with optional periodic cells.
 
-Provides extended-XYZ read/write, supercell construction, covalent
-neighbor lists (periodic images honored), and molecule identification via
-connected components of the covalent-bond graph.
+Provides extended-XYZ read/write, covalent neighbor lists (periodic
+images honored), and molecule identification via connected components of
+the covalent-bond graph.
 """
 
 from __future__ import annotations
@@ -92,9 +92,6 @@ class MoleculeLabels:
     labels: np.ndarray  # component id per atom, contiguous in [0, count)
     count: int
 
-    def atoms_of(self, component):
-        return np.nonzero(self.labels == component)[0]
-
     def sizes(self):
         return np.bincount(self.labels, minlength=self.count)
 
@@ -151,32 +148,6 @@ def write_xyz(structure: AtomicStructure, path, comment=""):
         lines.append(f"{e} {p[0]:.8f} {p[1]:.8f} {p[2]:.8f}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-# --- supercell -------------------------------------------------------------
-
-def make_supercell(unit: AtomicStructure, repeats) -> AtomicStructure:
-    na, nb, nc = (int(r) for r in repeats)
-    if unit.cell is None:
-        raise ValueError("supercell construction requires a unit cell")
-    if min(na, nb, nc) < 1:
-        raise ValueError("repeats must be >= 1")
-    elements = []
-    positions = []
-    for ia in range(na):
-        for ib in range(nb):
-            for ic in range(nc):
-                shift = ia * unit.cell[0] + ib * unit.cell[1] + ic * unit.cell[2]
-                elements.extend(unit.elements)
-                positions.append(unit.positions + shift)
-    cell = unit.cell * np.array([[na], [nb], [nc]])
-    return AtomicStructure(
-        elements=elements,
-        positions=np.vstack(positions),
-        masses=np.tile(unit.masses, na * nb * nc),
-        cell=cell,
-        pbc=unit.pbc,
-    )
 
 
 # --- neighbor list ---------------------------------------------------------

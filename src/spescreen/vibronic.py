@@ -54,6 +54,11 @@ class NormalModeSet:
             raise ValueError("mode matrix shape does not match 3N coordinates")
         if len(self.frequencies) != len(self.modes):
             raise ValueError("frequency count does not match mode count")
+        if not all(np.isfinite(a).all()
+                   for a in (self.frequencies, self.modes, self.masses)):
+            raise ValueError("mode set holds a non-finite number")
+        if np.any(self.masses <= 0):
+            raise ValueError("masses must be positive")
 
     @property
     def n_atoms(self):

@@ -1,6 +1,12 @@
-"""SMILES parsing, canonicalization, and fingerprint tests."""
+"""SMILES parsing, aromaticity perception, and fingerprint tests.
+
+The ring code is checked against the networkx reference it replaced, and
+its atom-order independence per atom and per bond through a known
+permutation of the graph.
+"""
 
 import contextlib
+import copy
 import random
 import subprocess
 import sys
@@ -18,9 +24,6 @@ from spescreen.chem import (
     Fingerprint,
     MolecularGraph,
     SmilesParseError,
-    canonical_smiles,
-    canonicalize,
-    linear_kernel_similarity,
     load_smiles_table,
     morgan_fingerprint,
     parse_smiles,
@@ -28,7 +31,6 @@ from spescreen.chem import (
     similarity_summary,
     tanimoto,
     tanimoto_matrix,
-    write_smiles,
 )
 from spescreen.chem import smiles as smiles_module
 from spescreen.chem.graph import AROMATIC_ELEMENTS, assign_implicit_hydrogens
@@ -96,35 +98,6 @@ class TestParsing:
         assert exc.value.position is not None
 
 
-class TestCanonicalization:
-    @pytest.mark.parametrize("smiles", MOLECULES)
-    def test_roundtrip_idempotent(self, smiles):
-        canon = canonical_smiles(smiles)
-        assert canonical_smiles(canon) == canon
-
-    @pytest.mark.parametrize("smiles", MOLECULES)
-    def test_permutation_invariance(self, smiles):
-        """Relabeled atom orders must canonicalize identically."""
-        rng = np.random.default_rng(hash(smiles) % 2**32)
-        ref = canonical_smiles(smiles)
-        g = parse_smiles(smiles)
-        n = len(g)
-        for _ in range(10):
-            perm = rng.permutation(n)
-            inv = np.argsort(perm)
-            atoms = [g.atoms[perm[k]] for k in range(n)]
-            bonds = [
-                type(b)(int(inv[b.i]), int(inv[b.j]), b.order)
-                for b in g.bonds
-            ]
-            shuffled = MolecularGraph(atoms=atoms, bonds=bonds)
-            assert canonicalize(shuffled) == ref
-
-    def test_equivalent_inputs(self):
-        assert canonical_smiles("OCC") == canonical_smiles("CCO")
-        assert canonical_smiles("c1ccccc1") == canonical_smiles("c1ccccc1")
-
-
 class TestFingerprints:
     def test_identity(self):
         fp = morgan_fingerprint(parse_smiles("c1ccc2ccccc2c1"))
@@ -169,10 +142,6 @@ class TestFingerprints:
         with pytest.raises(ValueError):
             morgan_fingerprint(parse_smiles("C"), nbits=100)
 
-    def test_linear_kernel(self):
-        a = morgan_fingerprint(parse_smiles("c1ccccc1")).bits.astype(float)
-        assert linear_kernel_similarity(a, a) == pytest.approx(1.0)
-
 
 class TestRanking:
     def test_rank_descending(self):
@@ -203,7 +172,10 @@ class TestRanking:
         assert skipped == 1
         # rows come back parsed, with the SMILES text kept as the source
         assert [g.source for _, g in entries] == ["CCO", "c1ccccc1"]
-        assert canonicalize(entries[1][1]) == canonical_smiles("c1ccccc1")
+        for _, g in entries:
+            identity = list(range(len(g)))
+            assert _signature(g, identity) == \
+                _signature(parse_smiles(g.source), identity)
 
 
 # --- slow references: the networkx-based ring code the package replaced ----
@@ -304,89 +276,33 @@ def _ref_perceive_aromaticity(graph):
     return graph
 
 
-def _ref_component_string(graph, ranks, atoms_in_comp):
-    """Recursive two-pass DFS writer (same tokens, same order)."""
-    start = min(atoms_in_comp, key=lambda i: ranks[i])
-    visited = set()
-    children = {i: [] for i in atoms_in_comp}
-    closure_bonds = {i: [] for i in atoms_in_comp}
-    seen_keys = set()
-
-    def dfs(i):
-        visited.add(i)
-        for j, b in sorted(_ref_neighbors(graph, i),
-                           key=lambda nb: ranks[nb[0]]):
-            if b.key() in seen_keys:
-                continue
-            seen_keys.add(b.key())
-            if j in visited:
-                closure_bonds[i].append(b)
-                closure_bonds[j].append(b)
-            else:
-                children[i].append((j, b))
-                dfs(j)
-
-    dfs(start)
-    out = []
-    open_numbers = {}
-    free_numbers = list(range(99, 0, -1))
-
-    def digit_str(num):
-        return str(num) if num < 10 else f"%{num:02d}"
-
-    def emit(i):
-        out.append(smiles_module._atom_token(graph.atoms[i],
-                                             _ref_neighbors(graph, i)))
-        for b in sorted(closure_bonds[i],
-                        key=lambda b: ranks[b.j if b.i == i else b.i]):
-            key = b.key()
-            if key in open_numbers:
-                num = open_numbers.pop(key)
-                free_numbers.append(num)
-                free_numbers.sort(reverse=True)
-                out.append(digit_str(num))
-            else:
-                num = free_numbers.pop()
-                open_numbers[key] = num
-                out.append(smiles_module._bond_token(graph, b)
-                           + digit_str(num))
-        for k, (j, b) in enumerate(children[i]):
-            last = k == len(children[i]) - 1
-            if not last:
-                out.append("(")
-            out.append(smiles_module._bond_token(graph, b))
-            emit(j)
-            if not last:
-                out.append(")")
-
-    emit(start)
-    return "".join(out)
-
-
-def _ref_write_smiles(graph, ranks=None):
-    if ranks is None:
-        ranks = list(range(len(graph)))
-    comps = [sorted(c) for c in nx.connected_components(_ref_nx_graph(graph))]
-    return ".".join(sorted(_ref_component_string(graph, ranks, c)
-                           for c in comps))
-
-
 @contextlib.contextmanager
 def _reference_chem():
-    """Swap the ring perception, bridge search and writer for the references."""
+    """Swap the ring perception and bridge search for the references."""
     with mock.patch.object(smiles_module, "perceive_aromaticity",
                            _ref_perceive_aromaticity), \
-            mock.patch.object(smiles_module, "write_smiles",
-                              _ref_write_smiles), \
             mock.patch.object(MolecularGraph, "ring_bond_keys",
                               _ref_ring_bond_keys):
         yield
 
 
-def _profile(smiles):
-    """Everything the ring code decides for one SMILES string."""
+def _perceive(graph):
+    """The steps parse_smiles takes after the grammar, run on a copy.
+
+    The ring perception is looked up on the module at call time, so
+    `_reference_chem` swaps in the reference here as it does in parsing.
+    """
+    g = copy.deepcopy(graph)
+    assign_implicit_hydrogens(g)
+    smiles_module.perceive_aromaticity(g)
+    assign_implicit_hydrogens(g)
+    return g.validate()
+
+
+def _profile(graph):
+    """Everything the ring code decides for one graph."""
     try:
-        g = parse_smiles(smiles)
+        g = _perceive(graph)
     except ValueError as exc:
         return ("error", str(exc))
     return (
@@ -394,16 +310,15 @@ def _profile(smiles):
         [(b.key(), b.order) for b in g.bonds],
         sorted(g.ring_bond_keys()),
         sorted(g.ring_atoms()),
-        canonicalize(g),
         tuple(np.flatnonzero(morgan_fingerprint(g).bits)),
     )
 
 
-def _assert_matches_reference(smiles):
-    new = _profile(smiles)
+def _assert_matches_reference(graph):
+    new = _profile(graph)
     with _reference_chem():
-        ref = _profile(smiles)
-    assert new == ref, smiles
+        ref = _profile(graph)
+    assert new == ref, graph
 
 
 def _ref_tanimoto(a, b):
@@ -465,17 +380,43 @@ def _kekule_graph(smiles):
         return parse_smiles(smiles)
 
 
+def _permuted(graph, perm, rnd):
+    """The graph renumbered so that atom k is the old atom perm[k].
+
+    The bond list is shuffled and some bonds are written j-i, so the
+    adjacency lists, and with them the order in which rings are found,
+    change too.
+    """
+    new_index = {old: new for new, old in enumerate(perm)}
+    bonds = [Bond(new_index[b.i], new_index[b.j], b.order)
+             for b in graph.bonds]
+    rnd.shuffle(bonds)
+    bonds = [Bond(b.j, b.i, b.order) if rnd.random() < 0.5 else b
+             for b in bonds]
+    return MolecularGraph(atoms=[copy.copy(graph.atoms[old]) for old in perm],
+                          bonds=bonds)
+
+
+def _signature(graph, perm):
+    """Per-atom (aromatic, H count) and per-bond order of a graph numbered
+    by `perm`, read back in the numbering perm was drawn from."""
+    atoms = [None] * len(graph)
+    for new, old in enumerate(perm):
+        atoms[old] = (graph.atoms[new].aromatic, graph.atoms[new].h_count)
+    bonds = {tuple(sorted((perm[b.i], perm[b.j]))): b.order
+             for b in graph.bonds}
+    return atoms, bonds
+
+
 def _assert_atom_order_invariant(graph, rnd):
-    """Spellings of one graph in shuffled atom orders canonicalize alike."""
-    canon = canonical_smiles(write_smiles(graph))
-    ranks = list(range(len(graph)))
+    """Every atom and bond is perceived alike in shuffled atom orders."""
+    identity = list(range(len(graph)))
+    expected = _signature(_perceive(graph), identity)
     for _ in range(16):
-        rnd.shuffle(ranks)
-        assert canonical_smiles(write_smiles(graph, ranks)) == canon
-
-
-def _decorate(rnd, n, bonds):
-    return write_smiles(_decorated_graph(rnd, n, bonds))
+        perm = identity[:]
+        rnd.shuffle(perm)
+        got = _perceive(_permuted(graph, perm, rnd))
+        assert _signature(got, perm) == expected
 
 
 def _decorated_graph(rnd, n, bonds):
@@ -510,8 +451,8 @@ def _decorated_graph(rnd, n, bonds):
 
 
 class TestReferenceRingCode:
-    """Aromaticity, ring atoms, canonical SMILES and fingerprints agree with
-    the minimum-cycle-basis / bridge-search code the package replaced."""
+    """Aromaticity, H counts, bond orders, ring atoms and fingerprints agree
+    with the minimum-cycle-basis / bridge-search code the package replaced."""
 
     @pytest.mark.parametrize("smiles", MOLECULES + [
         "C1=C[CH+]1",                 # 3-ring, 2 pi electrons
@@ -522,14 +463,14 @@ class TestReferenceRingCode:
         "C12=C(N3C(=C1)C=1C(=C3)C=CC1)OCC1=C2C=CC1",
     ])
     def test_molecules(self, smiles):
-        _assert_matches_reference(smiles)
+        _assert_matches_reference(_kekule_graph(smiles))
 
     @pytest.mark.parametrize("centers", [
         TERRYLENE_CENTERS, DBT_CENTERS, NEAR_DBT_A_CENTERS,
         NEAR_DBT_B_CENTERS,
     ], ids=["terrylene", "dbt", "near-a", "near-b"])
     def test_pah_fixtures(self, centers):
-        _assert_matches_reference(write_smiles(pah_graph(centers)))
+        _assert_matches_reference(pah_graph(centers))
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 7),
@@ -540,15 +481,14 @@ class TestReferenceRingCode:
             graph = MolecularGraph(
                 atoms=[Atom("C", aromatic=True) for _ in range(n)],
                 bonds=[Bond(i, j, AROMATIC) for i, j in bonds])
-            smiles = write_smiles(assign_implicit_hydrogens(graph))
         else:
-            smiles = _decorate(rnd, n, bonds)
-        _assert_matches_reference(smiles)
+            graph = _decorated_graph(rnd, n, bonds)
+        _assert_matches_reference(graph)
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 5))
     def test_fused_5_6_7(self, rnd, n_rings):
-        _assert_matches_reference(_decorate(rnd, *_fused_ring_topology(
+        _assert_matches_reference(_decorated_graph(rnd, *_fused_ring_topology(
             rnd, n_rings)))
 
     @settings(max_examples=40, deadline=None)
@@ -556,6 +496,10 @@ class TestReferenceRingCode:
     def test_fused_atom_order(self, rnd, n_rings):
         _assert_atom_order_invariant(
             _decorated_graph(rnd, *_fused_ring_topology(rnd, n_rings)), rnd)
+
+    @pytest.mark.parametrize("smiles", MOLECULES)
+    def test_molecules_atom_order(self, smiles):
+        _assert_atom_order_invariant(_kekule_graph(smiles), random.Random(1))
 
     @pytest.mark.parametrize("smiles", [
         "C12=C(N3C(=C1)C=1C(=C3)C=CC1)OCC1=C2C=CC1",
@@ -571,7 +515,8 @@ class TestReferenceRingCode:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_random_molecules(self, seed):
-        _assert_matches_reference(_random_molecule(np.random.default_rng(seed)))
+        _assert_matches_reference(
+            _kekule_graph(_random_molecule(np.random.default_rng(seed))))
 
     @pytest.mark.parametrize("smiles", [
         "C1CC2CCC1C2",            # norbornane
@@ -585,19 +530,7 @@ class TestReferenceRingCode:
         assert len(rings) > len(nx.minimum_cycle_basis(_ref_nx_graph(g)))
         # the extra rings contain sp3 bridgeheads, for which
         # _pi_contribution returns None, so no ring is marked aromatic
-        _assert_matches_reference(smiles)
-
-
-def test_long_chain_canonicalizes():
-    """A chain longer than the recursion limit writes and canonicalizes.
-
-    The canonical form of the chain is the input text itself, so this one
-    call also shows that the string re-canonicalizes to itself.
-    """
-    chain = "C" * 1100
-    canon = canonical_smiles(chain)
-    assert isinstance(canon, str)
-    assert canon == chain
+        _assert_matches_reference(_kekule_graph(smiles))
 
 
 class TestTanimotoMatrix:

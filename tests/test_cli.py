@@ -4,18 +4,20 @@ import csv
 import json
 import os
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spescreen import cli
 from spescreen.chem import fingerprint
 from spescreen.cli import _parse_atom_selection, main
+from spescreen.potential import LennardJonesPotential, max_force_norm
 from spescreen.spectro import CANDIDATE_COLUMNS, write_candidates_csv
-from spescreen.structure import write_xyz
+from spescreen.structure import parse_xyz, write_xyz
 from spescreen.vibronic import normal_modes, save_mode_set
 
 from conftest import dimer, lj_lattice
@@ -238,6 +240,53 @@ class TestModes:
             else:
                 assert not relax_keys & params.keys()
 
+    def test_stationary_flag_lj(self, runner, tmp_path):
+        """max_force is the force at the Hessian's geometry, one LJ call."""
+        s = tmp_path / "dimer.xyz"
+        write_xyz(dimer(r=3.5), s)
+        lj = tmp_path / "lj.json"
+        lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+        potential = LennardJonesPotential({("Ar", "Ar"): (0.0104, 3.4)})
+        for flag, stationary in (("--relax", True), ("--no-relax", False)):
+            out = tmp_path / flag
+            result = runner.invoke(main, [
+                "--out-dir", str(out), "modes", "--structure", str(s),
+                "--lj-params", str(lj), flag,
+            ])
+            assert result.exit_code == 0, result.output
+            params = json.loads(
+                (out / "modes_manifest.json").read_text())["parameters"]
+            assert params["stationary"] is stationary
+            assert (params["max_force"] <= params["fmax"]) is stationary
+            if not stationary:
+                assert params["max_force"] == max_force_norm(
+                    potential.forces(parse_xyz(s)))
+
+    @pytest.mark.parametrize("forces, stationary", [
+        ([[0.0, 0.0, 0.3], [0.0, 0.0, -0.4]], False),
+        ([[0.0, 0.0, 0.006], [0.0, 0.008, 0.0]], True),
+    ])
+    def test_stationary_flag_external(self, runner, tmp_path, forces,
+                                      stationary):
+        """With --potential-file, max_force comes from the file's forces."""
+        s = tmp_path / "dimer.xyz"
+        write_xyz(dimer(r=3.5), s)
+        ext = tmp_path / "sp.json"
+        ext.write_text(json.dumps({
+            "n_atoms": 2, "energy_eV": -0.01, "forces_eV_per_A": forces,
+            "hessian_eV_per_A2": np.eye(6).tolist(),
+        }))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "modes", "--structure", str(s),
+            "--potential-file", str(ext),
+        ])
+        assert result.exit_code == 0, result.output
+        params = json.loads(
+            (out / "modes_manifest.json").read_text())["parameters"]
+        assert params["max_force"] == max_force_norm(np.array(forces))
+        assert params["stationary"] is stationary
+
     @pytest.mark.parametrize("fmax, flag", [
         ("nan", "--relax"), ("inf", "--relax"), ("-inf", "--relax"),
         ("0", "--relax"), ("nan", "--no-relax"), ("inf", "--no-relax"),
@@ -351,6 +400,18 @@ class TestVibronic:
             "svc", "sum_g", "sum_weighted_hr", "direct_fc",
         }
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_forces_exit_2(self, runner, tmp_path, bad):
+        argv = self._inputs(tmp_path)
+        (tmp_path / "forces.json").write_text(
+            f"[[{bad}, 0.0, 0.1], [0.0, 0.2, 0.0]]")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out-dir", str(out)] + argv
+                               + ["--emitter-atoms", "2:4"])
+        assert result.exit_code == 2, result.output
+        assert "forces must be finite" in result.output
+        assert not list(out.iterdir())
+
     def test_atoms_outside_complex_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["--out-dir", str(tmp_path / "out")]
                                + self._inputs(tmp_path)
@@ -403,6 +464,37 @@ class TestSpinStark:
         data = json.loads((out / "stark.json").read_text())
         assert data["a_mhz_per_kvcm"] == pytest.approx(78.84, rel=0.01)
         assert data["b_mhz_per_kvcm2"] == pytest.approx(-0.0761, rel=0.01)
+
+    @pytest.mark.parametrize("argv", [
+        ["--delta-mu", "nan", "--delta-alpha", "1"],
+        ["--delta-mu", "0.05", "--delta-alpha", "inf"],
+        ["--delta-mu", "0.05", "--delta-alpha", "-inf"],
+        ["--delta-mu", "0.05", "--delta-alpha", "600", "--field", "nan"],
+        ["--delta-mu", "0.05", "--delta-alpha", "600", "--field", "1e400"],
+    ])
+    def test_stark_non_finite_exit_2(self, runner, tmp_path, argv):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out-dir", str(out), "stark"] + argv)
+        assert result.exit_code == 2, result.output
+        assert "finite" in result.output
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("states", [
+        {"singlets": [{"energy_eV": float("nan")}], "triplets": []},
+        {"singlets": [{"energy_eV": 2.0}],
+         "triplets": [{"energy_eV": 1.5, "soc_s1_cm1": float("inf")}]},
+        {"singlets": [{"energy_eV": 2.0}], "triplets": [],
+         "gs_soc_t1_cm1": float("nan")},
+    ])
+    def test_spin_non_finite_exit_2(self, runner, tmp_path, states):
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps(states))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out-dir", str(out), "spin",
+                                      "--states", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "finite" in result.output
+        assert not list(out.iterdir())
 
 
 class TestLabelClassifyReport:
@@ -549,6 +641,152 @@ class TestRecordTableFuzz:
                          ["report"] + records,
                          ["report"] + records + host):
                 assert _exit_code(out + argv) in (0, 2, 3), argv
+
+
+def _assert_exit_contract(tmp, argv):
+    """One CLI call in `tmp` exits 0, 2 (click usage errors too) or 3.
+
+    On exit 0 every JSON artifact must parse as strict JSON, with no NaN or
+    Infinity token in it.
+    """
+    out = os.path.join(tmp, "out")
+    result = CliRunner().invoke(main, ["--out-dir", out] + argv)
+    assert result.exit_code in (0, 2, 3), (argv, result.output,
+                                           result.exception)
+    if result.exit_code == 0:
+        def refuse(token):
+            raise AssertionError(f"non-JSON constant {token} in {argv}")
+
+        for name in os.listdir(out):
+            if name.endswith(".json"):
+                with open(os.path.join(out, name), encoding="utf-8") as fh:
+                    json.loads(fh.read(), parse_constant=refuse)
+
+
+_NUMBER_ARGS = ("0.0616", "612.15", "-3", "0", "1e300", "nan", "inf", "-inf",
+                "1e400", "x", "")
+_JSON_VALUES = ("0", "-1", "1e300", "1e400", "NaN", "Infinity", "-Infinity",
+                '"x"', "null", "[]", "true")
+_JSON_NUMBERS = st.one_of(st.floats(0.1, 3.0).map("{:.3f}".format),
+                          st.sampled_from(_JSON_VALUES))
+
+
+@st.composite
+def state_tables(draw):
+    """Excited-state table JSON text, malformed in drawn ways."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([
+            "", "{", "[]", "null", '{"singlets": 5}',
+            '{"singlets": [{"bogus": 1}]}', '{"singlets": [[2.0]]}']))
+
+    def state(keys):
+        chosen = keys[:1] + [k for k in keys[1:] if draw(st.booleans())]
+        return "{" + ", ".join(f'"{k}": {draw(_JSON_NUMBERS)}'
+                               for k in chosen) + "}"
+
+    singlets = [state(["energy_eV", "fosc", "rotary_1e40cgs", "lambda_nm"])
+                for _ in range(draw(st.integers(0, 2)))]
+    triplets = [state(["energy_eV", "soc_s1_cm1"])
+                for _ in range(draw(st.integers(0, 3)))]
+    parts = [f'"singlets": [{", ".join(singlets)}]',
+             f'"triplets": [{", ".join(triplets)}]']
+    if draw(st.booleans()):
+        parts.append(f'"gs_soc_t1_cm1": {draw(_JSON_NUMBERS)}')
+    return "{" + ", ".join(parts) + "}"
+
+
+@st.composite
+def force_texts(draw):
+    """A JSON array of force rows: wrong shapes and bad numbers drawn in."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "{", "[]", '"x"', "1e400",
+                                     '{"forces": []}']))
+    rows = [[f"{draw(st.floats(-1.0, 1.0)):.4f}" for _ in range(3)]
+            for _ in range(draw(st.sampled_from([2, 2, 2, 1, 3])))]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 2))] \
+            = draw(st.sampled_from(_JSON_VALUES))
+    if draw(st.integers(0, 4)) == 0:
+        rows[-1] = rows[-1][:2]                     # ragged
+    return "[" + ", ".join("[" + ", ".join(r) + "]" for r in rows) + "]"
+
+
+class TestSpinStarkVibronicFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.floats(0.0, 0.1).map("{:.4f}".format),
+                     st.none(), st.sampled_from(_NUMBER_ARGS)),
+           st.one_of(st.floats(-700.0, 700.0).map("{:.2f}".format),
+                     st.none(), st.sampled_from(_NUMBER_ARGS)),
+           st.lists(st.one_of(st.floats(-50.0, 50.0).map("{:.3f}".format),
+                              st.sampled_from(_NUMBER_ARGS)), max_size=3))
+    @example("nan", "1", [])
+    @example("0.05", "inf", [])
+    @example("0.05", "1", ["nan"])
+    def test_stark_exit_codes(self, delta_mu, delta_alpha, fields):
+        """stark exits 0, 2 or 3 on any coefficients and fields."""
+        argv = ["stark"]
+        for flag, value in (("--delta-mu", delta_mu),
+                            ("--delta-alpha", delta_alpha)):
+            if value is not None:
+                argv += [flag, value]
+        for f in fields:
+            argv += ["--field", f]
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_exit_contract(tmp, argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(state_tables())
+    @example('{"singlets": [{"energy_eV": NaN}], "triplets": []}')
+    def test_spin_exit_codes(self, text):
+        """spin exits 0, 2 or 3 on any excited-state table."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "states.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            _assert_exit_contract(tmp, ["spin", "--states", path])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([None, "forces", "modes", "geometry", "atoms"]),
+           force_texts(),
+           st.sampled_from(["nan-frequency", "inf-mode", "zero-mass",
+                            "truncated", "wrong-shape"]),
+           xyz_texts(), st.sampled_from(["0:2", "2,3", "3:5", "x", None]))
+    @example("forces", "[[NaN, 0, 0], [0, 0, 0]]", "truncated", "", None)
+    def test_vibronic_exit_codes(self, fault, forces, modes_fault, xyz,
+                                 atoms):
+        """vibronic exits 0, 2 or 3 on any forces, mode sets, geometry and
+        atom selection; one input at a time is drawn malformed."""
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = TestVibronic._inputs(Path(tmp))
+            argv += ["--emitter-atoms", "2:4"]
+            if fault == "forces":
+                with open(os.path.join(tmp, "forces.json"), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(forces)
+            elif fault == "modes":
+                iso = os.path.join(tmp, "iso.json")
+                with open(iso, encoding="utf-8") as fh:
+                    text = fh.read()
+                data = json.loads(text)
+                if modes_fault == "nan-frequency":
+                    data["frequencies_cm1"][2] = float("nan")
+                elif modes_fault == "inf-mode":
+                    data["modes"][1][1] = float("inf")
+                elif modes_fault == "zero-mass":
+                    data["masses_amu"][0] = 0.0
+                elif modes_fault == "wrong-shape":
+                    data["modes"] = data["modes"][:-1]
+                with open(iso, "w", encoding="utf-8") as fh:
+                    fh.write(text[:40] if modes_fault == "truncated"
+                             else json.dumps(data))
+            elif fault == "geometry":
+                with open(os.path.join(tmp, "rg.xyz"), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(xyz)
+            elif fault == "atoms":
+                argv = argv[:-2] + ([] if atoms is None
+                                    else ["--emitter-atoms", atoms])
+            _assert_exit_contract(tmp, argv)
 
 
 class TestConfig:

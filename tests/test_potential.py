@@ -434,3 +434,24 @@ class TestExternalPotential:
         }))
         with pytest.raises(ValueError):
             ExternalPotential(p)
+
+    @pytest.mark.parametrize("key, path", [
+        ("energy_eV", ()), ("forces_eV_per_A", (1, 2)),
+        ("hessian_eV_per_A2", (3, 4)),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, tmp_path, key, path, bad):
+        payload = {
+            "n_atoms": 2,
+            "energy_eV": -1.25,
+            "forces_eV_per_A": [[0.0, 0.0, 0.1], [0.0, 0.0, -0.1]],
+            "hessian_eV_per_A2": np.eye(6).tolist(),
+        }
+        if path:
+            payload[key][path[0]][path[1]] = bad
+        else:
+            payload[key] = bad
+        p = tmp_path / "sp.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="non-finite"):
+            ExternalPotential(p)

@@ -36,6 +36,21 @@ class TestSOC:
         assert soc**2 + rsoc**2 == pytest.approx(total, abs=1e-12)
         assert gssoc_metric(t) == 0.05
 
+    @pytest.mark.parametrize("singlet, triplet, gs", [
+        ({"energy_eV": np.nan}, {"energy_eV": 1.5}, None),
+        ({"energy_eV": 2.0, "fosc": np.inf}, {"energy_eV": 1.5}, None),
+        ({"energy_eV": 2.0, "lambda_nm": -np.inf}, {"energy_eV": 1.5}, None),
+        ({"energy_eV": 2.0}, {"energy_eV": np.nan}, None),
+        ({"energy_eV": 2.0}, {"energy_eV": 1.5, "soc_s1_cm1": np.nan}, None),
+        ({"energy_eV": 2.0}, {"energy_eV": 1.5}, np.inf),
+        ({"energy_eV": "2.0"}, {"energy_eV": 1.5}, None),
+    ])
+    def test_non_finite_rejected(self, singlet, triplet, gs):
+        with pytest.raises(ValueError, match="finite"):
+            ExcitedStateTable(singlets=[SingletState(**singlet)],
+                              triplets=[TripletState(**triplet)],
+                              gs_soc_t1_cm1=gs)
+
     def test_degenerate_goes_to_soc(self):
         t = table([(2.0, 0.1)], [(2.0, 0.7)])
         assert soc_metric(t) == pytest.approx(0.7)
@@ -92,6 +107,20 @@ class TestStark:
     def test_negative_dipole_rejected(self):
         with pytest.raises(ValueError):
             StarkInput(-0.1, 100.0)
+
+    @pytest.mark.parametrize("inp", [
+        (np.nan, 100.0), (np.inf, 100.0), (0.05, np.nan), (0.05, -np.inf),
+        ("0.05", 100.0), (10**400, 100.0),
+    ])
+    def test_non_finite_rejected(self, inp):
+        with pytest.raises(ValueError, match="finite"):
+            StarkInput(*inp)
+
+    @pytest.mark.parametrize("field", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, field):
+        coeffs = stark_coefficients(StarkInput(0.05, 600.0))
+        with pytest.raises(ValueError, match="field"):
+            coeffs.shift_mhz(field)
 
 
 class TestCandidates:

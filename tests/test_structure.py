@@ -6,7 +6,6 @@ import pytest
 from spescreen.structure import (
     AtomicStructure,
     identify_molecules,
-    make_supercell,
     natural_cutoffs,
     neighbor_list,
     parse_xyz,
@@ -81,21 +80,6 @@ class TestXYZ:
             parse_xyz(p)
 
 
-class TestSupercell:
-    def test_counts_and_cell(self):
-        unit = AtomicStructure(
-            elements=["C", "O"], positions=np.array([[0.0] * 3, [1.0, 0, 0]]),
-            cell=np.eye(3) * 4.0, pbc=(True, True, True),
-        )
-        sc = make_supercell(unit, (2, 3, 1))
-        assert len(sc) == 12
-        assert np.allclose(sc.cell, np.diag([8.0, 12.0, 4.0]))
-
-    def test_requires_cell(self):
-        with pytest.raises(ValueError):
-            make_supercell(water(), (2, 2, 2))
-
-
 class TestNeighborList:
     def test_water_bonds(self):
         pairs = neighbor_list(water())
@@ -154,7 +138,6 @@ class TestMolecules:
         assert labels.count == 2
         assert list(labels.labels[:3]) == [0, 0, 0]
         assert list(labels.labels[3:]) == [1, 1, 1]
-        assert list(labels.atoms_of(1)) == [3, 4, 5]
         assert list(labels.sizes()) == [3, 3]
 
     def test_single_molecule(self):

@@ -1,5 +1,7 @@
 """Normal modes, overlap entropies, Huang-Rhys factors, FC metric."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,22 @@ class TestModeIO:
         assert np.allclose(back.frequencies, ms.frequencies, rtol=1e-12)
         assert np.allclose(back.modes, ms.modes)
         assert back.convention == ms.convention
+
+    @pytest.mark.parametrize("key", ["frequencies_cm1", "modes", "masses_amu"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, key, bad):
+        p = tmp_path / "modes.json"
+        save_mode_set(random_mode_set(2, seed=17), p)
+        data = json.loads(p.read_text())
+        if key == "modes":
+            data[key][1][4] = bad
+        else:
+            data[key][1] = bad
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_mode_set(p)
+
+    def test_non_positive_mass_rejected(self):
+        ms = random_mode_set(2, seed=18)
+        with pytest.raises(ValueError, match="masses"):
+            NormalModeSet(ms.frequencies, ms.modes, np.array([12.0, 0.0]))
