@@ -2,7 +2,9 @@
 
 The ring code is checked against the networkx reference it replaced, and
 its atom-order independence per atom and per bond through a known
-permutation of the graph.
+permutation of the graph. `TestCanonicalization` checks that parsing brings
+a molecule to one normal form: stable under re-perception, under atom
+renumbering, and across different texts for the same molecule.
 """
 
 import contextlib
@@ -96,6 +98,72 @@ class TestParsing:
         with pytest.raises(SmilesParseError) as exc:
             parse_smiles("CC(C")
         assert exc.value.position is not None
+
+
+def _same_molecule(a, b):
+    """Isomorphic, with every atom field and bond order matched."""
+    def labelled(graph):
+        g = _ref_nx_graph(graph)
+        for k, atom in enumerate(graph.atoms):
+            g.nodes[k]["atom"] = (atom.element, atom.charge, atom.isotope,
+                                  atom.h_count, atom.aromatic)
+        return g
+
+    return nx.is_isomorphic(
+        labelled(a), labelled(b),
+        node_match=lambda x, y: x["atom"] == y["atom"],
+        edge_match=lambda x, y: x["order"] == y["order"])
+
+
+class TestCanonicalization:
+    """parse_smiles brings each way of writing a molecule to one graph:
+    H counts, aromatic flags and bond orders perceived from Kekule or
+    aromatic text, whatever the atom order. Checked per atom and per bond,
+    and across texts by labelled isomorphism."""
+
+    @pytest.mark.parametrize("smiles", MOLECULES)
+    def test_roundtrip_idempotent(self, smiles):
+        """Perceiving the parsed graph again changes no atom and no bond."""
+        g = parse_smiles(smiles)
+        again = _perceive(g)
+        assert again.atoms == g.atoms
+        assert again.bonds == g.bonds
+
+    @pytest.mark.parametrize("smiles", MOLECULES)
+    def test_permutation_invariance(self, smiles):
+        """Renumbered copies of the parsed graph perceive alike, atom by
+        atom and bond by bond through the known permutation."""
+        rnd = random.Random(smiles)
+        g = parse_smiles(smiles)
+        identity = list(range(len(g)))
+        expected_bonds = _signature(g, identity)[1]
+        fp = morgan_fingerprint(g)
+        for _ in range(10):
+            perm = identity[:]
+            rnd.shuffle(perm)
+            got = _perceive(_permuted(g, perm, rnd))
+            atoms = [None] * len(g)
+            for new, old in enumerate(perm):
+                atoms[old] = got.atoms[new]
+            assert atoms == g.atoms
+            assert _signature(got, perm)[1] == expected_bonds
+            assert morgan_fingerprint(got) == fp
+
+    def test_equivalent_inputs(self):
+        for a, b in [
+            ("OCC", "CCO"),
+            ("c1ccccc1", "C1=CC=CC=C1"),
+            ("c1ccc2ccccc2c1", "C1=CC=C2C=CC=CC2=C1"),
+            ("c1ccsc1", "S1C=CC=C1"),
+            ("[O-]C(=O)C", "CC([O-])=O"),
+            ("C%10CCCCC%10", "C1CCCCC1"),
+        ]:
+            ga, gb = parse_smiles(a), parse_smiles(b)
+            assert _same_molecule(ga, gb), (a, b)
+            assert morgan_fingerprint(ga) == morgan_fingerprint(gb), (a, b)
+        for a, b in [("CCO", "COC"), ("c1ccccc1", "C1CCCCC1"),
+                     ("[13CH4]", "C"), ("[NH4+]", "N")]:
+            assert not _same_molecule(parse_smiles(a), parse_smiles(b))
 
 
 class TestFingerprints:
@@ -531,6 +599,19 @@ class TestReferenceRingCode:
         # the extra rings contain sp3 bridgeheads, for which
         # _pi_contribution returns None, so no ring is marked aromatic
         _assert_matches_reference(_kekule_graph(smiles))
+
+
+def test_long_chain_canonicalizes():
+    """A chain longer than the recursion limit parses to its normal form,
+    which perception leaves unchanged and which fingerprints."""
+    n = 1100
+    g = parse_smiles("C" * n)
+    assert [a.h_count for a in g.atoms] == [3] + [2] * (n - 2) + [3]
+    assert sorted((b.key(), b.order) for b in g.bonds) == [
+        ((k, k + 1), 1) for k in range(n - 1)]
+    assert _perceive(g).atoms == g.atoms
+    assert morgan_fingerprint(g) == morgan_fingerprint(_permuted(
+        g, list(range(n))[::-1], random.Random(0)))
 
 
 class TestTanimotoMatrix:
