@@ -113,6 +113,8 @@ def _gpc_counters(model):
         "grad_norm": model.grad_norm,
         "n_evaluations": model.n_evaluations,
         "optimizer_converged": model.optimizer_converged,
+        "sigma2_at_bound": model.sigma2_at_bound,
+        "lengthscale_at_bound": model.lengthscale_at_bound,
         "laplace_iterations": model.laplace_iterations,
         "laplace_converged": model.laplace_converged,
     }

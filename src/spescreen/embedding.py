@@ -176,7 +176,11 @@ def select_most_stable(trials, potential, host: AtomicStructure,
 
 def write_manifest(trials, path, cfg: EmbeddingConfig, binding_energies=None,
                    xyz_prefix=None):
-    """Dump accepted trials to a JSON manifest (and optional numbered XYZs)."""
+    """Dump accepted trials to a JSON manifest (and optional numbered XYZs).
+
+    A NaN or infinity cannot be written as JSON: it raises
+    FloatingPointError before any file is written.
+    """
     records = []
     for k, t in enumerate(trials):
         rec = {
@@ -192,13 +196,18 @@ def write_manifest(trials, path, cfg: EmbeddingConfig, binding_energies=None,
             rec["binding_energy_eV"] = round(float(binding_energies[k]), 12)
             rec["relax_converged"] = bool(t.relax_converged)
         if xyz_prefix is not None:
-            xyz_path = f"{xyz_prefix}{k:04d}.xyz"
-            write_xyz(t.structure, xyz_path)
-            rec["xyz"] = xyz_path
+            rec["xyz"] = f"{xyz_prefix}{k:04d}.xyz"
         records.append(rec)
     # the walk is always cumulative; the key keeps the manifest format
     payload = {"config": {**asdict(cfg), "cumulative": True},
                "accepted": records}
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"{path}: {exc}") from None
+    if xyz_prefix is not None:
+        for t, rec in zip(trials, records):
+            write_xyz(t.structure, rec["xyz"])
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(text)
     return payload

@@ -1,10 +1,12 @@
 """Binary Gaussian-process classification with a Laplace approximation.
 
-Kernel: constant variance times an isotropic RBF, with hyperparameters
-optimized over bounded log-space (coarse grid multi-start followed by
-Nelder-Mead refinement of the approximate log marginal likelihood).
-Logistic link; predictive probabilities integrate the link over the
-latent Gaussian with Gauss-Hermite quadrature.
+Kernel: constant variance times an isotropic RBF. The hyperparameters
+maximise the Laplace approximation to the log marginal likelihood within
+bounds, over (log sigma2, log lengthscale): L-BFGS-B with its analytic
+gradient (Rasmussen & Williams 2006, Alg. 5.1), started from (1, 1) and
+from the best point of a fixed 3x3 log-grid over the bounds. Logistic
+link; predictive probabilities integrate the link over the latent Gaussian
+with Gauss-Hermite quadrature.
 
 The posterior mode follows the stable B-matrix Newton scheme of Rasmussen
 & Williams (2006), Alg. 3.1/3.2. A fit computes the squared-distance
@@ -87,8 +89,9 @@ def _factor_b(K, f, eye):
 def _laplace_mode(K, y, tol=1e-10, max_iter=200):
     """Newton iteration for the posterior mode (stable B-matrix form).
 
-    Returns f, pi, sqrt(W), chol(B), grad_norm, the log marginal likelihood,
-    the number of Newton steps and whether the objective reached tol.
+    Returns f, a (with f = K a), pi, sqrt(W), chol(B), grad_norm, the log
+    marginal likelihood, the number of Newton steps and whether the
+    objective reached tol.
     """
     n = len(y)
     eye = np.eye(n)
@@ -119,7 +122,36 @@ def _laplace_mode(K, y, tol=1e-10, max_iter=200):
     logml = (-0.5 * (a @ f)
              - np.logaddexp(0.0, sign * f).sum()
              - np.log(np.diagonal(L)).sum())
-    return f, pi, sw, L, grad_norm, float(logml), steps, converged
+    return f, a, pi, sw, L, grad_norm, float(logml), steps, converged
+
+
+def _neg_log_q(d2, y, log_theta, sigma2_bounds, lengthscale_bounds,
+               gradient=True):
+    """-log q(y | theta) and (unless gradient=False) its gradient in
+    (log sigma2, log lengthscale).
+
+    Rasmussen & Williams (2006), Alg. 5.1, from the Laplace mode's f, a, pi,
+    sqrt(W) and chol(B). With W = pi (1 - pi) the implicit term is
+    s2 = +1/2 diag((K^-1 + W)^-1) d3, where d3 = -pi (1 - pi) (1 - 2 pi) is
+    the third derivative of log p(y|f).
+    """
+    s2 = float(np.clip(np.exp(log_theta[0]), *sigma2_bounds))
+    ls = float(np.clip(np.exp(log_theta[1]), *lengthscale_bounds))
+    K = _rbf(d2, s2, ls)
+    f, a, pi, sw, L, _, logml, _, _ = _laplace_mode(K, y)
+    if not gradient:
+        return -logml
+    R = sw[:, None] * _solve_lower(L, _solve_lower(L, np.diag(sw)), trans=1)
+    C = _solve_lower(L, sw[:, None] * K)
+    d3 = -pi * (1.0 - pi) * (1.0 - 2.0 * pi)
+    implicit = 0.5 * (np.diagonal(K) - (C * C).sum(axis=0)) * d3
+    dlogp = y - pi
+    grad = np.empty(2)
+    for j, dK in enumerate((K, K * d2 / ls**2)):   # dK / d log theta_j
+        explicit = 0.5 * (a @ dK @ a) - 0.5 * (R * dK).sum()
+        b = dK @ dlogp
+        grad[j] = explicit + implicit @ (b - K @ (R @ b))
+    return -logml, -grad
 
 
 @dataclass
@@ -135,14 +167,16 @@ class GPCModel:
     grad_norm: float
     log_marginal_likelihood: float
     n_evaluations: int            # marginal-likelihood evaluations
-    optimizer_converged: bool     # Nelder-Mead success; True if not run
+    optimizer_converged: bool     # L-BFGS-B success; True if not run
+    sigma2_at_bound: bool         # search stopped at a sigma2 bound
+    lengthscale_at_bound: bool    # search stopped at a lengthscale bound
     laplace_iterations: int       # Newton steps of the final fit
     laplace_converged: bool       # final fit reached tol before max_iter
 
 
 def gpc_train(x, y, sigma2_bounds=DEFAULT_SIGMA2_BOUNDS,
               lengthscale_bounds=DEFAULT_LENGTHSCALE_BOUNDS,
-              grid_size: int = 7, optimize: bool = True,
+              optimize: bool = True,
               sigma2: float | None = None,
               lengthscale: float | None = None) -> GPCModel:
     """Fit the Laplace GPC; hyperparameters default to marginal-likelihood
@@ -157,50 +191,60 @@ def gpc_train(x, y, sigma2_bounds=DEFAULT_SIGMA2_BOUNDS,
         raise ValueError("training set must contain both classes")
     d2 = _sqdist(x, x)
     n_evaluations = 0
-
-    def neg_logml(log_theta):
-        nonlocal n_evaluations
-        n_evaluations += 1
-        s2 = float(np.clip(np.exp(log_theta[0]), *sigma2_bounds))
-        ls = float(np.clip(np.exp(log_theta[1]), *lengthscale_bounds))
-        try:
-            logml = _laplace_mode(_rbf(d2, s2, ls), y)[5]
-        except np.linalg.LinAlgError:
-            return np.inf
-        return -logml
-
     optimizer_converged = True
+    at_bound = (False, False)
     if sigma2 is not None and lengthscale is not None:
-        best = (sigma2, lengthscale)
+        s2, ls = sigma2, lengthscale
     elif not optimize:
-        best = (1.0, 1.0)
+        s2, ls = 1.0, 1.0
     else:
-        s2_grid = np.exp(np.linspace(*np.log(sigma2_bounds), grid_size))
-        ls_grid = np.exp(np.linspace(*np.log(lengthscale_bounds), grid_size))
-        best_val = np.inf
-        best = (1.0, 1.0)
-        for s2 in s2_grid:
-            for ls in ls_grid:
-                val = neg_logml(np.log([s2, ls]))
-                if val < best_val:
-                    best_val = val
-                    best = (s2, ls)
-        res = minimize(neg_logml, np.log(best), method="Nelder-Mead",
-                       options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 500})
-        optimizer_converged = bool(res.success)
-        if res.fun < best_val:
-            best = tuple(np.clip(np.exp(res.x),
-                                 [sigma2_bounds[0], lengthscale_bounds[0]],
-                                 [sigma2_bounds[1], lengthscale_bounds[1]]))
+        lo = np.log([sigma2_bounds[0], lengthscale_bounds[0]])
+        hi = np.log([sigma2_bounds[1], lengthscale_bounds[1]])
+        start = np.clip(0.0, lo, hi)                   # (1, 1)
+        best_val, best = np.inf, start
 
-    s2, ls = float(best[0]), float(best[1])
-    f, pi, sw, L, grad_norm, logml, steps, converged = _laplace_mode(
+        def neg_log_q(log_theta, gradient=True):
+            nonlocal n_evaluations, best_val, best
+            n_evaluations += 1
+            try:
+                out = _neg_log_q(d2, y, log_theta, sigma2_bounds,
+                                 lengthscale_bounds, gradient)
+            except np.linalg.LinAlgError:
+                return (np.inf, np.zeros(2)) if gradient else np.inf
+            val = out[0] if gradient else out
+            if val < best_val:
+                best_val, best = val, np.array(log_theta, dtype=float)
+            return out
+
+        # The surface can hold several optima: search from (1, 1) and from
+        # the best point of a fixed 3x3 log-grid over the bounds.
+        grid = [np.array([a, b]) for a in np.linspace(lo[0], hi[0], 3)
+                for b in np.linspace(lo[1], hi[1], 3)]
+        values = [neg_log_q(point, gradient=False) for point in grid]
+        grid_best = grid[int(np.argmin(values))]
+        starts = [start]
+        if not np.array_equal(grid_best, start):
+            starts.append(grid_best)
+        for point in starts:
+            before = best_val
+            res = minimize(neg_log_q, point, jac=True, method="L-BFGS-B",
+                           bounds=list(zip(lo, hi)))
+            if best_val < before:
+                optimizer_converged = bool(res.success)
+        at_bound = tuple(bool(t <= l or t >= h)
+                         for t, l, h in zip(best, lo, hi))
+        s2 = np.clip(np.exp(best[0]), *sigma2_bounds)
+        ls = np.clip(np.exp(best[1]), *lengthscale_bounds)
+
+    s2, ls = float(s2), float(ls)
+    f, _, pi, sw, L, grad_norm, logml, steps, converged = _laplace_mode(
         _rbf(d2, s2, ls), y)
     return GPCModel(
         x_train=x, y_train=y, sigma2=s2, lengthscale=ls,
         f_hat=f, pi_hat=pi, sqrt_w=sw, chol_b=L,
         grad_norm=grad_norm, log_marginal_likelihood=logml,
         n_evaluations=n_evaluations, optimizer_converged=optimizer_converged,
+        sigma2_at_bound=at_bound[0], lengthscale_at_bound=at_bound[1],
         laplace_iterations=steps, laplace_converged=converged,
     )
 

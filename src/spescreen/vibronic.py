@@ -323,14 +323,20 @@ def vibronic_report(isolated: NormalModeSet, embedded: NormalModeSet,
 # --- mode-set file adapter -------------------------------------------------
 
 def save_mode_set(modeset: NormalModeSet, path):
+    """Write a mode set as JSON; a NaN or infinity raises FloatingPointError
+    before the file is opened."""
     payload = {
         "frequencies_cm1": modeset.frequencies_cm1.tolist(),
         "modes": modeset.modes.tolist(),
         "masses_amu": modeset.masses.tolist(),
         "convention": modeset.convention,
     }
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(text)
 
 
 def load_mode_set(path) -> NormalModeSet:

@@ -191,6 +191,17 @@ class TestManifest:
         records = json.loads(p.read_text())["accepted"]
         assert all("relax_converged" not in r for r in records)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_leaves_no_file(self, tmp_path, bad):
+        _, _, cfg, trials = small_run(seed=5, per_count=2, max_trials=800)
+        energies = [0.0] * len(trials)
+        energies[-1] = bad
+        with pytest.raises(FloatingPointError, match="m.json"):
+            write_manifest(trials, tmp_path / "m.json", cfg,
+                           binding_energies=energies,
+                           xyz_prefix=str(tmp_path / "s_"))
+        assert not list(tmp_path.iterdir())
+
     def test_contents(self, tmp_path):
         _, _, cfg, trials = small_run(seed=5, per_count=2, max_trials=800)
         p = tmp_path / "m.json"

@@ -252,6 +252,20 @@ class TestModeIO:
         with pytest.raises(ValueError, match="non-finite"):
             load_mode_set(p)
 
+    def test_save_is_strict_json(self, tmp_path):
+        ms = random_mode_set(2, seed=19)
+        p = tmp_path / "modes.json"
+        save_mode_set(ms, p)
+        assert p.read_text() == json.dumps({
+            "frequencies_cm1": ms.frequencies_cm1.tolist(),
+            "modes": ms.modes.tolist(), "masses_amu": ms.masses.tolist(),
+            "convention": ms.convention})
+        p.unlink()
+        ms.modes[1, 4] = np.nan
+        with pytest.raises(FloatingPointError, match="modes.json"):
+            save_mode_set(ms, p)
+        assert not p.exists()
+
     def test_non_positive_mass_rejected(self):
         ms = random_mode_set(2, seed=18)
         with pytest.raises(ValueError, match="masses"):
