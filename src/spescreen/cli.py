@@ -31,6 +31,7 @@ from .chem import (
     tanimoto_matrix,
 )
 from .embedding import EmbeddingConfig, embed_emitter, select_most_stable, write_manifest
+from .jsonio import write_json
 from .ml import feature_matrix, gpc_predict, gpc_train, hdbscan, label_good, pca, tsne
 from .potential import (
     ExternalPotential,
@@ -68,17 +69,8 @@ def _sha256(path):
 
 
 def _write_json(path, payload):
-    """Write `payload` as indented, key-sorted JSON.
-
-    A NaN or infinity cannot be written as JSON: it is a numerical failure
-    (exit 3), and the file is left unwritten.
-    """
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise FloatingPointError(f"{os.path.basename(path)}: {exc}") from None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write `payload` as indented, key-sorted strict JSON."""
+    write_json(path, payload, indent=2, sort_keys=True)
 
 
 def _write_stage_manifest(ctx, stage, inputs, params, outputs):

@@ -10,11 +10,11 @@ relaxed complexes whose relaxation converged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .jsonio import write_json
 from .potential import relax
 from .structure import AtomicStructure, identify_molecules, write_xyz
 
@@ -201,13 +201,8 @@ def write_manifest(trials, path, cfg: EmbeddingConfig, binding_energies=None,
     # the walk is always cumulative; the key keeps the manifest format
     payload = {"config": {**asdict(cfg), "cumulative": True},
                "accepted": records}
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise FloatingPointError(f"{path}: {exc}") from None
+    write_json(path, payload, indent=2, sort_keys=True)
     if xyz_prefix is not None:
         for t, rec in zip(trials, records):
             write_xyz(t.structure, rec["xyz"])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
     return payload

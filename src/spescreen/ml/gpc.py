@@ -3,10 +3,13 @@
 Kernel: constant variance times an isotropic RBF. The hyperparameters
 maximise the Laplace approximation to the log marginal likelihood within
 bounds, over (log sigma2, log lengthscale): L-BFGS-B with its analytic
-gradient (Rasmussen & Williams 2006, Alg. 5.1), started from (1, 1) and
-from the best point of a fixed 3x3 log-grid over the bounds. Logistic
-link; predictive probabilities integrate the link over the latent Gaussian
-with Gauss-Hermite quadrature.
+gradient (Rasmussen & Williams 2006, Alg. 5.1). The surface can be flat
+and hold several optima, so L-BFGS-B starts from (1, 1) and from the
+points of a fixed 7x7 log-grid over the bounds whose value lies within one
+nat of the grid's best (above 30 records, only those that no grid
+neighbour beats); the fit keeps the highest point a search reached.
+Logistic link; predictive probabilities integrate the link over the latent
+Gaussian with Gauss-Hermite quadrature.
 
 The posterior mode follows the stable B-matrix Newton scheme of Rasmussen
 & Williams (2006), Alg. 3.1/3.2. A fit computes the squared-distance
@@ -167,7 +170,8 @@ class GPCModel:
     grad_norm: float
     log_marginal_likelihood: float
     n_evaluations: int            # marginal-likelihood evaluations
-    optimizer_converged: bool     # L-BFGS-B success; True if not run
+    optimizer_converged: bool     # success of the L-BFGS-B search that
+                                  # reached the returned point; True if not run
     sigma2_at_bound: bool         # search stopped at a sigma2 bound
     lengthscale_at_bound: bool    # search stopped at a lengthscale bound
     laplace_iterations: int       # Newton steps of the final fit
@@ -200,37 +204,49 @@ def gpc_train(x, y, sigma2_bounds=DEFAULT_SIGMA2_BOUNDS,
     else:
         lo = np.log([sigma2_bounds[0], lengthscale_bounds[0]])
         hi = np.log([sigma2_bounds[1], lengthscale_bounds[1]])
-        start = np.clip(0.0, lo, hi)                   # (1, 1)
-        best_val, best = np.inf, start
+        bounds = list(zip(lo, hi))
+        seen = []          # per search: lowest value reached and where
 
         def neg_log_q(log_theta, gradient=True):
-            nonlocal n_evaluations, best_val, best
+            nonlocal n_evaluations
             n_evaluations += 1
             try:
                 out = _neg_log_q(d2, y, log_theta, sigma2_bounds,
                                  lengthscale_bounds, gradient)
             except np.linalg.LinAlgError:
                 return (np.inf, np.zeros(2)) if gradient else np.inf
-            val = out[0] if gradient else out
-            if val < best_val:
-                best_val, best = val, np.array(log_theta, dtype=float)
+            if gradient and out[0] < seen[-1][0]:
+                seen[-1] = (out[0], np.array(log_theta, dtype=float))
             return out
 
-        # The surface can hold several optima: search from (1, 1) and from
-        # the best point of a fixed 3x3 log-grid over the bounds.
-        grid = [np.array([a, b]) for a in np.linspace(lo[0], hi[0], 3)
-                for b in np.linspace(lo[1], hi[1], 3)]
-        values = [neg_log_q(point, gradient=False) for point in grid]
-        grid_best = grid[int(np.argmin(values))]
-        starts = [start]
-        if not np.array_equal(grid_best, start):
-            starts.append(grid_best)
+        grid = [np.array([a, b]) for a in np.linspace(lo[0], hi[0], 7)
+                for b in np.linspace(lo[1], hi[1], 7)]
+        values = np.array([neg_log_q(point, gradient=False)
+                           for point in grid]).reshape(7, 7)
+        keep = np.isfinite(values) & (values <= values.min() + 1.0)
+        if len(y) > 30:
+            # up to 30 records the surface is flattest and an evaluation
+            # cheapest: search from every near point; above, only from
+            # those no grid neighbour beats
+            padded = np.pad(values, 1, constant_values=np.inf)
+            keep &= values <= np.min([padded[i:i + 7, j:j + 7]
+                                      for i in range(3) for j in range(3)],
+                                     axis=0)
+        starts = [np.clip(0.0, lo, hi)]                  # (1, 1)
+        starts += [point for point, start in zip(grid, keep.ravel())
+                   if start and not np.array_equal(point, starts[0])]
+        success = []
         for point in starts:
-            before = best_val
+            seen.append((np.inf, point))
             res = minimize(neg_log_q, point, jac=True, method="L-BFGS-B",
-                           bounds=list(zip(lo, hi)))
-            if best_val < before:
-                optimizer_converged = bool(res.success)
+                           bounds=bounds, options={"gtol": 1e-8})
+            success.append(bool(res.success))
+        # the fit takes the lowest point any search reached; searches within
+        # 1e-9 of it tie, and the first wins, so that rounding noise (e.g.
+        # the BLAS thread count) does not choose between them
+        lowest = min(val for val, _ in seen)
+        k = next(k for k, (val, _) in enumerate(seen) if val <= lowest + 1e-9)
+        best, optimizer_converged = seen[k][1], success[k]
         at_bound = tuple(bool(t <= l or t >= h)
                          for t, l, h in zip(best, lo, hi))
         s2 = np.clip(np.exp(best[0]), *sigma2_bounds)

@@ -22,6 +22,7 @@ from .constants import (
     VIB_FREQ_TO_AU,
     VIB_FREQ_TO_CM1,
 )
+from .jsonio import write_json
 
 MASS_WEIGHTED_ORTHONORMAL = "mass-weighted-orthonormal"
 INVERSE_MASS_NORMALIZED = "inverse-mass-normalized"
@@ -331,12 +332,7 @@ def save_mode_set(modeset: NormalModeSet, path):
         "masses_amu": modeset.masses.tolist(),
         "convention": modeset.convention,
     }
-    try:
-        text = json.dumps(payload, allow_nan=False)
-    except ValueError as exc:
-        raise FloatingPointError(f"{path}: {exc}") from None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_json(path, payload)
 
 
 def load_mode_set(path) -> NormalModeSet:
