@@ -9,7 +9,7 @@ overlap spread into the vibronic coupling entropy figure of merit.
 
 import numpy as np
 
-from spescreen.potential import LennardJonesPotential, hessian_finite_difference, relax
+from spescreen.potential import LennardJonesPotential, relax
 from spescreen.structure import AtomicStructure
 from spescreen.vibronic import (
     force_projection,
@@ -33,8 +33,7 @@ guest = AtomicStructure(
     ]),
 )
 guest = relax(guest, lj, fmax=1e-8, max_steps=2000).structure
-iso = normal_modes(hessian_finite_difference(guest, lj, h=1e-4),
-                   guest.masses)
+iso = normal_modes(lj.hessian(guest), guest.masses)
 print("isolated guest frequencies (cm^-1):",
       np.round(iso.frequencies_cm1, 1))
 
@@ -48,8 +47,7 @@ complex_ = AtomicStructure(
     positions=np.vstack([shell, guest.positions]),
 )
 complex_ = relax(complex_, lj, fmax=1e-6, max_steps=3000).structure
-emb = normal_modes(hessian_finite_difference(complex_, lj, h=1e-4),
-                   complex_.masses)
+emb = normal_modes(lj.hessian(complex_), complex_.masses)
 
 # squared overlaps of isolated modes with the full complex modes; with
 # every complex mode present each row is a normalized distribution

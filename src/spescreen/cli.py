@@ -36,7 +36,6 @@ from .ml import feature_matrix, gpc_predict, gpc_train, hdbscan, label_good, pca
 from .potential import (
     ExternalPotential,
     LennardJonesPotential,
-    hessian_finite_difference,
     max_force_norm,
     relax,
 )
@@ -428,22 +427,15 @@ def modes(ctx, structure_path, ext_path, lj_path, do_relax, fmax, out_name):
             )
         structure = result.structure
 
-    if ext_path is not None:
-        hessian = potential.hessian(structure)
-        info = {"h": None, "pair_evaluations": 0,
-                "asymmetry": float(np.abs(hessian - hessian.T).max())}
-    else:
-        info = {}
-        hessian = hessian_finite_difference(structure, potential, info=info)
+    hessian = potential.hessian(structure)
     modeset = normal_modes(hessian, structure.masses)
     out_path = _out(ctx, out_name)
     save_mode_set(modeset, out_path)
     n_im = int((modeset.frequencies < 0).sum())
     # a Hessian describes vibrations only at a stationary point
     max_force = max_force_norm(potential.forces(structure))
-    params.update(h=info["h"], n_atoms=len(structure), n_imaginary=n_im,
-                  pair_evaluations=info["pair_evaluations"],
-                  hessian_asymmetry=info["asymmetry"],
+    params.update(n_atoms=len(structure), n_imaginary=n_im,
+                  hessian_asymmetry=float(np.abs(hessian - hessian.T).max()),
                   max_force=max_force, stationary=max_force <= fmax)
     _write_stage_manifest(
         ctx, "modes",

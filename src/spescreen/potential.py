@@ -1,19 +1,18 @@
-"""Energy/force providers, quasi-Newton relaxation, finite-difference Hessians.
+"""Energy/force providers, quasi-Newton relaxation, analytic Hessians.
 
 Shipped providers: a harmonic-bond + pair-repulsion toy potential, a
 Lennard-Jones pair potential, and an adapter that replays externally
 computed energies/forces/Hessians from a JSON file. All providers are
 stateless and expose energy(structure) -> eV, forces(structure) -> (N, 3)
-eV/A, and energy_and_forces(structure) -> (eV, (N, 3) eV/A), which
-relaxation calls once per step.
+eV/A, energy_and_forces(structure) -> (eV, (N, 3) eV/A), which
+relaxation calls once per step, and hessian(structure) -> (3N, 3N) eV/A^2.
 
 The pair potentials describe themselves as pair terms, each a set of
-(i, j) pairs with its energy and dE/dr, and share one numpy-broadcast
-kernel over them. Periodic displacements use the minimum-image
-convention: fractional rounding, which is exact when the lattice vectors
-are mutually orthogonal, followed by a 27-image search in skewed cells.
-The finite-difference Hessian re-evaluates only the displaced atom's
-pairs.
+(i, j) pairs with its energy, dE/dr and d2E/dr2, and share one kernel for
+energy and forces and one for the closed-form Hessian. Periodic
+displacements use the minimum-image convention: fractional rounding,
+which is exact when the lattice vectors are mutually orthogonal, followed
+by a 27-image search in skewed cells.
 """
 
 from __future__ import annotations
@@ -71,33 +70,26 @@ def _upper_pairs(n):
 class _PairTerm:
     """One pair term of a provider: its (ii, jj) pairs and their physics.
 
-    `evaluate(r, sel)` takes distances of the pairs that `sel` indexes
-    (a slice or an index array into ii/jj, repeats allowed) and returns
-    their energies and dE/dr.
+    `evaluate(r)` takes the pairs' distances and returns their energies
+    and dE/dr; `curvature(r)` returns their d2E/dr2, which only the
+    Hessian needs.
     """
     ii: np.ndarray
     jj: np.ndarray
     evaluate: Callable
+    curvature: Callable
 
 
-def _displacements(structure, positions, ii, jj):
-    """Minimum-image vectors j - i and their lengths for the pairs (ii, jj).
-
-    `positions` is (N, 3) or a stack (C, N, 3) of displaced copies; the
-    copies' pairs come back copy-major in one (C * len(ii), 3) array.
-    """
-    deltas = np.take(positions, jj, axis=-2) - np.take(positions, ii, axis=-2)
-    deltas = _min_image_vectors(structure, deltas.reshape(-1, 3))
+def _displacements(structure, ii, jj):
+    """Minimum-image vectors j - i and their lengths for the pairs (ii, jj)."""
+    positions = structure.positions
+    deltas = _min_image_vectors(structure, np.take(positions, jj, axis=0)
+                                - np.take(positions, ii, axis=0))
     return deltas, np.linalg.norm(deltas, axis=1)
 
 
-def _pair_weights(dedr, deltas, r):
-    """(3, P) per-pair force components: dE/dr along each unit vector."""
-    return (dedr / r) * deltas.T
-
-
 def _scatter_forces(n, ii, jj, weights):
-    """Per-atom forces from (3, P) pair weights, +i and -j."""
+    """Per-atom forces from (3, P) pair weights (dE/dr) d/r, +i and -j."""
     return np.stack([
         np.bincount(ii, weights=w, minlength=n)
         - np.bincount(jj, weights=w, minlength=n)
@@ -110,11 +102,35 @@ def _pair_energy_and_forces(structure, terms):
     n = len(structure)
     e, f = 0.0, np.zeros((n, 3))
     for t in terms:
-        deltas, r = _displacements(structure, structure.positions, t.ii, t.jj)
-        pair_e, dedr = t.evaluate(r, slice(None))
+        deltas, r = _displacements(structure, t.ii, t.jj)
+        pair_e, dedr = t.evaluate(r)
         e += float(np.sum(pair_e))
-        f += _scatter_forces(n, t.ii, t.jj, _pair_weights(dedr, deltas, r))
+        f += _scatter_forces(n, t.ii, t.jj, (dedr / r) * deltas.T)
     return e, f
+
+
+def _pair_hessian(structure, terms):
+    """Closed-form Hessian (3N, 3N) in eV/A^2, summed over pair terms.
+
+    A pair at distance r along u = d/r has the block
+    A = E'' u u^T + (E'/r)(I - u u^T): H_ij and H_ji get -A and, since each
+    diagonal block is minus the sum of the others in its row, H_ii and
+    H_jj get +A. `np.add.at` counts a pair listed twice twice, and pairs
+    are added as (min, max) in list order, so H equals H.T bit for bit.
+    """
+    n = len(structure)
+    H = np.zeros((n, n, 3, 3))
+    for t in terms:
+        deltas, r = _displacements(structure, t.ii, t.jj)
+        u = deltas / r[:, None]
+        uu = u[:, :, None] * u[:, None, :]
+        dedr_r = (t.evaluate(r)[1] / r)[:, None, None]
+        block = t.curvature(r)[:, None, None] * uu + dedr_r * (np.eye(3) - uu)
+        lo, hi = np.minimum(t.ii, t.jj), np.maximum(t.ii, t.jj)
+        for a, b, sign in ((lo, lo, 1.0), (hi, hi, 1.0),
+                           (lo, hi, -1.0), (hi, lo, -1.0)):
+            np.add.at(H, (a, b), sign * block)
+    return H.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
 
 
 class LennardJonesPotential:
@@ -148,13 +164,17 @@ class LennardJonesPotential:
         ii, jj = _upper_pairs(len(structure))
         eps, sigma = self._pair_params(structure.elements, ii, jj)
 
-        def evaluate(r, sel):
-            e, sr6 = eps[sel], (sigma[sel] / r) ** 6
+        def evaluate(r):
+            sr6 = (sigma / r) ** 6
             # dE/dr = 4 eps (-12 sr12 + 6 sr6)/r
-            return (4.0 * e * (sr6 * sr6 - sr6),
-                    4.0 * e * (-12.0 * sr6 * sr6 + 6.0 * sr6) / r)
+            return (4.0 * eps * (sr6 * sr6 - sr6),
+                    4.0 * eps * (-12.0 * sr6 * sr6 + 6.0 * sr6) / r)
 
-        return [_PairTerm(ii, jj, evaluate)]
+        def curvature(r):
+            sr6 = (sigma / r) ** 6
+            return 4.0 * eps * (156.0 * sr6 * sr6 - 42.0 * sr6) / r ** 2
+
+        return [_PairTerm(ii, jj, evaluate, curvature)]
 
     def energy_and_forces(self, structure):
         return _pair_energy_and_forces(structure, self._pair_terms(structure))
@@ -164,6 +184,9 @@ class LennardJonesPotential:
 
     def forces(self, structure) -> np.ndarray:
         return self.energy_and_forces(structure)[1]
+
+    def hessian(self, structure) -> np.ndarray:
+        return _pair_hessian(structure, self._pair_terms(structure))
 
 
 @dataclass
@@ -200,11 +223,11 @@ class HarmonicBondPotential:
         """The bond term, then the repulsion over non-bonded i < j pairs."""
         k, r0 = self._k, self._r0
 
-        def bond(r, sel):
-            stretch = r - r0[sel]
-            return 0.5 * k[sel] * stretch ** 2, k[sel] * stretch
+        def bond(r):
+            stretch = r - r0
+            return 0.5 * k * stretch ** 2, k * stretch
 
-        terms = [_PairTerm(self._bi, self._bj, bond)]
+        terms = [_PairTerm(self._bi, self._bj, bond, lambda r: k)]
         if self.eps_rep > 0:
             n = len(structure)
             ii, jj = _upper_pairs(n)
@@ -213,11 +236,12 @@ class HarmonicBondPotential:
                    np.maximum(self._bi, self._bj)] = True
             free = ~bonded[ii, jj]
 
-            def repulsion(r, sel):
+            def repulsion(r):
                 rep = self.eps_rep * (self.sigma_rep / r) ** 12
                 return rep, -12.0 * rep / r
 
-            terms.append(_PairTerm(ii[free], jj[free], repulsion))
+            terms.append(_PairTerm(ii[free], jj[free], repulsion,
+                                   lambda r: 156.0 * repulsion(r)[0] / r ** 2))
         return terms
 
     def energy_and_forces(self, structure):
@@ -228,6 +252,9 @@ class HarmonicBondPotential:
 
     def forces(self, structure) -> np.ndarray:
         return self.energy_and_forces(structure)[1]
+
+    def hessian(self, structure) -> np.ndarray:
+        return _pair_hessian(structure, self._pair_terms(structure))
 
 
 class ExternalPotential:
@@ -381,58 +408,31 @@ def relax(structure: AtomicStructure, potential, fmax: float = 0.01,
 # --- Hessian ---------------------------------------------------------------
 
 def hessian_finite_difference(structure: AtomicStructure, potential,
-                              h: float = 0.01, info: dict | None = None
-                              ) -> np.ndarray:
+                              h: float = 0.01) -> np.ndarray:
     """Central-difference Hessian of the energy, symmetrized, in eV/A^2.
 
-    Column 3a + k is -(F(x + h e_ak) - F(x - h e_ak)) / 2h. Moving atom a
-    changes only the pairs that contain it, so the pair force weights are
-    computed once at the base geometry and, per atom, only a's pairs are
-    re-evaluated, at all six displacements in one batch. Each displaced
-    force vector is the same bincount over all pairs as in
-    `energy_and_forces`, so every column equals the one from two full
-    force calls bit for bit.
-
-    Needs a provider with pair terms (the Lennard-Jones and harmonic-bond
-    potentials); others raise TypeError. A dict passed as `info` receives
-    the step `h`, `pair_evaluations` (base pairs plus six per
-    displaced-atom pair) and `asymmetry` (max |K - K^T| before
-    symmetrization).
+    The test oracle for the pair potentials' analytic `hessian`; no stage
+    calls it. Column 3a + k is -(F(x + h e_ak) - F(x - h e_ak)) / 2h, from
+    two full force calls; its error falls as h^2. Needs a provider with
+    pair terms (the Lennard-Jones and harmonic-bond potentials); others
+    raise TypeError.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError("displacement must be positive and finite")
-    pair_terms = getattr(potential, "_pair_terms", None)
-    if pair_terms is None:
+    if not hasattr(potential, "_pair_terms"):
         raise TypeError(f"{type(potential).__name__} has no pair terms for "
                         "a finite-difference Hessian")
-    n = len(structure)
-    base = structure.positions
-    offsets = n * np.arange(6)[:, None]
-    terms = []
-    for t in pair_terms(structure):
-        deltas, r = _displacements(structure, base, t.ii, t.jj)
-        weights = _pair_weights(t.evaluate(r, slice(None))[1], deltas, r)
-        # the six copies' forces land in bins c * n + atom
-        bins = ((t.ii + offsets).ravel(), (t.jj + offsets).ravel())
-        terms.append((t, weights, bins))
-    evaluations = sum(len(t.ii) for t, _, _ in terms)
-    K = np.zeros((3 * n, 3 * n))
-    for a in range(n):
-        # copy 2k displaces a by +h along axis k, copy 2k + 1 by -h
-        moved = np.repeat(base[None], 6, axis=0)
-        moved[np.arange(6), a, np.arange(6) // 2] += np.tile([h, -h], 3)
-        forces = np.zeros((6 * n, 3))
-        for t, weights, bins in terms:
-            sel = np.flatnonzero((t.ii == a) | (t.jj == a))
-            deltas, r = _displacements(structure, moved, t.ii[sel], t.jj[sel])
-            dedr = t.evaluate(r, np.tile(sel, 6))[1]
-            w6 = np.repeat(weights[:, None, :], 6, axis=1)
-            w6[:, :, sel] = _pair_weights(dedr, deltas, r).reshape(3, 6, -1)
-            forces += _scatter_forces(6 * n, *bins, w6.reshape(3, -1))
-            evaluations += 6 * len(sel)
-        forces = forces.reshape(6, 3 * n)
-        K[:, 3 * a:3 * a + 3] = (-(forces[0::2] - forces[1::2]) / (2.0 * h)).T
-    if info is not None:
-        info.update(h=h, pair_evaluations=evaluations,
-                    asymmetry=float(np.abs(K - K.T).max()))
+    work = structure.copy()
+    n3 = 3 * len(structure)
+    K = np.zeros((n3, n3))
+    base = structure.positions.copy()
+    for col in range(n3):
+        atom, axis = divmod(col, 3)
+        work.positions = base.copy()
+        work.positions[atom, axis] += h
+        f_plus = potential.forces(work).ravel()
+        work.positions = base.copy()
+        work.positions[atom, axis] -= h
+        f_minus = potential.forces(work).ravel()
+        K[:, col] = -(f_plus - f_minus) / (2.0 * h)
     return 0.5 * (K + K.T)

@@ -94,13 +94,17 @@ def normal_modes(hessian, masses, symmetry_tol: float = 1e-6) -> NormalModeSet:
     Solves [M^-1/2 K M^-1/2] u = w^2 u; eigenvectors come back orthonormal
     in mass-weighted coordinates, sorted ascending in w^2, with the sign
     convention of `canonical_mode_signs`, and negative eigenvalues flagged
-    as imaginary via a negative frequency entry.
+    as imaginary via a negative frequency entry. A non-finite Hessian
+    raises FloatingPointError, an asymmetric one ValueError.
     """
     K = np.asarray(hessian, dtype=float)
     masses = np.asarray(masses, dtype=float)
     n3 = 3 * len(masses)
     if K.shape != (n3, n3):
         raise ValueError(f"hessian shape {K.shape} does not match 3N={n3}")
+    if not np.isfinite(K).all():
+        # checked first: a NaN asymmetry passes the tolerance test
+        raise FloatingPointError("hessian has non-finite entries")
     asym = np.abs(K - K.T).max()
     if asym > symmetry_tol:
         raise ValueError(f"hessian asymmetry {asym:.3e} exceeds tolerance")

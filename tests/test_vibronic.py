@@ -64,6 +64,14 @@ class TestNormalModes:
         with pytest.raises(ValueError):
             normal_modes(K, [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        """NaN passes the asymmetry tolerance, so it is checked first."""
+        K = np.eye(6)
+        K[0, 0] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            normal_modes(K, [1.0, 1.0])
+
     def test_imaginary_flagged(self):
         K = -np.eye(6)
         ms = normal_modes(K, [1.0, 1.0])
