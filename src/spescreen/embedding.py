@@ -87,15 +87,14 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
         d = np.linalg.norm(
             host.positions[:, None, :] - walker.positions[None, :, :], axis=2
         )
-        overlapping_atoms = np.nonzero((d < cfg.overlap_cutoff).any(axis=1))[0]
-        removed_mols = set(labels.labels[overlapping_atoms].tolist())
-        removed = len(removed_mols)
+        removed_mols = np.zeros(labels.count, dtype=bool)
+        removed_mols[labels.labels[(d < cfg.overlap_cutoff).any(axis=1)]] = True
+        removed = int(np.count_nonzero(removed_mols))
         if not cfg.min_removed <= removed <= cfg.max_removed:
             continue
         if per_count[removed] >= cfg.structures_per_count:
             continue
-        keep = [i for i in range(len(host)) if labels.labels[i] not in removed_mols]
-        reduced = host.subset(keep)
+        reduced = host.subset(np.flatnonzero(~removed_mols[labels.labels]))
         # containment: emitter bbox strictly inside remaining-host bbox
         hmin, hmax = reduced.positions.min(0), reduced.positions.max(0)
         emin, emax = walker.positions.min(0), walker.positions.max(0)

@@ -10,51 +10,23 @@ relaxation calls once per step, and hessian(structure) -> (3N, 3N) eV/A^2.
 The pair potentials describe themselves as pair terms, each a set of
 (i, j) pairs with its energy, dE/dr and d2E/dr2, and share one kernel for
 energy and forces and one for the closed-form Hessian. Periodic
-displacements use the minimum-image convention: fractional rounding,
-which is exact when the lattice vectors are mutually orthogonal, followed
-by a 27-image search in skewed cells.
+displacements take `structure.minimum_image`, which decides the images
+along the periodic axes of `pbc` only.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .structure import AtomicStructure
+from .structure import AtomicStructure, minimum_image
 
 
 def _pair_key(e1, e2):
     return tuple(sorted((e1, e2)))
-
-
-# the 27 lattice translations a, b, c in {-1, 0, 1}, a slowest
-_IMAGES = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
-
-
-def _min_image_vectors(structure, deltas):
-    """Apply the minimum-image convention to displacement vectors."""
-    if structure.cell is None or not any(structure.pbc):
-        return deltas
-    cell = structure.cell
-    frac = deltas @ np.linalg.inv(cell)
-    frac -= np.round(frac)
-    # mutually orthogonal lattice vectors: only the Gram diagonal (the
-    # squared lengths) is non-zero, and rounding is the exact minimum
-    # image; a pair at exactly half a cell takes -1/2, as the search does
-    if np.count_nonzero(cell @ cell.T) == 3:
-        frac[frac == 0.5] = -0.5
-        return frac @ cell
-    best = frac @ cell
-    # 27-image fallback for skewed cells where rounding is not exact MIC
-    shifts = (_IMAGES[:, :1] * cell[0] + _IMAGES[:, 1:2] * cell[1]
-              + _IMAGES[:, 2:] * cell[2])
-    cand = best[:, None, :] + shifts[None, :, :]
-    idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
-    return cand[np.arange(len(best)), idx]
 
 
 def _upper_pairs(n):
@@ -83,8 +55,8 @@ class _PairTerm:
 def _displacements(structure, ii, jj):
     """Minimum-image vectors j - i and their lengths for the pairs (ii, jj)."""
     positions = structure.positions
-    deltas = _min_image_vectors(structure, np.take(positions, jj, axis=0)
-                                - np.take(positions, ii, axis=0))
+    deltas = minimum_image(structure, np.take(positions, jj, axis=0)
+                           - np.take(positions, ii, axis=0))
     return deltas, np.linalg.norm(deltas, axis=1)
 
 
@@ -324,9 +296,12 @@ def max_force_norm(forces) -> float:
     return float(np.linalg.norm(forces, axis=1).max())
 
 
+_LBFGS_MEMORY = 20          # (s, y) pairs kept by L-BFGS
+_MAX_DISPLACEMENT = 0.2     # A, largest single-atom move of a trial step
+
+
 def relax(structure: AtomicStructure, potential, fmax: float = 0.01,
-          max_steps: int = 500, memory: int = 20,
-          initial_step: float = 0.1) -> RelaxationResult:
+          max_steps: int = 500) -> RelaxationResult:
     """L-BFGS descent with backtracking line search.
 
     Stops when the largest per-atom force norm drops to fmax (eV/A) or the
@@ -372,8 +347,7 @@ def relax(structure: AtomicStructure, potential, fmax: float = 0.01,
             s_list, y_list, rho_list = [], [], []
         # cap the largest single-atom displacement per trial step
         dmax = np.linalg.norm(d.reshape(-1, 3), axis=1).max()
-        max_disp = 2.0 * initial_step
-        step = min(1.0, max_disp / dmax) if dmax > 0 else 1.0
+        step = min(1.0, _MAX_DISPLACEMENT / dmax) if dmax > 0 else 1.0
         accepted = False
         for _ in range(30):
             x_new = x + step * d
@@ -393,7 +367,7 @@ def relax(structure: AtomicStructure, potential, fmax: float = 0.01,
             s_list.append(s_vec)
             y_list.append(y_vec)
             rho_list.append(1.0 / sy)
-            if len(s_list) > memory:
+            if len(s_list) > _LBFGS_MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)

@@ -1,12 +1,15 @@
 """Atomic structures with optional periodic cells.
 
-Provides extended-XYZ read/write, covalent neighbor lists (periodic
-images honored), and molecule identification via connected components of
-the covalent-bond graph.
+Provides extended-XYZ read/write, covalent neighbor lists, and molecule
+identification via connected components of the covalent-bond graph. The
+periodic-image rule lives here alone: `minimum_image` (which the pair
+potentials call) and `neighbor_list` both search `lattice_translations`,
+and axis k has images only when `pbc[k]` is true.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -150,71 +153,99 @@ def write_xyz(structure: AtomicStructure, path, comment=""):
         fh.write("\n".join(lines) + "\n")
 
 
+# --- periodic images -------------------------------------------------------
+
+# the 27 lattice translations a, b, c in {-1, 0, 1}, a slowest
+_IMAGES = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
+
+
+def lattice_translations(structure: AtomicStructure) -> np.ndarray:
+    """Cartesian translations (m, 3) a*cell[0] + b*cell[1] + c*cell[2].
+
+    a, b, c run over {-1, 0, 1} along periodic axes and are 0 along open
+    ones, in `_IMAGES` order: 27 images when all three axes are periodic.
+    """
+    images = _IMAGES
+    if not all(structure.pbc):
+        open_axes = ~np.asarray(structure.pbc, dtype=bool)
+        images = _IMAGES[~_IMAGES[:, open_axes].any(axis=1)]
+    cell = structure.cell
+    return (images[:, :1] * cell[0] + images[:, 1:2] * cell[1]
+            + images[:, 2:] * cell[2])
+
+
+def minimum_image(structure: AtomicStructure, deltas) -> np.ndarray:
+    """Apply the minimum-image convention to displacement vectors (P, 3).
+
+    Fractional coordinates are rounded along periodic axes: the exact
+    minimum image when the Gram matrix of the lattice is diagonal, where a
+    pair at exactly half a cell takes -1/2 as the search does. Skewed
+    cells then search the `lattice_translations` for the shortest image.
+    """
+    if structure.cell is None or not any(structure.pbc):
+        return deltas
+    cell = structure.cell
+    frac = deltas @ np.linalg.inv(cell)
+    # fully periodic cells, the only kind the stages build, skip the masks
+    if all(structure.pbc):
+        frac -= np.round(frac)
+        ties = frac == 0.5
+    else:
+        periodic = np.asarray(structure.pbc, dtype=bool)
+        frac[:, periodic] -= np.round(frac[:, periodic])
+        ties = (frac == 0.5) & periodic
+    if np.count_nonzero(cell @ cell.T) == 3:
+        frac[ties] = -0.5
+        return frac @ cell
+    best = frac @ cell
+    cand = best[:, None, :] + lattice_translations(structure)[None, :, :]
+    idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
+    return cand[np.arange(len(best)), idx]
+
+
 # --- neighbor list ---------------------------------------------------------
 
-def natural_cutoffs(structure: AtomicStructure, scale: float = 1.0):
-    return np.array([scale * covalent_radius(e) for e in structure.elements])
+def natural_cutoffs(structure: AtomicStructure):
+    """Per-atom tabulated covalent radii (A)."""
+    return np.array([covalent_radius(e) for e in structure.elements])
 
 
-def neighbor_list(structure: AtomicStructure, cutoffs=None):
-    """Sorted symmetric list of atom pairs (i, j), i < j, within summed cutoffs.
+def neighbor_list(structure: AtomicStructure) -> np.ndarray:
+    """Sorted (m, 2) array of covalently bonded atom pairs (i, j), i < j.
 
-    Pair (i, j) is included iff distance(i, j) < cutoff_i + cutoff_j, with
-    periodic images honored when the structure has a cell.
+    Pair (i, j) is included iff some image of j lies closer to i than the
+    sum of their covalent radii; images are the `lattice_translations` of
+    the positions wrapped into the cell along periodic axes.
     """
-    if cutoffs is None:
-        cutoffs = natural_cutoffs(structure)
-    cutoffs = np.asarray(cutoffs, dtype=float)
-    if np.any(cutoffs <= 0):
-        raise ValueError("cutoffs must be positive")
+    cutoffs = natural_cutoffs(structure)
     pos = structure.positions
-    n = len(structure)
-    rmax = 2.0 * cutoffs.max()
-    pairs = set()
-    if structure.cell is None or not any(structure.pbc):
-        tree = cKDTree(pos)
-        candidates = tree.query_pairs(rmax)
-        for i, j in candidates:
-            d = np.linalg.norm(pos[i] - pos[j])
-            if d < cutoffs[i] + cutoffs[j]:
-                pairs.add((min(i, j), max(i, j)))
-    else:
-        cell = structure.cell
-        # wrap into the cell, then check the 27 nearest images
-        frac = pos @ np.linalg.inv(cell)
-        frac_w = frac - np.floor(frac)
-        wrapped = frac_w @ cell
-        shifts = [cell.T @ np.array([a, b, c])
-                  for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
-        tree_a = cKDTree(wrapped)
-        for s in shifts:
-            tree_b = cKDTree(wrapped + s)
-            for i, js in enumerate(tree_a.query_ball_tree(tree_b, rmax)):
-                for j in js:
-                    if i == j:
-                        continue
-                    d = np.linalg.norm(wrapped[i] - (wrapped[j] + s))
-                    if d < cutoffs[i] + cutoffs[j]:
-                        pairs.add((min(i, j), max(i, j)))
-    return sorted(pairs)
+    shifts = np.zeros((1, 3))
+    if structure.cell is not None and any(structure.pbc):
+        periodic = np.asarray(structure.pbc, dtype=bool)
+        frac = pos @ np.linalg.inv(structure.cell)
+        frac[:, periodic] -= np.floor(frac[:, periodic])
+        pos = frac @ structure.cell
+        shifts = lattice_translations(structure)
+    images = (shifts[:, None, :] + pos[None, :, :]).reshape(-1, 3)
+    cand = cKDTree(pos).sparse_distance_matrix(
+        cKDTree(images), 2.0 * cutoffs.max(), output_type="ndarray")
+    i, k = cand["i"], cand["j"]
+    j = k % len(structure)
+    # strict cutoff on distances recomputed here, not on the tree's
+    d = np.linalg.norm(images[k] - pos[i], axis=1)
+    close = (i < j) & (d < cutoffs[i] + cutoffs[j])
+    return np.unique(np.stack([i[close], j[close]], axis=1), axis=0)
 
 
-def identify_molecules(structure: AtomicStructure, cutoffs=None) -> MoleculeLabels:
+def identify_molecules(structure: AtomicStructure) -> MoleculeLabels:
     """Label atoms by connected components of the covalent-neighbor graph."""
-    pairs = neighbor_list(structure, cutoffs=cutoffs)
+    pairs = neighbor_list(structure)
     n = len(structure)
-    if pairs:
-        rows = [p[0] for p in pairs] + [p[1] for p in pairs]
-        cols = [p[1] for p in pairs] + [p[0] for p in pairs]
-        adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    else:
-        adj = coo_matrix((n, n))
+    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                     shape=(n, n))
     count, labels = connected_components(adj, directed=False)
     # relabel contiguously by first appearance for determinism
-    remap = {}
-    out = np.empty(n, dtype=int)
-    for i, lab in enumerate(labels):
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out[i] = remap[lab]
-    return MoleculeLabels(labels=out, count=count)
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    return MoleculeLabels(labels=np.argsort(np.argsort(first))[inverse],
+                          count=count)

@@ -190,13 +190,8 @@ def projection_entropy(row) -> float:
     return float(-(p[nz] * np.log(p[nz])).sum())
 
 
-def force_projection(forces, isolated: NormalModeSet,
-                     mass_weight_force: bool = False) -> np.ndarray:
-    """Per-mode weights g_i = |<F | nu_i>|^2 of the emission forces.
-
-    `mass_weight_force` applies M^-1/2 to the force first (alternative
-    reading of the projection; default is the raw Cartesian force).
-    """
+def force_projection(forces, isolated: NormalModeSet) -> np.ndarray:
+    """Per-mode weights g_i = |<F | nu_i>|^2 of the Cartesian forces."""
     _require_internal(isolated, "isolated")
     F = np.asarray(forces, dtype=float).ravel()
     if F.size != isolated.modes.shape[1]:
@@ -204,8 +199,6 @@ def force_projection(forces, isolated: NormalModeSet,
             f"force dimension {F.size} does not match modes "
             f"({isolated.modes.shape[1]})"
         )
-    if mass_weight_force:
-        F = F / np.repeat(np.sqrt(isolated.masses), 3)
     return (isolated.modes @ F) ** 2
 
 
@@ -299,12 +292,12 @@ class VibronicReport:
 
 def vibronic_report(isolated: NormalModeSet, embedded: NormalModeSet,
                     emitter_atoms, forces, r_ground, r_excited,
-                    floor_cm1: float = DEFAULT_FREQUENCY_FLOOR_CM1,
-                    mass_weight_force: bool = False) -> VibronicReport:
+                    floor_cm1: float = DEFAULT_FREQUENCY_FLOOR_CM1
+                    ) -> VibronicReport:
     """Assemble all per-candidate vibronic quantities in one pass."""
     rho = mode_overlap_matrix(isolated, embedded, emitter_atoms)
     s_proj = np.array([projection_entropy(row) for row in rho])
-    g = force_projection(forces, isolated, mass_weight_force=mass_weight_force)
+    g = force_projection(forces, isolated)
     mask = isolated.real_mode_mask(floor_cm1)
     g = np.where(mask, g, 0.0)
     s_proj_masked = np.where(mask, s_proj, 0.0)

@@ -1,5 +1,6 @@
 """Toy potentials, relaxation, and analytic Hessians."""
 
+import itertools
 import json
 
 import numpy as np
@@ -10,13 +11,12 @@ from spescreen.potential import (
     ExternalPotential,
     HarmonicBondPotential,
     LennardJonesPotential,
-    _min_image_vectors,
     _pair_key,
     hessian_finite_difference,
     max_force_norm,
     relax,
 )
-from spescreen.structure import AtomicStructure
+from spescreen.structure import AtomicStructure, minimum_image
 
 from conftest import dimer, lj_lattice
 
@@ -29,22 +29,28 @@ MIXED_LJ = LennardJonesPotential({
 # a monoclinic cell skewed enough that fractional rounding alone often
 # picks a non-minimal image
 SKEWED_CELL = np.array([[9.0, 0.0, 0.0], [0.0, 10.0, 0.0], [-4.0, 0.0, 8.0]])
+# the seven non-empty patterns of periodic axes
+PBC_PATTERNS = [p for p in itertools.product((False, True), repeat=3)
+                if any(p)]
 
 
 # --- slow reference implementations: the per-pair loops the vectorised
 # kernel replaced. Each returns (per-term energies, forces).
 
 def ref_min_image(structure, deltas):
-    """Fractional rounding, then a 27-image search, in every periodic cell."""
+    """Fractional rounding, then a search over the 27 images, both along
+    periodic axes only: an open axis is neither rounded nor shifted."""
     if structure.cell is None or not any(structure.pbc):
         return deltas
     cell = structure.cell
+    periodic = np.array(structure.pbc)
     frac = deltas @ np.linalg.inv(cell)
-    frac -= np.round(frac)
+    frac -= np.where(periodic, np.round(frac), 0.0)
     best = frac @ cell
     shifts = np.array([
         a * cell[0] + b * cell[1] + c * cell[2]
         for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)
+        if not np.any(np.array([a, b, c])[~periodic])
     ])
     cand = best[:, None, :] + shifts[None, :, :]
     idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
@@ -103,7 +109,7 @@ def ref_harmonic(potential, structure):
 def structures(draw):
     """2-40 atoms of 1-3 elements in a free, orthorhombic or skewed cell.
 
-    A cell is periodic along all three axes or only along two.
+    A cell is periodic along any non-empty set of axes.
 
     Atoms sit on distinct sites of a 4x4x4 fractional grid with a jitter
     of up to 0.05, so no two atoms come closer than about a fifth of the
@@ -124,7 +130,7 @@ def structures(draw):
     elements = rng.choice(["Ar", "C", "Ne"][:n_elements], size=n).tolist()
     if kind == "free":
         return AtomicStructure(elements=elements, positions=frac @ cell)
-    pbc = draw(st.sampled_from([(True, True, True), (True, False, True)]))
+    pbc = draw(st.sampled_from(PBC_PATTERNS))
     return AtomicStructure(elements=elements, positions=frac @ cell,
                            cell=cell, pbc=pbc)
 
@@ -233,7 +239,7 @@ class TestMinimumImage:
         ]) @ SKEWED_CELL
         brute = np.linalg.norm(deltas[:, None] + shifts[None], axis=2).min(1)
         assert np.any(rounded > brute + 1e-6)   # rounding alone falls short
-        kernel = _min_image_vectors(s, deltas)
+        kernel = minimum_image(s, deltas)
         assert np.allclose(np.linalg.norm(kernel, axis=1), brute,
                            rtol=0, atol=1e-12)
         # each returned vector is an image of its input
@@ -250,7 +256,7 @@ class TestMinimumImage:
         near = rng.choice([-1.5, -0.5, 0.5, 1.5], size=(2000, 3))
         near += rng.choice([-1e-9, -1e-12, 1e-12, 1e-9], size=(2000, 3))
         deltas = np.vstack([frac, near]) @ cell
-        assert np.array_equal(_min_image_vectors(s, deltas),
+        assert np.array_equal(minimum_image(s, deltas),
                               ref_min_image(s, deltas))
 
     def test_exact_half_cell_ties_match_search(self):
@@ -260,8 +266,46 @@ class TestMinimumImage:
         ii, jj = np.triu_indices(len(s), k=1)
         deltas = s.positions[jj] - s.positions[ii]
         assert np.any(np.abs(deltas) == 4.0)
-        assert np.array_equal(_min_image_vectors(s, deltas),
+        assert np.array_equal(minimum_image(s, deltas),
                               ref_min_image(s, deltas))
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(structures())
+    def test_brute_force_minimum(self, s):
+        """Kernel = reference, and its lengths are the shortest over
+        translations -2..2 along periodic axes, for every pbc pattern."""
+        assume(s.cell is not None)
+        ii, jj = np.triu_indices(len(s), k=1)
+        deltas = s.positions[jj] - s.positions[ii]
+        kernel = minimum_image(s, deltas)
+        assert np.array_equal(kernel, ref_min_image(s, deltas))
+        brute = np.linalg.norm(
+            deltas[:, None] + image_translations(s)[None], axis=2).min(1)
+        assert np.allclose(np.linalg.norm(kernel, axis=1), brute,
+                           rtol=0, atol=1e-12)
+        # each returned vector is an image along the periodic axes only
+        n_cells = (kernel - deltas) @ np.linalg.inv(s.cell)
+        assert np.allclose(n_cells, np.round(n_cells), atol=1e-9)
+        assert np.all(np.abs(n_cells[:, ~np.array(s.pbc)]) < 1e-9)
+
+    def test_open_axis_has_no_images(self):
+        """Two Ar atoms 9 A apart along an open y in a 10 A cell interact
+        as in free space; the same gap along a periodic x is 1 A."""
+        cell = np.eye(3) * 10.0
+        across_y = AtomicStructure(
+            elements=["Ar", "Ar"], positions=[[0, 0.5, 0], [0, 9.5, 0]],
+            cell=cell, pbc=(True, False, True))
+        free = AtomicStructure(elements=["Ar", "Ar"],
+                               positions=across_y.positions)
+        across_x = AtomicStructure(
+            elements=["Ar", "Ar"], positions=[[0.5, 0, 0], [9.5, 0, 0]],
+            cell=cell, pbc=(True, False, True))
+        assert AR_LJ.energy(across_y) == pytest.approx(AR_LJ.energy(free),
+                                                       rel=1e-12)
+        assert AR_LJ.energy(across_y) < 0.0
+        assert AR_LJ.energy(across_x) == pytest.approx(
+            AR_LJ.energy(dimer(r=1.0)), rel=1e-10)
 
 
 class TestHarmonicBond:
@@ -322,6 +366,13 @@ class TestRelax:
         assert np.array_equal(s.positions, before)
 
 
+def image_translations(structure):
+    """Lattice translations with integers -2..2 along periodic axes and 0
+    along open ones."""
+    ranges = [range(-2, 3) if p else (0,) for p in structure.pbc]
+    return np.array(list(itertools.product(*ranges))) @ structure.cell
+
+
 def image_gap(structure):
     """Smallest gap (A) between a pair's nearest and next-nearest image.
 
@@ -334,10 +385,8 @@ def image_gap(structure):
     cell = structure.cell
     ii, jj = np.triu_indices(len(structure), k=1)
     deltas = structure.positions[jj] - structure.positions[ii]
-    frac = deltas @ np.linalg.inv(cell)
-    rounded = (frac - np.round(frac)) @ cell
-    shifts = np.array([[a, b, c] for a in range(-2, 3) for b in range(-2, 3)
-                       for c in range(-2, 3)]) @ cell
+    rounded = ref_min_image(structure, deltas)
+    shifts = image_translations(structure)
     lengths = np.sort(np.linalg.norm(rounded[:, None] + shifts[None], axis=2),
                       axis=1)
     return float((lengths[:, 1] - lengths[:, 0]).min())

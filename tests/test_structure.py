@@ -1,7 +1,11 @@
 """Atomic structure container, XYZ I/O, neighbor lists, molecule labels."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from spescreen.structure import (
     AtomicStructure,
@@ -11,6 +15,89 @@ from spescreen.structure import (
     parse_xyz,
     write_xyz,
 )
+
+# the seven non-empty patterns of periodic axes
+PBC_PATTERNS = [p for p in itertools.product((False, True), repeat=3)
+                if any(p)]
+
+
+def ref_neighbor_list(structure):
+    """The neighbor list the one-query version replaced: a query_pairs
+    branch for free structures, and 27 shifted trees in a Python loop,
+    periodic along all three axes, for periodic ones."""
+    cutoffs = natural_cutoffs(structure)
+    pos = structure.positions
+    rmax = 2.0 * cutoffs.max()
+    pairs = set()
+    if structure.cell is None or not any(structure.pbc):
+        tree = cKDTree(pos)
+        candidates = tree.query_pairs(rmax)
+        for i, j in candidates:
+            d = np.linalg.norm(pos[i] - pos[j])
+            if d < cutoffs[i] + cutoffs[j]:
+                pairs.add((min(i, j), max(i, j)))
+    else:
+        cell = structure.cell
+        frac = pos @ np.linalg.inv(cell)
+        frac_w = frac - np.floor(frac)
+        wrapped = frac_w @ cell
+        shifts = [cell.T @ np.array([a, b, c])
+                  for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
+        tree_a = cKDTree(wrapped)
+        for s in shifts:
+            tree_b = cKDTree(wrapped + s)
+            for i, js in enumerate(tree_a.query_ball_tree(tree_b, rmax)):
+                for j in js:
+                    if i == j:
+                        continue
+                    d = np.linalg.norm(wrapped[i] - (wrapped[j] + s))
+                    if d < cutoffs[i] + cutoffs[j]:
+                        pairs.add((min(i, j), max(i, j)))
+    return sorted(pairs)
+
+
+def brute_neighbor_list(structure):
+    """Every pair i < j with some image of j, over translations -2..2
+    along periodic axes, closer to i than the summed covalent radii."""
+    cutoffs = natural_cutoffs(structure)
+    pos = structure.positions
+    shifts = np.zeros((1, 3))
+    if structure.cell is not None:
+        ranges = [range(-2, 3) if p else (0,) for p in structure.pbc]
+        shifts = np.array(list(itertools.product(*ranges))) @ structure.cell
+    return {
+        (i, j)
+        for i in range(len(pos)) for j in range(i + 1, len(pos))
+        if np.linalg.norm(pos[j] + shifts - pos[i], axis=1).min()
+        < cutoffs[i] + cutoffs[j]
+    }
+
+
+@st.composite
+def bonded_structures(draw, kinds=("free", "orthorhombic", "skewed"),
+                      pbc=st.just((True, True, True))):
+    """2-30 atoms of C, H, N, O and Ar at uniform fractional coordinates
+    in [-0.25, 1.25) of a 5-9 A cell, free or periodic along `pbc`.
+
+    Skewed cells tilt b and c by at most 0.3 of the earlier lengths, so
+    every lattice plane spacing exceeds twice the largest radius (Ar,
+    1.06 A) and the -2..2 brute force sees every bonded image.
+    """
+    n = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(kinds))
+    lengths = np.array(draw(st.lists(st.floats(5.0, 9.0), min_size=3,
+                                     max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cell = np.diag(lengths)
+    if kind == "skewed":
+        cell[1, 0] = rng.uniform(-0.3, 0.3) * lengths[0]
+        cell[2, :2] = rng.uniform(-0.3, 0.3, size=2) * lengths[:2]
+    positions = rng.uniform(-0.25, 1.25, size=(n, 3)) @ cell
+    elements = rng.choice(["C", "H", "N", "O", "Ar"], size=n).tolist()
+    if kind == "free":
+        return AtomicStructure(elements=elements, positions=positions)
+    return AtomicStructure(elements=elements, positions=positions,
+                           cell=cell, pbc=draw(pbc))
 
 
 def water():
@@ -124,6 +211,36 @@ class TestNeighborList:
                 if np.linalg.norm(d) < cuts[i] + cuts[j]:
                     expect.add((i, j))
         assert pairs == expect
+
+    @settings(max_examples=150, deadline=None)
+    @given(bonded_structures())
+    def test_equals_reference(self, s):
+        pairs = neighbor_list(s)
+        assert pairs.shape == (len(pairs), 2)
+        assert list(map(tuple, pairs)) == ref_neighbor_list(s)
+
+    @pytest.mark.parametrize("pbc", PBC_PATTERNS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_periodic_axes_brute_force(self, pbc, data):
+        s = data.draw(bonded_structures(kinds=("orthorhombic", "skewed"),
+                                        pbc=st.just(pbc)))
+        assert set(map(tuple, neighbor_list(s))) == brute_neighbor_list(s)
+
+    def test_no_bond_across_open_axis(self):
+        """Atoms 9 A apart along an open y in a 10 A cell are not bonded;
+        the same gap along a periodic x is a 1 A bond."""
+        cell = np.eye(3) * 10.0
+        across_y = AtomicStructure(
+            elements=["C", "C"], positions=[[0, 0.5, 0], [0, 9.5, 0]],
+            cell=cell, pbc=(True, False, True))
+        across_x = AtomicStructure(
+            elements=["C", "C"], positions=[[0.5, 0, 0], [9.5, 0, 0]],
+            cell=cell, pbc=(True, False, True))
+        assert len(neighbor_list(across_y)) == 0
+        assert identify_molecules(across_y).count == 2
+        assert set(map(tuple, neighbor_list(across_x))) == {(0, 1)}
+        assert identify_molecules(across_x).count == 1
 
 
 class TestMolecules:
