@@ -18,6 +18,8 @@ from .graph import AROMATIC, MolecularGraph
 from .smiles import SmilesParseError, parse_smiles
 
 _BOND_RANK = {1: 1, 2: 2, 3: 3, AROMATIC: 4}
+# Tanimoto cut-offs the similarity summary reports fractions at
+SIMILARITY_THRESHOLDS = (0.4, 0.5)
 
 
 def _stable_hash(obj) -> int:
@@ -117,11 +119,12 @@ def rank_by_similarity(reference: Fingerprint, database):
     return scored
 
 
-def similarity_summary(ranked, thresholds=(0.4, 0.5)) -> dict:
-    """Threshold statistics over a ranked (id, similarity) list."""
+def similarity_summary(ranked) -> dict:
+    """Fractions of a ranked (id, similarity) list at or below each of the
+    SIMILARITY_THRESHOLDS."""
     sims = np.array([s for _, s in ranked], dtype=float)
     summary = {"count": int(sims.size)}
-    for t in thresholds:
+    for t in SIMILARITY_THRESHOLDS:
         frac = float((sims <= t).mean()) if sims.size else 0.0
         summary[f"fraction_at_or_below_{t}"] = frac
     return summary

@@ -13,7 +13,6 @@ import math
 
 # CODATA 2018
 PLANCK_H_JS = 6.62607015e-34          # J s (exact)
-HBAR_JS = PLANCK_H_JS / (2.0 * math.pi)
 SPEED_OF_LIGHT_M_S = 299792458.0      # m/s (exact)
 ELEMENTARY_CHARGE_C = 1.602176634e-19  # C (exact)
 BOHR_RADIUS_M = 0.529177210903e-10    # m

@@ -47,17 +47,12 @@ class EmbeddingTrial:
     translation: np.ndarray
     trial_index: int
     n_host_atoms: int                # atoms of the (reduced) host, listed first
-    accepted: bool = True
     relax_converged: bool | None = None   # set by select_most_stable
 
 
 def _random_unit_vector(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
-
-
-def _cell_lengths(structure):
-    return np.linalg.norm(structure.cell, axis=1)
 
 
 def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
@@ -67,7 +62,7 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
         raise ValueError("host must carry a periodic cell")
     rng = np.random.default_rng(cfg.seed)
     labels = identify_molecules(host)
-    lengths = _cell_lengths(host)
+    lengths = np.linalg.norm(host.cell, axis=1)
 
     walker = emitter.copy()
     walker.translate(host.center_of_mass() - walker.center_of_mass())

@@ -138,9 +138,9 @@ def _condensed_tree(mst_edges, n, min_cluster_size):
     return clusters, point_cluster, point_lambda
 
 
-def hdbscan(x, min_cluster_size: int = 5,
-            metric: str = "euclidean") -> HDBSCANResult:
-    """Cluster a feature matrix; returns -1 labels for noise points."""
+def hdbscan(x, min_cluster_size: int = 5) -> HDBSCANResult:
+    """Cluster a feature matrix by Euclidean distance; returns -1 labels
+    for noise points."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
     if min_cluster_size < 2:
@@ -150,7 +150,7 @@ def hdbscan(x, min_cluster_size: int = 5,
             labels=np.full(n, -1, dtype=int), n_clusters=0,
             core_distances=np.zeros(n), mst_edges=np.empty((0, 3)),
         )
-    d = squareform(pdist(x, metric))
+    d = squareform(pdist(x, "euclidean"))
     core = core_distances(d, min_cluster_size)
     mreach = mutual_reachability(d, core)
     mst = minimum_spanning_tree(csr_matrix(mreach)).tocoo()

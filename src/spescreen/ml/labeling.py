@@ -22,10 +22,12 @@ class FeatureMatrix:
     dropped: tuple = ()      # zero-variance columns removed
 
 
-def feature_matrix(records, columns=FEATURE_COLUMNS) -> FeatureMatrix:
-    """Standardize candidate features column-wise; drop zero-variance columns."""
+def feature_matrix(records) -> FeatureMatrix:
+    """Standardize the FEATURE_COLUMNS of candidate records column-wise;
+    drop zero-variance columns."""
     if not records:
         raise ValueError("empty record set")
+    columns = FEATURE_COLUMNS
     raw = np.array([[getattr(r, c) for c in columns] for r in records], float)
     if not np.all(np.isfinite(raw)):
         raise ValueError("non-finite feature entries")

@@ -15,6 +15,15 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 _EPS = 1e-12
+_BANDWIDTH_TOL = 1e-6       # nats
+_BANDWIDTH_MAX_ITER = 200
+# a 2-D map; exaggeration and the first momentum hold for _EARLY_ITER steps
+_N_COMPONENTS = 2
+_LEARNING_RATE = 200.0
+_EARLY_EXAGGERATION = 12.0
+_EARLY_ITER = 250
+_MOMENTUM = 0.5
+_FINAL_MOMENTUM = 0.8
 
 
 def _conditional_probs(d2_row, beta):
@@ -32,8 +41,9 @@ def _row_entropy(d2_row, beta):
     return -(p[nz] * np.log(p[nz])).sum()
 
 
-def calibrate_bandwidths(d2, perplexity, tol=1e-6, max_iter=200):
-    """Bisection for per-point precisions beta so H(P_i) = log(perplexity).
+def calibrate_bandwidths(d2, perplexity):
+    """Bisection for per-point precisions beta so H(P_i) = log(perplexity),
+    to within _BANDWIDTH_TOL nats or _BANDWIDTH_MAX_ITER steps per row.
 
     Returns (betas, conditional probability matrix with zero diagonal).
     """
@@ -46,9 +56,9 @@ def calibrate_bandwidths(d2, perplexity, tol=1e-6, max_iter=200):
     for i in range(n):
         row = np.delete(d2[i], i)
         beta, lo, hi = 1.0, 0.0, np.inf
-        for _ in range(max_iter):
+        for _ in range(_BANDWIDTH_MAX_ITER):
             h = _row_entropy(row, beta)
-            if abs(h - target) < tol:
+            if abs(h - target) < _BANDWIDTH_TOL:
                 break
             if h > target:   # too flat -> sharpen
                 lo = beta
@@ -95,15 +105,13 @@ class TSNEResult:
     n_iter: int
 
 
-def tsne(x, perplexity: float = 50.0, n_components: int = 2,
-         learning_rate: float = 200.0, n_iter: int = 1000,
-         early_exaggeration: float = 12.0, early_iter: int = 250,
-         momentum: float = 0.5, final_momentum: float = 0.8,
-         seed: int = 0, metric: str = "euclidean") -> TSNEResult:
+def tsne(x, perplexity: float = 50.0, n_iter: int = 1000, seed: int = 0,
+         metric: str = "euclidean") -> TSNEResult:
     """Exact t-SNE embedding of a feature matrix.
 
     With metric="precomputed", x is interpreted as a square matrix of
-    pairwise distances instead of a feature matrix.
+    pairwise distances instead of a feature matrix; any metric other than
+    these two raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -114,23 +122,24 @@ def tsne(x, perplexity: float = 50.0, n_components: int = 2,
     elif metric == "euclidean":
         d2 = squareform(pdist(x, "sqeuclidean"))
     else:
-        d2 = squareform(pdist(x, metric)) ** 2
+        raise ValueError(f"unknown metric '{metric}': use 'euclidean' or "
+                         "'precomputed'")
     betas, p_cond = calibrate_bandwidths(d2, perplexity)
     perr = perplexity_error(d2, betas, perplexity)
     p_joint = (p_cond + p_cond.T) / (2.0 * n)
     p_joint = np.maximum(p_joint, _EPS)
 
     rng = np.random.default_rng(seed)
-    y = 1e-4 * rng.standard_normal((n, n_components))
+    y = 1e-4 * rng.standard_normal((n, _N_COMPONENTS))
     vel = np.zeros_like(y)
-    lr = learning_rate
+    lr = _LEARNING_RATE
     kl_prev = np.inf
     it = 0
     for it in range(1, n_iter + 1):
-        exagg = early_exaggeration if it <= early_iter else 1.0
-        mom = momentum if it <= early_iter else final_momentum
+        exagg = _EARLY_EXAGGERATION if it <= _EARLY_ITER else 1.0
+        mom = _MOMENTUM if it <= _EARLY_ITER else _FINAL_MOMENTUM
         kl, grad = _kl_and_grad(p_joint * exagg, y)
-        if it > early_iter:
+        if it > _EARLY_ITER:
             # monotone safeguard: never accept a KL increase
             if kl > kl_prev + 1e-12:
                 y = y_prev

@@ -1,14 +1,12 @@
 """Energy/force providers, quasi-Newton relaxation, analytic Hessians.
 
-Shipped providers: a harmonic-bond + pair-repulsion toy potential, a
-Lennard-Jones pair potential, and an adapter that replays externally
-computed energies/forces/Hessians from a JSON file. All providers are
-stateless and expose energy(structure) -> eV, forces(structure) -> (N, 3)
-eV/A, energy_and_forces(structure) -> (eV, (N, 3) eV/A), which
+Shipped providers: a Lennard-Jones pair potential and an adapter that
+replays externally computed energies/forces/Hessians from a JSON file.
+Both are stateless and expose energy(structure) -> eV, forces(structure)
+-> (N, 3) eV/A, energy_and_forces(structure) -> (eV, (N, 3) eV/A), which
 relaxation calls once per step, and hessian(structure) -> (3N, 3N) eV/A^2.
 
-The pair potentials describe themselves as pair terms, each a set of
-(i, j) pairs with its energy, dE/dr and d2E/dr2, and share one kernel for
+The Lennard-Jones potential evaluates all i < j pairs in one kernel for
 energy and forces and one for the closed-form Hessian. Periodic
 displacements take `structure.minimum_image`, which decides the images
 along the periodic axes of `pbc` only.
@@ -18,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -38,28 +35,6 @@ def _upper_pairs(n):
     return np.nonzero(~np.tri(n, dtype=bool))
 
 
-@dataclass(frozen=True)
-class _PairTerm:
-    """One pair term of a provider: its (ii, jj) pairs and their physics.
-
-    `evaluate(r)` takes the pairs' distances and returns their energies
-    and dE/dr; `curvature(r)` returns their d2E/dr2, which only the
-    Hessian needs.
-    """
-    ii: np.ndarray
-    jj: np.ndarray
-    evaluate: Callable
-    curvature: Callable
-
-
-def _displacements(structure, ii, jj):
-    """Minimum-image vectors j - i and their lengths for the pairs (ii, jj)."""
-    positions = structure.positions
-    deltas = minimum_image(structure, np.take(positions, jj, axis=0)
-                           - np.take(positions, ii, axis=0))
-    return deltas, np.linalg.norm(deltas, axis=1)
-
-
 def _scatter_forces(n, ii, jj, weights):
     """Per-atom forces from (3, P) pair weights (dE/dr) d/r, +i and -j."""
     return np.stack([
@@ -67,42 +42,6 @@ def _scatter_forces(n, ii, jj, weights):
         - np.bincount(jj, weights=w, minlength=n)
         for w in weights
     ], axis=1)
-
-
-def _pair_energy_and_forces(structure, terms):
-    """Energy and forces summed over pair terms, in term order."""
-    n = len(structure)
-    e, f = 0.0, np.zeros((n, 3))
-    for t in terms:
-        deltas, r = _displacements(structure, t.ii, t.jj)
-        pair_e, dedr = t.evaluate(r)
-        e += float(np.sum(pair_e))
-        f += _scatter_forces(n, t.ii, t.jj, (dedr / r) * deltas.T)
-    return e, f
-
-
-def _pair_hessian(structure, terms):
-    """Closed-form Hessian (3N, 3N) in eV/A^2, summed over pair terms.
-
-    A pair at distance r along u = d/r has the block
-    A = E'' u u^T + (E'/r)(I - u u^T): H_ij and H_ji get -A and, since each
-    diagonal block is minus the sum of the others in its row, H_ii and
-    H_jj get +A. `np.add.at` counts a pair listed twice twice, and pairs
-    are added as (min, max) in list order, so H equals H.T bit for bit.
-    """
-    n = len(structure)
-    H = np.zeros((n, n, 3, 3))
-    for t in terms:
-        deltas, r = _displacements(structure, t.ii, t.jj)
-        u = deltas / r[:, None]
-        uu = u[:, :, None] * u[:, None, :]
-        dedr_r = (t.evaluate(r)[1] / r)[:, None, None]
-        block = t.curvature(r)[:, None, None] * uu + dedr_r * (np.eye(3) - uu)
-        lo, hi = np.minimum(t.ii, t.jj), np.maximum(t.ii, t.jj)
-        for a, b, sign in ((lo, lo, 1.0), (hi, hi, 1.0),
-                           (lo, hi, -1.0), (hi, lo, -1.0)):
-            np.add.at(H, (a, b), sign * block)
-    return H.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
 
 
 class LennardJonesPotential:
@@ -131,25 +70,24 @@ class LennardJonesPotential:
             raise KeyError(f"missing LJ parameters for pair {e1}-{e2}")
         return pp[:, 0], pp[:, 1]
 
-    def _pair_terms(self, structure):
-        """One term over all i < j pairs."""
+    def _pairs(self, structure):
+        """All i < j pairs: (ii, jj), minimum-image vectors j - i, their
+        lengths r, eps, (sigma/r)^6 and dE/dr."""
         ii, jj = _upper_pairs(len(structure))
         eps, sigma = self._pair_params(structure.elements, ii, jj)
-
-        def evaluate(r):
-            sr6 = (sigma / r) ** 6
-            # dE/dr = 4 eps (-12 sr12 + 6 sr6)/r
-            return (4.0 * eps * (sr6 * sr6 - sr6),
-                    4.0 * eps * (-12.0 * sr6 * sr6 + 6.0 * sr6) / r)
-
-        def curvature(r):
-            sr6 = (sigma / r) ** 6
-            return 4.0 * eps * (156.0 * sr6 * sr6 - 42.0 * sr6) / r ** 2
-
-        return [_PairTerm(ii, jj, evaluate, curvature)]
+        positions = structure.positions
+        deltas = minimum_image(structure, np.take(positions, jj, axis=0)
+                               - np.take(positions, ii, axis=0))
+        r = np.linalg.norm(deltas, axis=1)
+        sr6 = (sigma / r) ** 6
+        dedr = 4.0 * eps * (-12.0 * sr6 * sr6 + 6.0 * sr6) / r
+        return ii, jj, deltas, r, eps, sr6, dedr
 
     def energy_and_forces(self, structure):
-        return _pair_energy_and_forces(structure, self._pair_terms(structure))
+        ii, jj, deltas, r, eps, sr6, dedr = self._pairs(structure)
+        energy = float(np.sum(4.0 * eps * (sr6 * sr6 - sr6)))
+        return energy, _scatter_forces(len(structure), ii, jj,
+                                       (dedr / r) * deltas.T)
 
     def energy(self, structure) -> float:
         return self.energy_and_forces(structure)[0]
@@ -158,75 +96,26 @@ class LennardJonesPotential:
         return self.energy_and_forces(structure)[1]
 
     def hessian(self, structure) -> np.ndarray:
-        return _pair_hessian(structure, self._pair_terms(structure))
+        """Closed-form Hessian (3N, 3N) in eV/A^2.
 
-
-@dataclass
-class HarmonicBond:
-    i: int
-    j: int
-    k: float   # eV/A^2
-    r0: float  # A
-
-
-class HarmonicBondPotential:
-    """Explicit harmonic bonds plus an optional soft r^-12 pair repulsion.
-
-    The repulsion acts between all non-bonded pairs with strength
-    eps_rep * (sigma_rep / r)^12 and keeps unbonded fragments apart.
-    """
-
-    def __init__(self, bonds, eps_rep: float = 0.0, sigma_rep: float = 1.0):
-        self.bonds = [b if isinstance(b, HarmonicBond) else HarmonicBond(*b)
-                      for b in bonds]
-        for b in self.bonds:
-            if b.k <= 0 or b.r0 <= 0:
-                raise ValueError("bond parameters must be positive")
-        if eps_rep < 0 or sigma_rep <= 0:
-            raise ValueError("repulsion parameters must be non-negative/positive")
-        self.eps_rep = eps_rep
-        self.sigma_rep = sigma_rep
-        self._bi = np.array([b.i for b in self.bonds], dtype=int)
-        self._bj = np.array([b.j for b in self.bonds], dtype=int)
-        self._k = np.array([b.k for b in self.bonds], dtype=float)
-        self._r0 = np.array([b.r0 for b in self.bonds], dtype=float)
-
-    def _pair_terms(self, structure):
-        """The bond term, then the repulsion over non-bonded i < j pairs."""
-        k, r0 = self._k, self._r0
-
-        def bond(r):
-            stretch = r - r0
-            return 0.5 * k * stretch ** 2, k * stretch
-
-        terms = [_PairTerm(self._bi, self._bj, bond, lambda r: k)]
-        if self.eps_rep > 0:
-            n = len(structure)
-            ii, jj = _upper_pairs(n)
-            bonded = np.zeros((n, n), dtype=bool)
-            bonded[np.minimum(self._bi, self._bj),
-                   np.maximum(self._bi, self._bj)] = True
-            free = ~bonded[ii, jj]
-
-            def repulsion(r):
-                rep = self.eps_rep * (self.sigma_rep / r) ** 12
-                return rep, -12.0 * rep / r
-
-            terms.append(_PairTerm(ii[free], jj[free], repulsion,
-                                   lambda r: 156.0 * repulsion(r)[0] / r ** 2))
-        return terms
-
-    def energy_and_forces(self, structure):
-        return _pair_energy_and_forces(structure, self._pair_terms(structure))
-
-    def energy(self, structure) -> float:
-        return self.energy_and_forces(structure)[0]
-
-    def forces(self, structure) -> np.ndarray:
-        return self.energy_and_forces(structure)[1]
-
-    def hessian(self, structure) -> np.ndarray:
-        return _pair_hessian(structure, self._pair_terms(structure))
+        A pair at distance r along u = d/r has the block
+        A = E'' u u^T + (E'/r)(I - u u^T): H_ij and H_ji get -A and, since
+        each diagonal block is minus the sum of the others in its row, H_ii
+        and H_jj get +A. Pairs are added in list order with i < j, so H
+        equals H.T bit for bit.
+        """
+        n = len(structure)
+        ii, jj, deltas, r, eps, sr6, dedr = self._pairs(structure)
+        u = deltas / r[:, None]
+        uu = u[:, :, None] * u[:, None, :]
+        d2edr2 = 4.0 * eps * (156.0 * sr6 * sr6 - 42.0 * sr6) / r ** 2
+        block = (d2edr2[:, None, None] * uu
+                 + (dedr / r)[:, None, None] * (np.eye(3) - uu))
+        H = np.zeros((n, n, 3, 3))
+        for a, b, sign in ((ii, ii, 1.0), (jj, jj, 1.0),
+                           (ii, jj, -1.0), (jj, ii, -1.0)):
+            np.add.at(H, (a, b), sign * block)
+        return H.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
 
 
 class ExternalPotential:
@@ -385,17 +274,16 @@ def hessian_finite_difference(structure: AtomicStructure, potential,
                               h: float = 0.01) -> np.ndarray:
     """Central-difference Hessian of the energy, symmetrized, in eV/A^2.
 
-    The test oracle for the pair potentials' analytic `hessian`; no stage
-    calls it. Column 3a + k is -(F(x + h e_ak) - F(x - h e_ak)) / 2h, from
-    two full force calls; its error falls as h^2. Needs a provider with
-    pair terms (the Lennard-Jones and harmonic-bond potentials); others
-    raise TypeError.
+    The test oracle for `LennardJonesPotential.hessian`; no stage calls
+    it. Column 3a + k is -(F(x + h e_ak) - F(x - h e_ak)) / 2h, from two
+    full force calls; its error falls as h^2. Any other provider raises
+    TypeError: the external adapter replays fixed forces.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError("displacement must be positive and finite")
-    if not hasattr(potential, "_pair_terms"):
-        raise TypeError(f"{type(potential).__name__} has no pair terms for "
-                        "a finite-difference Hessian")
+    if not isinstance(potential, LennardJonesPotential):
+        raise TypeError(f"{type(potential).__name__} has no pair potential "
+                        "for a finite-difference Hessian")
     work = structure.copy()
     n3 = 3 * len(structure)
     K = np.zeros((n3, n3))

@@ -155,7 +155,7 @@ def stark_coefficients(inp: StarkInput) -> StarkCoefficients:
     return StarkCoefficients(a_mhz_per_kvcm=a, b_mhz_per_kvcm2=b)
 
 
-# --- candidate assembly ----------------------------------------------------
+# --- candidate records -----------------------------------------------------
 
 CANDIDATE_COLUMNS = (
     "id", "tanimoto", "fosc_abs", "fosc_em", "lambda_abs_nm", "lambda_em_nm",
@@ -193,36 +193,6 @@ class CandidateRecord:
 
     def as_row(self):
         return [getattr(self, c) for c in CANDIDATE_COLUMNS]
-
-
-def assemble_candidate(cid, tanimoto, table: ExcitedStateTable,
-                       svc, e_bind, fosc_em=None,
-                       lambda_em_nm=None) -> CandidateRecord:
-    """Build one results row from the similarity score, excited-state table,
-    vibronic coupling entropy, and binding energy.
-
-    Absorption values come from the S1 entry; emission values default to
-    the table's last singlet entry unless given explicitly.
-    """
-    s1 = table.singlets[0] if table.singlets else None
-    if s1 is None:
-        raise ValueError("missing candidate fields: excited-state table singlets")
-    em_fosc = fosc_em if fosc_em is not None else s1.fosc
-    em_lambda = lambda_em_nm if lambda_em_nm is not None else s1.lambda_nm
-    return CandidateRecord(
-        id=str(cid),
-        tanimoto=tanimoto,
-        fosc_abs=s1.fosc,
-        fosc_em=em_fosc,
-        lambda_abs_nm=s1.lambda_nm,
-        lambda_em_nm=em_lambda,
-        rotary_1e40cgs=s1.rotary_1e40cgs,
-        soc=soc_metric(table),
-        rsoc=rsoc_metric(table),
-        gssoc=gssoc_metric(table),
-        svc=svc,
-        e_bind_eV=e_bind,
-    )
 
 
 def write_candidates_csv(records, path):

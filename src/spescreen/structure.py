@@ -67,15 +67,15 @@ class AtomicStructure:
         self.positions = self.positions + np.asarray(shift, dtype=float)
         return self
 
-    def rotate(self, axis, angle_deg, center=None):
-        """Rotate positions about `axis` through `center` (default COM)."""
+    def rotate(self, axis, angle_deg):
+        """Rotate positions about `axis` through the center of mass."""
         axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
         theta = np.deg2rad(angle_deg)
         k = axis
         K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
         R = np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
-        c = self.center_of_mass() if center is None else np.asarray(center, float)
+        c = self.center_of_mass()
         self.positions = (self.positions - c) @ R.T + c
         return self
 
@@ -177,25 +177,31 @@ def lattice_translations(structure: AtomicStructure) -> np.ndarray:
 def minimum_image(structure: AtomicStructure, deltas) -> np.ndarray:
     """Apply the minimum-image convention to displacement vectors (P, 3).
 
-    Fractional coordinates are rounded along periodic axes: the exact
+    In a fully periodic cell fractional coordinates are rounded: the exact
     minimum image when the Gram matrix of the lattice is diagonal, where a
     pair at exactly half a cell takes -1/2 as the search does. Skewed
     cells then search the `lattice_translations` for the shortest image.
+    A cell periodic along some axes only rounds the least-squares
+    coordinates in its periodic sub-lattice instead, searches their +-1
+    neighbours and returns deltas - n @ cell, n integer.
     """
     if structure.cell is None or not any(structure.pbc):
         return deltas
     cell = structure.cell
-    frac = deltas @ np.linalg.inv(cell)
-    # fully periodic cells, the only kind the stages build, skip the masks
-    if all(structure.pbc):
-        frac -= np.round(frac)
-        ties = frac == 0.5
-    else:
+    if not all(structure.pbc):
+        # fractional rounding ignores the tilt of an open axis: a pair
+        # several cells apart along it would land beyond the +-1 search
         periodic = np.asarray(structure.pbc, dtype=bool)
-        frac[:, periodic] -= np.round(frac[:, periodic])
-        ties = (frac == 0.5) & periodic
+        n = np.zeros((len(deltas), 3))
+        n[:, periodic] = np.round(deltas @ np.linalg.pinv(cell[periodic]))
+        images = _IMAGES[~_IMAGES[:, ~periodic].any(axis=1)]
+        cand = (deltas - n @ cell)[:, None, :] + (images @ cell)[None, :, :]
+        idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
+        return deltas - (n - images[idx]) @ cell
+    frac = deltas @ np.linalg.inv(cell)
+    frac -= np.round(frac)
     if np.count_nonzero(cell @ cell.T) == 3:
-        frac[ties] = -0.5
+        frac[frac == 0.5] = -0.5
         return frac @ cell
     best = frac @ cell
     cand = best[:, None, :] + lattice_translations(structure)[None, :, :]

@@ -1,8 +1,9 @@
 """Normal-mode analysis and vibronic coupling metrics.
 
-All overlaps and projections run in the mass-weighted-orthonormal mode
-convention; external mode sets (Cartesian-displacement style exports) must
-pass through `reweight_external_modes` first.
+Every `NormalModeSet` holds mass-weighted-orthonormal mode vectors, the
+convention all overlaps and projections need. External mode sets
+(Cartesian-displacement style exports) are converted when
+`load_mode_set` reads them.
 
 Internal frequency unit is sqrt(eV / (amu A^2)) as produced by the
 mass-weighted Hessian eigenproblem; conversions to cm^-1 and Hartree
@@ -28,14 +29,10 @@ MASS_WEIGHTED_ORTHONORMAL = "mass-weighted-orthonormal"
 INVERSE_MASS_NORMALIZED = "inverse-mass-normalized"
 MASS_WEIGHTED_THEN_NORMALIZED = "mass-weighted-then-normalized"
 
-_CONVENTIONS = (
-    MASS_WEIGHTED_ORTHONORMAL,
-    INVERSE_MASS_NORMALIZED,
-    MASS_WEIGHTED_THEN_NORMALIZED,
-)
-
 # modes below this threshold count as rigid-body / numerically zero
 DEFAULT_FREQUENCY_FLOOR_CM1 = 10.0
+_SYMMETRY_TOL = 1e-6   # largest |K - K^T| entry normal_modes accepts, eV/A^2
+_FC_CHECK_TOL = 1e-8   # relative agreement of direct_fc_metric's two forms
 
 
 @dataclass
@@ -43,14 +40,11 @@ class NormalModeSet:
     frequencies: np.ndarray   # internal units; negative entries = imaginary modes
     modes: np.ndarray         # (n_modes, 3N), rows are mode vectors
     masses: np.ndarray        # (N,) amu
-    convention: str = MASS_WEIGHTED_ORTHONORMAL
 
     def __post_init__(self):
         self.frequencies = np.asarray(self.frequencies, dtype=float)
         self.modes = np.asarray(self.modes, dtype=float)
         self.masses = np.asarray(self.masses, dtype=float)
-        if self.convention not in _CONVENTIONS:
-            raise ValueError(f"unknown mode convention '{self.convention}'")
         if self.modes.ndim != 2 or self.modes.shape[1] != 3 * len(self.masses):
             raise ValueError("mode matrix shape does not match 3N coordinates")
         if len(self.frequencies) != len(self.modes):
@@ -88,7 +82,7 @@ def canonical_mode_signs(modes) -> np.ndarray:
     return np.where(lead[:, None] < 0.0, -modes, modes)
 
 
-def normal_modes(hessian, masses, symmetry_tol: float = 1e-6) -> NormalModeSet:
+def normal_modes(hessian, masses) -> NormalModeSet:
     """Diagonalize the mass-weighted Hessian.
 
     Solves [M^-1/2 K M^-1/2] u = w^2 u; eigenvectors come back orthonormal
@@ -106,7 +100,7 @@ def normal_modes(hessian, masses, symmetry_tol: float = 1e-6) -> NormalModeSet:
         # checked first: a NaN asymmetry passes the tolerance test
         raise FloatingPointError("hessian has non-finite entries")
     asym = np.abs(K - K.T).max()
-    if asym > symmetry_tol:
+    if asym > _SYMMETRY_TOL:
         raise ValueError(f"hessian asymmetry {asym:.3e} exceeds tolerance")
     K = 0.5 * (K + K.T)
     inv_sqrt_m = np.repeat(1.0 / np.sqrt(masses), 3)
@@ -123,15 +117,10 @@ def reweight_external_modes(raw_modes, masses, convention) -> NormalModeSet:
     Both supported external conventions store vectors proportional to
     Cartesian displacements M^-1/2 u; multiplying by sqrt(M) and
     renormalizing recovers the orthonormal mass-weighted eigenvectors.
-    Idempotent for already-converted sets.
+    Idempotent for already-converted sets. Frequencies come back zero.
     """
-    if isinstance(raw_modes, NormalModeSet):
-        freqs = raw_modes.frequencies
-        modes = raw_modes.modes
-        convention = raw_modes.convention if convention is None else convention
-    else:
-        modes = np.asarray(raw_modes, dtype=float)
-        freqs = np.zeros(len(modes))
+    modes = np.asarray(raw_modes, dtype=float)
+    freqs = np.zeros(len(modes))
     masses = np.asarray(masses, dtype=float)
     if convention == MASS_WEIGHTED_ORTHONORMAL:
         out = modes / np.linalg.norm(modes, axis=1, keepdims=True)
@@ -142,14 +131,6 @@ def reweight_external_modes(raw_modes, masses, convention) -> NormalModeSet:
     else:
         raise ValueError(f"unknown mode convention '{convention}'")
     return NormalModeSet(frequencies=freqs, modes=out, masses=masses)
-
-
-def _require_internal(modeset: NormalModeSet, name: str):
-    if modeset.convention != MASS_WEIGHTED_ORTHONORMAL:
-        raise ValueError(
-            f"{name} modes are in convention '{modeset.convention}'; "
-            "run reweight_external_modes first"
-        )
 
 
 def _coordinate_indices(emitter_atoms, n_complex_atoms):
@@ -169,8 +150,6 @@ def mode_overlap_matrix(isolated: NormalModeSet, embedded: NormalModeSet,
     isolated vectors are implicitly zero-padded outside the emitter block.
     When all complex modes are present each row sums to 1.
     """
-    _require_internal(isolated, "isolated")
-    _require_internal(embedded, "embedded")
     idx = _coordinate_indices(emitter_atoms, embedded.n_atoms)
     if len(idx) != isolated.modes.shape[1]:
         raise ValueError(
@@ -192,7 +171,6 @@ def projection_entropy(row) -> float:
 
 def force_projection(forces, isolated: NormalModeSet) -> np.ndarray:
     """Per-mode weights g_i = |<F | nu_i>|^2 of the Cartesian forces."""
-    _require_internal(isolated, "isolated")
     F = np.asarray(forces, dtype=float).ravel()
     if F.size != isolated.modes.shape[1]:
         raise ValueError(
@@ -219,7 +197,6 @@ def huang_rhys(r_ground, r_excited, masses, modes: NormalModeSet,
     atomic units (hbar = 1). Geometries in Angstrom, masses in amu. Rigid
     and imaginary modes (frequency at or below `floor_cm1`) get S_k = 0.
     """
-    _require_internal(modes, "huang_rhys")
     rg = np.asarray(r_ground, dtype=float).reshape(-1, 3)
     re = np.asarray(r_excited, dtype=float).reshape(-1, 3)
     if rg.shape != re.shape or len(rg) != len(modes.masses):
@@ -249,15 +226,13 @@ def weighted_hr(s_k, frequencies,
 
 
 def direct_fc_metric(forces, embedded: NormalModeSet, emitter_atoms,
-                     isolated: NormalModeSet | None = None,
-                     check_tol: float = 1e-8) -> float:
+                     isolated: NormalModeSet | None = None) -> float:
     """Zero-phonon-line strength estimate |sum_j <F | nu_j^embedded>|.
 
     `forces` lives on the emitter coordinates and is zero-padded into the
     complex. When `isolated` is given, the unity-inserted double-sum form
-    is evaluated as well and must agree within `check_tol`.
+    is evaluated as well and must agree to a relative `_FC_CHECK_TOL`.
     """
-    _require_internal(embedded, "embedded")
     idx = _coordinate_indices(emitter_atoms, embedded.n_atoms)
     F = np.asarray(forces, dtype=float).ravel()
     if F.size != idx.size:
@@ -266,11 +241,10 @@ def direct_fc_metric(forces, embedded: NormalModeSet, emitter_atoms,
     padded[idx] = F
     direct = float(abs((embedded.modes @ padded).sum()))
     if isolated is not None:
-        _require_internal(isolated, "isolated")
         f_proj = isolated.modes @ F                       # <F|nu_i>
         cross = isolated.modes @ embedded.modes[:, idx].T  # <nu_i|nu_j^emb>
         inserted = float(abs((f_proj @ cross).sum()))
-        if abs(direct - inserted) > check_tol * max(1.0, abs(direct)):
+        if abs(direct - inserted) > _FC_CHECK_TOL * max(1.0, abs(direct)):
             raise AssertionError(
                 f"direct ({direct}) and unity-inserted ({inserted}) "
                 "zero-phonon metrics disagree"
@@ -291,20 +265,19 @@ class VibronicReport:
 
 
 def vibronic_report(isolated: NormalModeSet, embedded: NormalModeSet,
-                    emitter_atoms, forces, r_ground, r_excited,
-                    floor_cm1: float = DEFAULT_FREQUENCY_FLOOR_CM1
+                    emitter_atoms, forces, r_ground, r_excited
                     ) -> VibronicReport:
-    """Assemble all per-candidate vibronic quantities in one pass."""
+    """Assemble all per-candidate vibronic quantities in one pass; modes at
+    or below DEFAULT_FREQUENCY_FLOOR_CM1 carry no weight."""
     rho = mode_overlap_matrix(isolated, embedded, emitter_atoms)
     s_proj = np.array([projection_entropy(row) for row in rho])
     g = force_projection(forces, isolated)
-    mask = isolated.real_mode_mask(floor_cm1)
+    mask = isolated.real_mode_mask()
     g = np.where(mask, g, 0.0)
     s_proj_masked = np.where(mask, s_proj, 0.0)
     svc = vibronic_coupling_entropy(g, s_proj_masked)
-    s_k = huang_rhys(r_ground, r_excited, isolated.masses, isolated,
-                     floor_cm1=floor_cm1)
-    whr = weighted_hr(s_k, isolated.frequencies, floor_cm1=floor_cm1)
+    s_k = huang_rhys(r_ground, r_excited, isolated.masses, isolated)
+    whr = weighted_hr(s_k, isolated.frequencies)
     fc = direct_fc_metric(forces, embedded, emitter_atoms, isolated=isolated)
     return VibronicReport(
         g=g,
@@ -327,18 +300,22 @@ def save_mode_set(modeset: NormalModeSet, path):
         "frequencies_cm1": modeset.frequencies_cm1.tolist(),
         "modes": modeset.modes.tolist(),
         "masses_amu": modeset.masses.tolist(),
-        "convention": modeset.convention,
+        "convention": MASS_WEIGHTED_ORTHONORMAL,
     }
     write_json(path, payload)
 
 
 def load_mode_set(path) -> NormalModeSet:
+    """Read a mode set; modes in an external convention pass through
+    `reweight_external_modes` and keep the file's frequencies, and modes
+    already mass-weighted orthonormal load as written."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     freqs = np.asarray(data["frequencies_cm1"], dtype=float) / VIB_FREQ_TO_CM1
-    return NormalModeSet(
-        frequencies=freqs,
-        modes=np.asarray(data["modes"], dtype=float),
-        masses=np.asarray(data["masses_amu"], dtype=float),
-        convention=data["convention"],
-    )
+    # validated as written, so a bad mass or shape is named before conversion
+    modeset = NormalModeSet(frequencies=freqs, modes=data["modes"],
+                            masses=data["masses_amu"])
+    if data["convention"] != MASS_WEIGHTED_ORTHONORMAL:
+        modeset.modes = reweight_external_modes(
+            modeset.modes, modeset.masses, data["convention"]).modes
+    return modeset

@@ -547,6 +547,28 @@ class TestVibronic:
         assert "forces must be finite" in result.output
         assert not list(out.iterdir())
 
+    def test_external_convention_converted(self, runner, tmp_path):
+        """An isolated set exported to the inverse-mass-normalized
+        convention gives the report of the internal file."""
+        argv = self._inputs(tmp_path) + ["--emitter-atoms", "2:4"]
+        internal = tmp_path / "internal"
+        result = runner.invoke(main, ["--out-dir", str(internal)] + argv)
+        assert result.exit_code == 0, result.output
+        iso = tmp_path / "iso.json"
+        data = json.loads(iso.read_text())
+        sqrt_m = np.repeat(np.sqrt(data["masses_amu"]), 3)
+        data["modes"] = (np.array(data["modes"]) / sqrt_m).tolist()
+        data["convention"] = "inverse-mass-normalized"
+        iso.write_text(json.dumps(data))
+        external = tmp_path / "external"
+        result = runner.invoke(main, ["--out-dir", str(external)] + argv)
+        assert result.exit_code == 0, result.output
+        want = json.loads((internal / "vibronic.json").read_text())
+        got = json.loads((external / "vibronic.json").read_text())
+        assert set(got) == set(want)
+        for key in want:
+            assert np.allclose(got[key], want[key], rtol=1e-12, atol=0), key
+
     def test_atoms_outside_complex_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["--out-dir", str(tmp_path / "out")]
                                + self._inputs(tmp_path)
@@ -938,13 +960,18 @@ class TestSpinStarkVibronicFuzz:
     @given(st.sampled_from([None, "forces", "modes", "geometry", "atoms"]),
            force_texts(),
            st.sampled_from(["nan-frequency", "inf-mode", "zero-mass",
-                            "truncated", "wrong-shape"]),
+                            "zero-mode", "truncated", "wrong-shape"]),
+           st.sampled_from(["mass-weighted-orthonormal",
+                            "inverse-mass-normalized",
+                            "mass-weighted-then-normalized", "bogus"]),
            xyz_texts(), st.sampled_from(["0:2", "2,3", "3:5", "x", None]))
-    @example("forces", "[[NaN, 0, 0], [0, 0, 0]]", "truncated", "", None)
-    def test_vibronic_exit_codes(self, fault, forces, modes_fault, xyz,
-                                 atoms):
-        """vibronic exits 0, 2 or 3 on any forces, mode sets, geometry and
-        atom selection; one input at a time is drawn malformed."""
+    @example("forces", "[[NaN, 0, 0], [0, 0, 0]]", "truncated",
+             "mass-weighted-orthonormal", "", None)
+    def test_vibronic_exit_codes(self, fault, forces, modes_fault,
+                                 convention, xyz, atoms):
+        """vibronic exits 0, 2 or 3 on any forces, mode sets (in any
+        convention tag), geometry and atom selection; one input at a time
+        is drawn malformed."""
         with tempfile.TemporaryDirectory() as tmp:
             argv = TestVibronic._inputs(Path(tmp))
             argv += ["--emitter-atoms", "2:4"]
@@ -957,12 +984,15 @@ class TestSpinStarkVibronicFuzz:
                 with open(iso, encoding="utf-8") as fh:
                     text = fh.read()
                 data = json.loads(text)
+                data["convention"] = convention
                 if modes_fault == "nan-frequency":
                     data["frequencies_cm1"][2] = float("nan")
                 elif modes_fault == "inf-mode":
                     data["modes"][1][1] = float("inf")
                 elif modes_fault == "zero-mass":
                     data["masses_amu"][0] = 0.0
+                elif modes_fault == "zero-mode":
+                    data["modes"][1] = [0.0] * len(data["modes"][1])
                 elif modes_fault == "wrong-shape":
                     data["modes"] = data["modes"][:-1]
                 with open(iso, "w", encoding="utf-8") as fh:

@@ -590,6 +590,11 @@ class TestTSNE:
         with pytest.raises(ValueError):
             tsne(np.zeros((5, 2)), perplexity=10.0)
 
+    def test_unknown_metric(self):
+        x = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="cityblock"):
+            tsne(x, perplexity=3.0, metric="cityblock")
+
 
 class TestHDBSCAN:
     def test_three_blobs(self):

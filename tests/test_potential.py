@@ -1,4 +1,4 @@
-"""Toy potentials, relaxation, and analytic Hessians."""
+"""Lennard-Jones and replayed potentials, relaxation, analytic Hessians."""
 
 import itertools
 import json
@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from spescreen.potential import (
     ExternalPotential,
-    HarmonicBondPotential,
     LennardJonesPotential,
     _pair_key,
     hessian_finite_difference,
@@ -29,32 +28,44 @@ MIXED_LJ = LennardJonesPotential({
 # a monoclinic cell skewed enough that fractional rounding alone often
 # picks a non-minimal image
 SKEWED_CELL = np.array([[9.0, 0.0, 0.0], [0.0, 10.0, 0.0], [-4.0, 0.0, 8.0]])
+# a cell whose open b axis leans along a
+LEANING_CELL = np.array([[9.0, 0.0, 0.0], [4.0, 10.0, 0.0], [0.0, 0.0, 8.0]])
 # the seven non-empty patterns of periodic axes
 PBC_PATTERNS = [p for p in itertools.product((False, True), repeat=3)
                 if any(p)]
 
 
 # --- slow reference implementations: the per-pair loops the vectorised
-# kernel replaced. Each returns (per-term energies, forces).
+# kernel replaced. ref_lj returns (per-pair energies, forces).
 
 def ref_min_image(structure, deltas):
     """Fractional rounding, then a search over the 27 images, both along
-    periodic axes only: an open axis is neither rounded nor shifted."""
+    periodic axes only: an open axis is neither rounded nor shifted.
+
+    A partly periodic cell returns deltas - n @ cell for the integer image
+    n found, as the kernel does. Fractional rounding misses the minimum
+    for pairs more than a cell apart along a tilted open axis; the
+    structures drawn here keep every pair within one cell.
+    """
     if structure.cell is None or not any(structure.pbc):
         return deltas
     cell = structure.cell
     periodic = np.array(structure.pbc)
     frac = deltas @ np.linalg.inv(cell)
-    frac -= np.where(periodic, np.round(frac), 0.0)
-    best = frac @ cell
-    shifts = np.array([
-        a * cell[0] + b * cell[1] + c * cell[2]
+    n = np.where(periodic, np.round(frac), 0.0)
+    best = (frac - n) @ cell
+    steps = np.array([
+        (a, b, c)
         for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)
         if not np.any(np.array([a, b, c])[~periodic])
-    ])
+    ], dtype=float)
+    shifts = np.array([a * cell[0] + b * cell[1] + c * cell[2]
+                       for a, b, c in steps])
     cand = best[:, None, :] + shifts[None, :, :]
     idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
-    return cand[np.arange(len(best)), idx]
+    if all(structure.pbc):
+        return cand[np.arange(len(best)), idx]
+    return deltas - (n - steps[idx]) @ cell
 
 
 def ref_lj(potential, structure):
@@ -73,35 +84,6 @@ def ref_lj(potential, structure):
         dedr = 4.0 * eps * (-12.0 * sr6 * sr6 + 6.0 * sr6) / d
         f[a] += dedr * vec / d
         f[b] -= dedr * vec / d
-    return terms, f
-
-
-def ref_harmonic(potential, structure):
-    def delta(i, j):
-        d = structure.positions[j] - structure.positions[i]
-        return ref_min_image(structure, d[None, :])[0]
-
-    bonded = {(min(b.i, b.j), max(b.i, b.j)) for b in potential.bonds}
-    terms = []
-    f = np.zeros_like(structure.positions)
-    for b in potential.bonds:
-        vec = delta(b.i, b.j)
-        r = np.linalg.norm(vec)
-        terms.append(0.5 * b.k * (r - b.r0) ** 2)
-        f[b.i] += b.k * (r - b.r0) * vec / r
-        f[b.j] -= b.k * (r - b.r0) * vec / r
-    if potential.eps_rep > 0:
-        n = len(structure)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) in bonded:
-                    continue
-                vec = delta(i, j)
-                r = np.linalg.norm(vec)
-                rep = potential.eps_rep * (potential.sigma_rep / r) ** 12
-                terms.append(rep)
-                f[i] += -12.0 * rep / r * vec / r
-                f[j] -= -12.0 * rep / r * vec / r
     return terms, f
 
 
@@ -133,13 +115,6 @@ def structures(draw):
     pbc = draw(st.sampled_from(PBC_PATTERNS))
     return AtomicStructure(elements=elements, positions=frac @ cell,
                            cell=cell, pbc=pbc)
-
-
-def random_bonds(structure, rng):
-    n = len(structure)
-    pairs = [rng.choice(n, size=2, replace=False) for _ in range(n // 2)]
-    return [(int(i), int(j), float(rng.uniform(1.0, 10.0)),
-             float(rng.uniform(1.0, 2.0))) for i, j in pairs]
 
 
 def assert_matches_reference(potential, structure, reference):
@@ -209,14 +184,6 @@ class TestPairKernel:
     @given(structures())
     def test_lj_matches_reference(self, s):
         assert_matches_reference(MIXED_LJ, s, ref_lj)
-
-    @settings(max_examples=40, deadline=None)
-    @given(structures(), st.integers(0, 2**32 - 1), st.booleans())
-    def test_harmonic_matches_reference(self, s, seed, repulsion):
-        bonds = random_bonds(s, np.random.default_rng(seed))
-        pot = HarmonicBondPotential(bonds, eps_rep=0.01 if repulsion else 0.0,
-                                    sigma_rep=2.0)
-        assert_matches_reference(pot, s, ref_harmonic)
 
     def test_missing_pair_message(self):
         s = AtomicStructure(elements=["Ar", "Ne", "Ar"],
@@ -289,6 +256,39 @@ class TestMinimumImage:
         assert np.allclose(n_cells, np.round(n_cells), atol=1e-9)
         assert np.all(np.abs(n_cells[:, ~np.array(s.pbc)]) < 1e-9)
 
+    def test_far_along_leaning_open_axis(self):
+        """5 b along an open b that leans along a: the nearest image is
+        5 b - 2 a = (2, 50, 0), not (11, 50, 0)."""
+        s = AtomicStructure(elements=["Ar"], positions=np.zeros((1, 3)),
+                            cell=LEANING_CELL, pbc=(True, False, True))
+        assert np.array_equal(minimum_image(s, np.array([[20.0, 50.0, 0.0]])),
+                              [[2.0, 50.0, 0.0]])
+
+    @pytest.mark.parametrize("cell", [LEANING_CELL, SKEWED_CELL],
+                             ids=["leaning", "skewed"])
+    @pytest.mark.parametrize("pbc", [p for p in PBC_PATTERNS if not all(p)],
+                             ids=lambda p: "".join("TF"[not a] for a in p))
+    def test_partial_pbc_far_pairs_brute_force(self, cell, pbc):
+        """Pairs up to 6 cells apart along open axes and 1 along periodic
+        ones: the kernel's lengths equal a brute force over translations
+        -8..8 along the periodic axes, and each vector is an image of its
+        input along those axes only."""
+        s = AtomicStructure(elements=["Ar"], positions=np.zeros((1, 3)),
+                            cell=cell, pbc=pbc)
+        periodic = np.array(pbc)
+        frac = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2000, 3))
+        frac[:, ~periodic] *= 6.0
+        deltas = frac @ cell
+        ranges = [range(-8, 9) if p else (0,) for p in pbc]
+        shifts = np.array(list(itertools.product(*ranges))) @ cell
+        brute = np.linalg.norm(deltas[:, None] + shifts[None], axis=2).min(1)
+        kernel = minimum_image(s, deltas)
+        assert np.allclose(np.linalg.norm(kernel, axis=1), brute,
+                           rtol=0, atol=1e-12)
+        n_cells = (kernel - deltas) @ np.linalg.inv(cell)
+        assert np.allclose(n_cells, np.round(n_cells), atol=1e-9)
+        assert np.all(np.abs(n_cells[:, ~periodic]) < 1e-9)
+
     def test_open_axis_has_no_images(self):
         """Two Ar atoms 9 A apart along an open y in a 10 A cell interact
         as in free space; the same gap along a periodic x is 1 A."""
@@ -306,27 +306,6 @@ class TestMinimumImage:
         assert AR_LJ.energy(across_y) < 0.0
         assert AR_LJ.energy(across_x) == pytest.approx(
             AR_LJ.energy(dimer(r=1.0)), rel=1e-10)
-
-
-class TestHarmonicBond:
-    def test_energy_and_forces(self):
-        pot = HarmonicBondPotential([(0, 1, 5.0, 1.0)])
-        s = AtomicStructure(
-            elements=["C", "C"],
-            positions=np.array([[0.0, 0, 0], [1.3, 0, 0]]),
-        )
-        assert pot.energy(s) == pytest.approx(0.5 * 5.0 * 0.3**2)
-        assert np.allclose(pot.forces(s), fd_forces(s, pot), atol=1e-7)
-
-    def test_repulsion(self):
-        pot = HarmonicBondPotential([(0, 1, 5.0, 1.0)], eps_rep=0.01,
-                                    sigma_rep=2.0)
-        s = AtomicStructure(
-            elements=["C", "C", "C"],
-            positions=np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 2.5, 0]]),
-        )
-        assert pot.energy(s) > 0.0
-        assert np.allclose(pot.forces(s), fd_forces(s, pot), atol=1e-7)
 
 
 class TestRelax:
@@ -420,41 +399,10 @@ class TestHessian:
     def test_lj_matches_finite_difference(self, s):
         assert_exact_hessian(MIXED_LJ, s)
 
-    @settings(max_examples=25, deadline=None)
-    @given(structures(), st.integers(0, 2**32 - 1), st.booleans())
-    def test_harmonic_matches_finite_difference(self, s, seed, repulsion):
-        bonds = random_bonds(s, np.random.default_rng(seed))
-        pot = HarmonicBondPotential(bonds, eps_rep=0.01 if repulsion else 0.0,
-                                    sigma_rep=2.0)
-        assert_exact_hessian(pot, s)
-
     def test_symmetric(self):
         s = dimer(r=3.6)
         K = hessian_finite_difference(s, AR_LJ)
         assert np.allclose(K, K.T)
-
-    def test_harmonic_exact(self):
-        pot = HarmonicBondPotential([(0, 1, 5.0, 1.0)])
-        s = AtomicStructure(
-            elements=["C", "C"],
-            positions=np.array([[0.0, 0, 0], [1.0, 0, 0]]),
-        )
-        K = pot.hessian(s)
-        # at equilibrium the xx block is the bond constant
-        assert K[0, 0] == pytest.approx(5.0, abs=1e-12)
-        assert K[0, 3] == pytest.approx(-5.0, abs=1e-12)
-
-    def test_bond_listed_twice(self):
-        """A bond listed twice, in either order, counts as one of 2k."""
-        s = AtomicStructure(
-            elements=["C"] * 3,
-            positions=np.array([[0.0, 0, 0], [1.3, 0.2, 0], [1.9, 1.1, 0.4]]),
-        )
-        twice = HarmonicBondPotential([(0, 1, 5.0, 1.0), (1, 0, 5.0, 1.0),
-                                       (1, 2, 3.0, 1.2)])
-        once = HarmonicBondPotential([(0, 1, 10.0, 1.0), (1, 2, 3.0, 1.2)])
-        assert np.allclose(twice.hessian(s), once.hessian(s),
-                           rtol=1e-14, atol=1e-14)
 
     def test_external_potential_rejected(self, tmp_path):
         p = tmp_path / "sp.json"

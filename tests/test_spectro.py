@@ -9,7 +9,6 @@ from spescreen.spectro import (
     SingletState,
     StarkInput,
     TripletState,
-    assemble_candidate,
     gssoc_metric,
     read_candidates_csv,
     rsoc_metric,
@@ -140,17 +139,6 @@ class TestCandidates:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="soc"):
             self._record(soc=float("nan"))
-
-    def test_assemble(self):
-        t = ExcitedStateTable(
-            singlets=[SingletState(energy_eV=1.9, fosc=0.3,
-                                   lambda_nm=652.0)],
-            triplets=[TripletState(energy_eV=1.5, soc_s1_cm1=0.2)],
-            gs_soc_t1_cm1=0.05,
-        )
-        rec = assemble_candidate("x", 0.77, t, svc=1.2, e_bind=-0.4)
-        assert rec.soc == pytest.approx(0.2)
-        assert rec.lambda_abs_nm == 652.0
 
     def test_csv_roundtrip(self, tmp_path):
         recs = [self._record(), self._record(id="c2", tanimoto=0.5)]

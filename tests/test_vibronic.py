@@ -244,7 +244,47 @@ class TestModeIO:
         back = load_mode_set(p)
         assert np.allclose(back.frequencies, ms.frequencies, rtol=1e-12)
         assert np.allclose(back.modes, ms.modes)
-        assert back.convention == ms.convention
+        assert json.loads(p.read_text())["convention"] == \
+            MASS_WEIGHTED_ORTHONORMAL
+
+    def test_internal_file_loads_as_written(self, tmp_path):
+        ms = random_mode_set(3, seed=20)
+        p = tmp_path / "modes.json"
+        save_mode_set(ms, p)
+        data = json.loads(p.read_text())
+        back = load_mode_set(p)
+        assert np.array_equal(back.modes, data["modes"])
+        assert np.array_equal(back.frequencies,
+                              np.array(data["frequencies_cm1"])
+                              / VIB_FREQ_TO_CM1)
+
+    @pytest.mark.parametrize("conv", [INVERSE_MASS_NORMALIZED,
+                                      MASS_WEIGHTED_THEN_NORMALIZED])
+    def test_external_file_converted_on_load(self, tmp_path, conv):
+        """An exported set loads as the mass-weighted-orthonormal set it
+        came from, with the file's frequencies."""
+        ms = random_mode_set(3, seed=21)
+        p = tmp_path / "modes.json"
+        save_mode_set(ms, p)
+        data = json.loads(p.read_text())
+        sqrt_m = np.repeat(np.sqrt(ms.masses), 3)
+        data["modes"] = (3.0 * ms.modes / sqrt_m[None, :]).tolist()
+        data["convention"] = conv
+        p.write_text(json.dumps(data))
+        back = load_mode_set(p)
+        assert np.allclose(back.modes, ms.modes, rtol=0, atol=1e-12)
+        assert np.array_equal(back.frequencies,
+                              np.array(data["frequencies_cm1"])
+                              / VIB_FREQ_TO_CM1)
+
+    def test_unknown_convention_rejected(self, tmp_path):
+        p = tmp_path / "modes.json"
+        save_mode_set(random_mode_set(2, seed=22), p)
+        data = json.loads(p.read_text())
+        data["convention"] = "bogus"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="bogus"):
+            load_mode_set(p)
 
     @pytest.mark.parametrize("key", ["frequencies_cm1", "modes", "masses_amu"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -267,7 +307,7 @@ class TestModeIO:
         assert p.read_text() == json.dumps({
             "frequencies_cm1": ms.frequencies_cm1.tolist(),
             "modes": ms.modes.tolist(), "masses_amu": ms.masses.tolist(),
-            "convention": ms.convention})
+            "convention": MASS_WEIGHTED_ORTHONORMAL})
         p.unlink()
         ms.modes[1, 4] = np.nan
         with pytest.raises(FloatingPointError, match="modes.json"):
