@@ -20,21 +20,21 @@ rescales it. Factorisations and triangular solves call LAPACK ``potrf`` and
 wrapped calls. The finiteness checks those wrappers made live in
 ``gpc_train`` (the inputs, once), in ``_laplace_mode`` (the latent vector,
 after each Newton step) and in ``gpc_predict`` (the query kernel);
-each raises ``ValueError``.
+each raises ``ValueError``. The LAPACK routines are looked up at the first
+factorisation and ``gpc_train`` imports ``minimize`` when it searches, so
+importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.optimize import minimize
 
 DEFAULT_SIGMA2_BOUNDS = (1e-3, 1e3)
 DEFAULT_LENGTHSCALE_BOUNDS = (1e-2, 1e2)
 
-_POTRF, _TRTRS = get_lapack_funcs(("potrf", "trtrs"), dtype=np.float64)
 _NOT_FINITE = "array must not contain infs or NaNs"
 
 
@@ -61,9 +61,18 @@ def rbf_kernel(xa, xb, sigma2, lengthscale):
     return _rbf(_sqdist(xa, xb), sigma2, lengthscale)
 
 
+@functools.cache
+def _lapack():
+    """LAPACK (potrf, trtrs) for float64, looked up at the first call."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("potrf", "trtrs"), dtype=np.float64)
+
+
 def _cholesky_lower(B):
     """Lower Cholesky factor (Fortran order); B may be overwritten."""
-    L, info = _POTRF(B, lower=1, clean=1, overwrite_a=1)
+    potrf, _ = _lapack()
+    L, info = potrf(B, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite")
@@ -72,7 +81,8 @@ def _cholesky_lower(B):
 
 def _solve_lower(L, rhs, trans=0):
     """Solve L x = rhs (trans=0) or L^T x = rhs (trans=1)."""
-    x, info = _TRTRS(L, rhs, lower=1, trans=trans)
+    _, trtrs = _lapack()
+    x, info = trtrs(L, rhs, lower=1, trans=trans)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}")
@@ -202,6 +212,8 @@ def gpc_train(x, y, sigma2_bounds=DEFAULT_SIGMA2_BOUNDS,
     elif not optimize:
         s2, ls = 1.0, 1.0
     else:
+        from scipy.optimize import minimize
+
         lo = np.log([sigma2_bounds[0], lengthscale_bounds[0]])
         hi = np.log([sigma2_bounds[1], lengthscale_bounds[1]])
         bounds = list(zip(lo, hi))

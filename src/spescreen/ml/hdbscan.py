@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
-from scipy.spatial.distance import pdist, squareform
+
+from .distance import squared_euclidean
 
 
 @dataclass
@@ -141,6 +140,9 @@ def _condensed_tree(mst_edges, n, min_cluster_size):
 def hdbscan(x, min_cluster_size: int = 5) -> HDBSCANResult:
     """Cluster a feature matrix by Euclidean distance; returns -1 labels
     for noise points."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
     if min_cluster_size < 2:
@@ -150,7 +152,7 @@ def hdbscan(x, min_cluster_size: int = 5) -> HDBSCANResult:
             labels=np.full(n, -1, dtype=int), n_clusters=0,
             core_distances=np.zeros(n), mst_edges=np.empty((0, 3)),
         )
-    d = squareform(pdist(x, "euclidean"))
+    d = np.sqrt(squared_euclidean(x))
     core = core_distances(d, min_cluster_size)
     mreach = mutual_reachability(d, core)
     mst = minimum_spanning_tree(csr_matrix(mreach)).tocoo()

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+
+from .distance import squared_euclidean
 
 _EPS = 1e-12
 _BANDWIDTH_TOL = 1e-6       # nats
@@ -85,7 +86,7 @@ def perplexity_error(d2, betas, perplexity):
 
 def _kl_and_grad(p_joint, y):
     n = y.shape[0]
-    d2 = squareform(pdist(y, "sqeuclidean"))
+    d2 = squared_euclidean(y)
     num = 1.0 / (1.0 + d2)
     np.fill_diagonal(num, 0.0)
     q = num / num.sum()
@@ -120,7 +121,7 @@ def tsne(x, perplexity: float = 50.0, n_iter: int = 1000, seed: int = 0,
             raise ValueError("precomputed distance matrix must be square")
         d2 = x**2
     elif metric == "euclidean":
-        d2 = squareform(pdist(x, "sqeuclidean"))
+        d2 = squared_euclidean(x)
     else:
         raise ValueError(f"unknown metric '{metric}': use 'euclidean' or "
                          "'precomputed'")

@@ -4,7 +4,9 @@ Provides extended-XYZ read/write, covalent neighbor lists, and molecule
 identification via connected components of the covalent-bond graph. The
 periodic-image rule lives here alone: `minimum_image` (which the pair
 potentials call) and `neighbor_list` both search `lattice_translations`,
-and axis k has images only when `pbc[k]` is true.
+and axis k has images only when `pbc[k]` is true. `neighbor_list` and
+`identify_molecules` import scipy when called, so stages that only read
+and write structures never load it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .constants import atomic_mass, covalent_radius
 
@@ -223,6 +222,8 @@ def neighbor_list(structure: AtomicStructure) -> np.ndarray:
     sum of their covalent radii; images are the `lattice_translations` of
     the positions wrapped into the cell along periodic axes.
     """
+    from scipy.spatial import cKDTree
+
     cutoffs = natural_cutoffs(structure)
     pos = structure.positions
     shifts = np.zeros((1, 3))
@@ -245,6 +246,9 @@ def neighbor_list(structure: AtomicStructure) -> np.ndarray:
 
 def identify_molecules(structure: AtomicStructure) -> MoleculeLabels:
     """Label atoms by connected components of the covalent-neighbor graph."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     pairs = neighbor_list(structure)
     n = len(structure)
     adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),

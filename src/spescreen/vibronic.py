@@ -118,19 +118,27 @@ def reweight_external_modes(raw_modes, masses, convention) -> NormalModeSet:
     Cartesian displacements M^-1/2 u; multiplying by sqrt(M) and
     renormalizing recovers the orthonormal mass-weighted eigenvectors.
     Idempotent for already-converted sets. Frequencies come back zero.
+    A row whose norm is zero or not finite (after the sqrt(M) scaling)
+    raises ValueError naming the first such row.
     """
     modes = np.asarray(raw_modes, dtype=float)
     freqs = np.zeros(len(modes))
     masses = np.asarray(masses, dtype=float)
     if convention == MASS_WEIGHTED_ORTHONORMAL:
-        out = modes / np.linalg.norm(modes, axis=1, keepdims=True)
+        out = modes
     elif convention in (INVERSE_MASS_NORMALIZED, MASS_WEIGHTED_THEN_NORMALIZED):
         sqrt_m = np.repeat(np.sqrt(masses), 3)
-        out = modes * sqrt_m[None, :]
-        out = out / np.linalg.norm(out, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            out = modes * sqrt_m[None, :]
     else:
         raise ValueError(f"unknown mode convention '{convention}'")
-    return NormalModeSet(frequencies=freqs, modes=out, masses=masses)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(out, axis=1, keepdims=True)
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+    if bad.size:
+        raise ValueError(f"mode row {bad[0]} cannot be normalised: its norm "
+                         f"is {norms[bad[0], 0]}")
+    return NormalModeSet(frequencies=freqs, modes=out / norms, masses=masses)
 
 
 def _coordinate_indices(emitter_atoms, n_complex_atoms):

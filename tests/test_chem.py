@@ -656,3 +656,12 @@ def test_cli_import_leaves_out_networkx():
          "import sys, spescreen.cli; print('networkx' in sys.modules)"],
         capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spescreen.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

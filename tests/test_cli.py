@@ -569,6 +569,23 @@ class TestVibronic:
         for key in want:
             assert np.allclose(got[key], want[key], rtol=1e-12, atol=0), key
 
+    @pytest.mark.parametrize("row", [0.0, 1e308], ids=["zero", "overflow"])
+    def test_unnormalisable_external_row_exit_2(self, tmp_path, row):
+        """An exported mode row that is zero, or overflows when scaled by
+        sqrt(M), exits 2 naming the row, and numpy warns nothing."""
+        argv = self._inputs(tmp_path) + ["--emitter-atoms", "2:4"]
+        iso = tmp_path / "iso.json"
+        data = json.loads(iso.read_text())
+        data["modes"][3] = [row] * 6
+        data["convention"] = "inverse-mass-normalized"
+        iso.write_text(json.dumps(data))
+        code, _, proc = _cli_in_subprocess(["--out-dir", "out"] + argv,
+                                           tmp_path)
+        assert code == 2, proc.stderr
+        assert "mode row 3 cannot be normalised" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not list((tmp_path / "out").iterdir())
+
     def test_atoms_outside_complex_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["--out-dir", str(tmp_path / "out")]
                                + self._inputs(tmp_path)
@@ -789,6 +806,74 @@ class TestGPCThreads:
                 else:
                     assert pa[key] == pb[key], key
             assert pa["sigma2_at_bound"] is False
+
+
+_SUBPROCESS_MAIN = """\
+import sys
+from spescreen.cli import main
+try:
+    main(sys.argv[1:], standalone_mode=False)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _cli_in_subprocess(argv, cwd):
+    """One CLI call in a fresh interpreter: (exit code, the scipy modules
+    it loaded, the completed process)."""
+    src = os.path.dirname(os.path.dirname(spescreen.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SUBPROCESS_MAIN, *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), set(modules), proc
+
+
+class TestColdStart:
+    """A stage run in a fresh interpreter loads only the scipy it uses."""
+
+    @staticmethod
+    def _argv(stage, tmp_path, smiles_table, records_csv):
+        write_xyz(dimer(r=3.8), tmp_path / "dimer.xyz")
+        (tmp_path / "lj.json").write_text(
+            json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+        (tmp_path / "states.json").write_text(json.dumps({
+            "singlets": [{"energy_eV": 2.2, "fosc": 0.3}],
+            "triplets": [{"energy_eV": 1.5, "soc_s1_cm1": 0.2}],
+        }))
+        return {
+            "similarity": ["similarity", "--smiles", str(smiles_table),
+                           "--reference", "ref"],
+            "map": ["--seed", "4", "map", "--smiles", str(smiles_table),
+                    "--perplexity", "3"],
+            "modes": ["modes", "--structure", str(tmp_path / "dimer.xyz"),
+                      "--lj-params", str(tmp_path / "lj.json"), "--relax"],
+            "vibronic": (TestVibronic._inputs(tmp_path)
+                         + ["--emitter-atoms", "2:4"]),
+            "spin": ["spin", "--states", str(tmp_path / "states.json")],
+            "stark": ["stark", "--delta-mu", "0.0616", "--delta-alpha",
+                      "612.15", "--field", "1.0"],
+            "label": ["label", "--records", str(records_csv),
+                      "--lambda-host", "500"],
+        }[stage]
+
+    @pytest.mark.parametrize("stage, banned", [
+        ("similarity", "scipy"), ("modes", "scipy"), ("vibronic", "scipy"),
+        ("spin", "scipy"), ("stark", "scipy"), ("label", "scipy"),
+        ("map", "scipy.spatial"),
+    ])
+    def test_stage_leaves_out_scipy(self, tmp_path, smiles_table,
+                                    records_csv, stage, banned):
+        argv = self._argv(stage, tmp_path, smiles_table, records_csv)
+        code, modules, proc = _cli_in_subprocess(["--out-dir", "out"] + argv,
+                                                 tmp_path)
+        assert code == 0, proc.stderr
+        assert not {m for m in modules
+                    if m == banned or m.startswith(banned + ".")}
 
 
 def _exit_code(argv):

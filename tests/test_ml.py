@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import minimize as scipy_minimize
+from scipy.spatial.distance import pdist, squareform
 
 from spescreen.ml import gpc as gpc_module
+from spescreen.ml.distance import squared_euclidean
 from spescreen.ml import (
     FEATURE_COLUMNS,
     calibrate_bandwidths,
@@ -494,7 +496,9 @@ class TestGPCReference:
                 runs.append((*lowest, res.success))
                 return res
 
-            with mock.patch.object(gpc_module, "minimize", recording):
+            # gpc_train imports minimize when it runs, so the patch on
+            # scipy.optimize reaches it
+            with mock.patch("scipy.optimize.minimize", recording):
                 model = gpc_train(x, y)
             assert len(runs) >= 2
             low = min(val for val, _, _ in runs)
@@ -542,11 +546,35 @@ class TestGPCReference:
         assert fitted.n_evaluations >= 1 and fitted.optimizer_converged
 
 
+@st.composite
+def point_sets(draw):
+    """(n, d) points, n 1-150 and d 1-12, at scales 1e-6 to 1e4 around a
+    common offset, with some rows repeated."""
+    n = draw(st.integers(1, 150))
+    d = draw(st.integers(1, 12))
+    scale = 10.0 ** draw(st.floats(-6.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = scale * rng.standard_normal((n, d)) + draw(st.floats(-1e4, 1e4))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  max_size=5)):
+        x[dst] = x[src]
+    return x
+
+
+class TestSquaredEuclidean:
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_bit_identical_to_scipy(self, x):
+        d2 = squared_euclidean(x)
+        assert np.array_equal(d2, squareform(pdist(x, "sqeuclidean")))
+        assert np.array_equal(np.sqrt(d2), squareform(pdist(x)))
+
+
 class TestTSNE:
     def test_perplexity_calibration(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(120, 4))
-        from scipy.spatial.distance import pdist, squareform
         d2 = squareform(pdist(x, "sqeuclidean"))
         betas, p_cond = calibrate_bandwidths(d2, perplexity=20.0)
         assert perplexity_error(d2, betas, 20.0) < 1e-4
@@ -578,7 +606,6 @@ class TestTSNE:
         # (trajectories themselves diverge chaotically from rounding noise)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(30, 3))
-        from scipy.spatial.distance import pdist, squareform
         d = squareform(pdist(x))
         r1 = tsne(x, perplexity=8.0, seed=2, n_iter=50)
         r2 = tsne(d, perplexity=8.0, seed=2, n_iter=50,
