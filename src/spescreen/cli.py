@@ -3,9 +3,11 @@
 Subcommands cover the screening stages: similarity ranking, candidate
 maps, guest-host embedding, normal modes, vibronic metrics, spin-orbit
 aggregates, Stark coefficients, labeling, classification, and report
-assembly. A plain-text INI config supplies per-stage defaults; explicit
-flags override it. Exit codes: 0 success, 2 validation error, 3 numerical
-failure.
+assembly. A plain-text INI config supplies option defaults through
+click's default_map: `[global]` keys set the group's options and each
+`[<stage>]` section sets that stage's, under the flag name with dashes
+turned into underscores. A flag beats the config, which beats the built-in
+default. Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .potential import (
     ExternalPotential,
     LennardJonesPotential,
     max_force_norm,
-    relax,
+    relax as relax_structure,
 )
 from .spectro import (
     CANDIDATE_COLUMNS,
@@ -72,8 +74,9 @@ def _write_json(path, payload):
     write_json(path, payload, indent=2, sort_keys=True)
 
 
-def _write_stage_manifest(ctx, stage, inputs, params, outputs):
+def _write_stage_manifest(ctx, inputs, params, outputs):
     """Record inputs (with hashes), parameters, and outputs for a stage."""
+    stage = ctx.info_name
     manifest = {
         "stage": stage,
         "version": __version__,
@@ -120,7 +123,7 @@ def _stage(func):
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
-        stage = func.__name__
+        stage = click.get_current_context().info_name
         try:
             return func(*args, **kwargs)
         except _NUMERICAL_ERRORS as exc:
@@ -137,73 +140,76 @@ def _stage(func):
     return wrapper
 
 
-def _cfg(ctx, section, key, fallback=None, cast=str):
-    """Config lookup with section fallback; flags override by arriving non-None."""
-    parser = ctx.obj.get("config")
-    if parser is None:
-        return fallback
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        return cast(raw)
-    return fallback
-
-
-def _resolve(flag_value, ctx, section, key, fallback=None, cast=str):
-    if flag_value is not None:
-        return flag_value
-    return _cfg(ctx, section, key, fallback=fallback, cast=cast)
-
-
 def _out(ctx, name):
     return os.path.join(ctx.obj["out_dir"], name)
 
 
+def _read_config(ctx, param, path):
+    """Eager --config callback: load the INI file into click's default_map.
+
+    `[global]` keys go to the top level, where the group's options read
+    them; each other section goes under the stage of that name.
+    """
+    if path is None:
+        return
+    parser = configparser.ConfigParser()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise click.BadParameter(str(exc), ctx, param) from None
+    ctx.default_map = {**sections.pop("global", {}), **sections}
+
+
+def _finite_positive(ctx, param, value):
+    if not (np.isfinite(value) and value > 0):
+        raise click.BadParameter(f"{value} is not finite and positive",
+                                 ctx, param)
+    return value
+
+
+# options that two stages share, declared once
+_FMAX = click.option("--fmax", type=float, default=0.01, show_default=True,
+                     callback=_finite_positive,
+                     help="Force tolerance (eV/A) of relaxation and the "
+                          "stationary flag.")
+_LJ_PARAMS = click.option("--lj-params", type=click.Path(exists=True),
+                          help="JSON {\"C,C\": [eps_eV, sigma_A], ...}.")
+_NBITS = click.option("--nbits", type=int, default=1024, show_default=True)
+_RADIUS = click.option("--radius", type=int, default=2, show_default=True)
+
+
 @click.group()
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None, help="INI config with per-stage sections.")
-@click.option("--seed", type=int, default=None, help="Global random seed.")
+@click.option("--config", type=click.Path(exists=True, dir_okay=False),
+              is_eager=True, expose_value=False, callback=_read_config,
+              help="INI config: [global] and one section per stage.")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Global random seed.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".",
               show_default=True, help="Directory for stage outputs.")
 @click.version_option(__version__)
 @click.pass_context
-def main(ctx, config_path, seed, out_dir):
+def main(ctx, seed, out_dir):
     """Emitter-host screening pipeline."""
-    parser = None
-    if config_path:
-        parser = configparser.ConfigParser()
-        parser.read(config_path)
     os.makedirs(out_dir, exist_ok=True)
-    if seed is None and parser is not None and parser.has_option("global",
-                                                                "seed"):
-        seed = parser.getint("global", "seed")
-    ctx.obj = {
-        "config": parser,
-        "seed": 0 if seed is None else seed,
-        "out_dir": out_dir,
-    }
+    ctx.obj = {"seed": seed, "out_dir": out_dir}
 
 
 # --- similarity ------------------------------------------------------------
 
 @main.command()
-@click.option("--smiles", "table_path", type=click.Path(exists=True),
-              default=None, help="TSV/CSV with id and smiles columns.")
-@click.option("--reference", default=None,
+@click.option("--smiles", type=click.Path(exists=True), required=True,
+              help="TSV/CSV with id and smiles columns.")
+@click.option("--reference", required=True,
               help="Reference: an id from the table or a SMILES string.")
-@click.option("--nbits", type=int, default=None)
-@click.option("--radius", type=int, default=None)
+@_NBITS
+@_RADIUS
 @click.pass_context
 @_stage
-def similarity(ctx, table_path, reference, nbits, radius):
+def similarity(ctx, smiles, reference, nbits, radius):
     """Rank a SMILES table by Tanimoto similarity to a reference."""
-    table_path = _resolve(table_path, ctx, "similarity", "smiles")
-    reference = _resolve(reference, ctx, "similarity", "reference")
-    nbits = _resolve(nbits, ctx, "similarity", "nbits", 1024, int)
-    radius = _resolve(radius, ctx, "similarity", "radius", 2, int)
-    if table_path is None or reference is None:
-        raise ValueError("similarity needs --smiles and --reference")
-
-    entries, skipped = load_smiles_table(table_path)
+    entries, skipped = load_smiles_table(smiles)
     ref_graph = dict(entries).get(reference)
     if ref_graph is None:
         ref_graph = parse_smiles(reference)
@@ -231,7 +237,7 @@ def similarity(ctx, table_path, reference, nbits, radius):
     })
 
     _write_stage_manifest(
-        ctx, "similarity", {"smiles": table_path},
+        ctx, {"smiles": smiles},
         {"reference": reference, "nbits": nbits, "radius": radius},
         [ranking_path, hist_path],
     )
@@ -241,28 +247,17 @@ def similarity(ctx, table_path, reference, nbits, radius):
 # --- map -------------------------------------------------------------------
 
 @main.command(name="map")
-@click.option("--smiles", "table_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--perplexity", type=float, default=None)
-@click.option("--min-cluster-size", type=int, default=None)
-@click.option("--nbits", type=int, default=None)
-@click.option("--radius", type=int, default=None)
-@click.option("--out", "out_name", default="map.csv", show_default=True)
+@click.option("--smiles", type=click.Path(exists=True), required=True)
+@click.option("--perplexity", type=float, default=50.0, show_default=True)
+@click.option("--min-cluster-size", type=int, default=5, show_default=True)
+@_NBITS
+@_RADIUS
+@click.option("--out", default="map.csv", show_default=True)
 @click.pass_context
 @_stage
-def map_cmd(ctx, table_path, perplexity, min_cluster_size, nbits, radius,
-            out_name):
+def map_cmd(ctx, smiles, perplexity, min_cluster_size, nbits, radius, out):
     """Embed fingerprints with t-SNE and cluster the 2D map."""
-    table_path = _resolve(table_path, ctx, "map", "smiles")
-    perplexity = _resolve(perplexity, ctx, "map", "perplexity", 50.0, float)
-    min_cluster_size = _resolve(min_cluster_size, ctx, "map",
-                                "min_cluster_size", 5, int)
-    nbits = _resolve(nbits, ctx, "map", "nbits", 1024, int)
-    radius = _resolve(radius, ctx, "map", "radius", 2, int)
-    if table_path is None:
-        raise ValueError("map needs --smiles")
-
-    entries, skipped = load_smiles_table(table_path)
+    entries, skipped = load_smiles_table(smiles)
     ids = [cid for cid, _ in entries]
     fps = [morgan_fingerprint(graph, radius, nbits) for _, graph in entries]
     dist = 1.0 - tanimoto_matrix(fps, fps)
@@ -271,13 +266,13 @@ def map_cmd(ctx, table_path, perplexity, min_cluster_size, nbits, radius,
                   metric="precomputed")
     clusters = hdbscan(result.embedding, min_cluster_size=min_cluster_size)
 
-    out_path = _out(ctx, out_name)
+    out_path = _out(ctx, out)
     _write_csv(out_path, ["x", "y", "cluster", "id"], (
         [f"{xy[0]:.6f}", f"{xy[1]:.6f}", int(lab), cid]
         for xy, lab, cid in zip(result.embedding, clusters.labels, ids)
     ))
     _write_stage_manifest(
-        ctx, "map", {"smiles": table_path},
+        ctx, {"smiles": smiles},
         {"perplexity": perplexity, "min_cluster_size": min_cluster_size,
          "nbits": nbits, "radius": radius, "seed": ctx.obj["seed"],
          "skipped_rows": skipped},
@@ -323,47 +318,37 @@ def _load_lj_params(path):
 
 
 @main.command()
-@click.option("--host", "host_path", type=click.Path(exists=True), default=None)
-@click.option("--emitter", "emitter_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--cutoff", type=float, default=None)
-@click.option("--min-removed", type=int, default=None)
-@click.option("--max-removed", type=int, default=None)
-@click.option("--per-count", type=int, default=None)
-@click.option("--max-trials", type=int, default=None)
-@click.option("--lj-params", "lj_path", type=click.Path(exists=True),
-              default=None,
-              help="JSON {\"C,C\": [eps_eV, sigma_A], ...}; enables "
-                   "relaxation and binding energies.")
-@click.option("--fmax", type=float, default=0.01, show_default=True)
+@click.option("--host", type=click.Path(exists=True), required=True)
+@click.option("--emitter", type=click.Path(exists=True), required=True)
+@click.option("--cutoff", type=float, default=1.0, show_default=True)
+@click.option("--min-removed", type=int, default=2, show_default=True)
+@click.option("--max-removed", type=int, default=5, show_default=True)
+@click.option("--per-count", type=int, default=25, show_default=True)
+@click.option("--max-trials", type=int, default=10000, show_default=True)
+@_LJ_PARAMS
+@_FMAX
 @click.pass_context
 @_stage
-def embed(ctx, host_path, emitter_path, cutoff, min_removed, max_removed,
-          per_count, max_trials, lj_path, fmax):
-    """Stochastically embed the emitter into the host supercell."""
-    host_path = _resolve(host_path, ctx, "embed", "host")
-    emitter_path = _resolve(emitter_path, ctx, "embed", "emitter")
-    if host_path is None or emitter_path is None:
-        raise ValueError("embed needs --host and --emitter")
-    cfg = EmbeddingConfig(
-        overlap_cutoff=_resolve(cutoff, ctx, "embed", "cutoff", 1.0, float),
-        min_removed=_resolve(min_removed, ctx, "embed", "min_removed", 2, int),
-        max_removed=_resolve(max_removed, ctx, "embed", "max_removed", 5, int),
-        structures_per_count=_resolve(per_count, ctx, "embed", "per_count",
-                                      25, int),
-        max_trials=_resolve(max_trials, ctx, "embed", "max_trials",
-                            10000, int),
-        seed=ctx.obj["seed"],
-    )
-    host = parse_xyz(host_path)
-    emitter = parse_xyz(emitter_path)
-    trials = embed_emitter(host, emitter, cfg)
+def embed(ctx, host, emitter, cutoff, min_removed, max_removed, per_count,
+          max_trials, lj_params, fmax):
+    """Stochastically embed the emitter into the host supercell.
+
+    With --lj-params, each accepted structure is relaxed and its binding
+    energy recorded.
+    """
+    cfg = EmbeddingConfig(overlap_cutoff=cutoff, min_removed=min_removed,
+                          max_removed=max_removed,
+                          structures_per_count=per_count,
+                          max_trials=max_trials, seed=ctx.obj["seed"])
+    host_structure = parse_xyz(host)
+    emitter_structure = parse_xyz(emitter)
+    trials = embed_emitter(host_structure, emitter_structure, cfg)
 
     binding = None
-    if lj_path is not None:
-        potential = LennardJonesPotential(_load_lj_params(lj_path))
-        _, _, binding = select_most_stable(trials, potential, host, emitter,
-                                           fmax=fmax)
+    if lj_params is not None:
+        potential = LennardJonesPotential(_load_lj_params(lj_params))
+        _, _, binding = select_most_stable(trials, potential, host_structure,
+                                           emitter_structure, fmax=fmax)
 
     manifest_path = _out(ctx, "embedding.json")
     prefix = _out(ctx, "embedded_")
@@ -373,8 +358,7 @@ def embed(ctx, host_path, emitter_path, cutoff, min_removed, max_removed,
         f"{prefix}{k:04d}.xyz" for k in range(len(trials))
     ]
     _write_stage_manifest(
-        ctx, "embed", {"host": host_path, "emitter": emitter_path,
-                       "lj_params": lj_path},
+        ctx, {"host": host, "emitter": emitter, "lj_params": lj_params},
         {"cutoff": cfg.overlap_cutoff, "min_removed": cfg.min_removed,
          "max_removed": cfg.max_removed, "per_count": cfg.structures_per_count,
          "max_trials": cfg.max_trials, "seed": cfg.seed, "fmax": fmax},
@@ -386,61 +370,51 @@ def embed(ctx, host_path, emitter_path, cutoff, min_removed, max_removed,
 # --- modes -----------------------------------------------------------------
 
 @main.command()
-@click.option("--structure", "structure_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--potential-file", "ext_path", type=click.Path(exists=True),
-              default=None, help="External single-point JSON with a Hessian.")
-@click.option("--lj-params", "lj_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--relax/--no-relax", "do_relax", default=False,
-              show_default=True)
-@click.option("--fmax", type=float, default=0.01, show_default=True)
-@click.option("--out", "out_name", default="modes.json", show_default=True)
+@click.option("--structure", type=click.Path(exists=True), required=True)
+@click.option("--potential-file", type=click.Path(exists=True),
+              help="External single-point JSON with a Hessian.")
+@_LJ_PARAMS
+@click.option("--relax/--no-relax", default=False, show_default=True)
+@_FMAX
+@click.option("--out", default="modes.json", show_default=True)
 @click.pass_context
 @_stage
-def modes(ctx, structure_path, ext_path, lj_path, do_relax, fmax, out_name):
+def modes(ctx, structure, potential_file, lj_params, relax, fmax, out):
     """Compute normal modes from an external or Lennard-Jones Hessian."""
-    structure_path = _resolve(structure_path, ctx, "modes", "structure")
-    if structure_path is None:
-        raise ValueError("modes needs --structure")
-    if not np.isfinite(fmax):
-        # unused without --relax, but recorded in the manifest, which
-        # must stay valid JSON
-        raise ValueError("fmax must be finite")
-    structure = parse_xyz(structure_path)
+    geometry = parse_xyz(structure)
 
-    if ext_path is not None:
-        potential = ExternalPotential(ext_path)
-    elif lj_path is not None:
-        potential = LennardJonesPotential(_load_lj_params(lj_path))
+    if potential_file is not None:
+        potential = ExternalPotential(potential_file)
+    elif lj_params is not None:
+        potential = LennardJonesPotential(_load_lj_params(lj_params))
     else:
         raise ValueError("modes needs --potential-file or --lj-params")
 
-    params = {"relax": do_relax, "fmax": fmax}
-    if do_relax:
-        result = relax(structure, potential, fmax=fmax)
+    params = {"relax": relax, "fmax": fmax}
+    if relax:
+        result = relax_structure(geometry, potential, fmax=fmax)
         params.update(relax_iterations=result.iterations,
                       relax_converged=result.converged)
         if not result.converged:
             raise FloatingPointError(
                 f"relaxation stalled at max force {result.max_force:.3e}"
             )
-        structure = result.structure
+        geometry = result.structure
 
-    hessian = potential.hessian(structure)
-    modeset = normal_modes(hessian, structure.masses)
-    out_path = _out(ctx, out_name)
+    hessian = potential.hessian(geometry)
+    modeset = normal_modes(hessian, geometry.masses)
+    out_path = _out(ctx, out)
     save_mode_set(modeset, out_path)
     n_im = int((modeset.frequencies < 0).sum())
     # a Hessian describes vibrations only at a stationary point
-    max_force = max_force_norm(potential.forces(structure))
-    params.update(n_atoms=len(structure), n_imaginary=n_im,
+    max_force = max_force_norm(potential.forces(geometry))
+    params.update(n_atoms=len(geometry), n_imaginary=n_im,
                   hessian_asymmetry=float(np.abs(hessian - hessian.T).max()),
                   max_force=max_force, stationary=max_force <= fmax)
     _write_stage_manifest(
-        ctx, "modes",
-        {"structure": structure_path, "potential_file": ext_path,
-         "lj_params": lj_path},
+        ctx,
+        {"structure": structure, "potential_file": potential_file,
+         "lj_params": lj_params},
         params,
         [out_path],
     )
@@ -480,50 +454,38 @@ def _parse_atom_selection(spec, n):
 
 
 @main.command()
-@click.option("--isolated", "iso_path", type=click.Path(exists=True),
-              default=None, help="Mode-set JSON of the isolated emitter.")
-@click.option("--embedded", "emb_path", type=click.Path(exists=True),
-              default=None, help="Mode-set JSON of the embedded complex.")
-@click.option("--forces", "forces_path", type=click.Path(exists=True),
-              default=None, help="JSON array of excited-state forces (N x 3).")
-@click.option("--emitter-atoms", default=None,
+@click.option("--isolated", type=click.Path(exists=True), required=True,
+              help="Mode-set JSON of the isolated emitter.")
+@click.option("--embedded", type=click.Path(exists=True), required=True,
+              help="Mode-set JSON of the embedded complex.")
+@click.option("--forces", type=click.Path(exists=True), required=True,
+              help="JSON array of excited-state forces (N x 3).")
+@click.option("--emitter-atoms",
               help="Emitter atom indices in the complex: 'a:b' or 'i,j,...'.")
-@click.option("--r-ground", "rg_path", type=click.Path(exists=True),
-              default=None, help="Ground-state emitter geometry (XYZ).")
-@click.option("--r-excited", "re_path", type=click.Path(exists=True),
-              default=None, help="Excited-state emitter geometry (XYZ).")
-@click.option("--out", "out_name", default="vibronic.json", show_default=True)
+@click.option("--r-ground", type=click.Path(exists=True), required=True,
+              help="Ground-state emitter geometry (XYZ).")
+@click.option("--r-excited", type=click.Path(exists=True), required=True,
+              help="Excited-state emitter geometry (XYZ).")
+@click.option("--out", default="vibronic.json", show_default=True)
 @click.pass_context
 @_stage
-def vibronic(ctx, iso_path, emb_path, forces_path, emitter_atoms, rg_path,
-             re_path, out_name):
+def vibronic(ctx, isolated, embedded, forces, emitter_atoms, r_ground,
+             r_excited, out):
     """Mode projections, entropies, Huang-Rhys factors, and the FC metric."""
-    iso_path = _resolve(iso_path, ctx, "vibronic", "isolated")
-    emb_path = _resolve(emb_path, ctx, "vibronic", "embedded")
-    forces_path = _resolve(forces_path, ctx, "vibronic", "forces")
-    rg_path = _resolve(rg_path, ctx, "vibronic", "r_ground")
-    re_path = _resolve(re_path, ctx, "vibronic", "r_excited")
-    required = {"isolated": iso_path, "embedded": emb_path,
-                "forces": forces_path, "r-ground": rg_path,
-                "r-excited": re_path}
-    missing = [k for k, v in required.items() if v is None]
-    if missing:
-        raise ValueError(f"vibronic needs --{', --'.join(missing)}")
-
-    isolated = load_mode_set(iso_path)
-    embedded = load_mode_set(emb_path)
-    with open(forces_path, encoding="utf-8") as fh:
-        forces = np.asarray(json.load(fh), dtype=float)
-    if not np.isfinite(forces).all():
+    iso_modes = load_mode_set(isolated)
+    emb_modes = load_mode_set(embedded)
+    with open(forces, encoding="utf-8") as fh:
+        excited_forces = np.asarray(json.load(fh), dtype=float)
+    if not np.isfinite(excited_forces).all():
         raise ValueError("forces must be finite")
-    r_ground = parse_xyz(rg_path).positions
-    r_excited = parse_xyz(re_path).positions
-    n_complex = embedded.modes.shape[1] // 3
+    ground = parse_xyz(r_ground).positions
+    excited = parse_xyz(r_excited).positions
+    n_complex = emb_modes.modes.shape[1] // 3
     atoms = _parse_atom_selection(emitter_atoms, n_complex)
 
-    report = vibronic_report(isolated, embedded, atoms, forces,
-                             r_ground, r_excited)
-    out_path = _out(ctx, out_name)
+    report = vibronic_report(iso_modes, emb_modes, atoms, excited_forces,
+                             ground, excited)
+    out_path = _out(ctx, out)
     _write_json(out_path, {
         "g": report.g.tolist(),
         "s_projection": report.s_projection.tolist(),
@@ -535,9 +497,9 @@ def vibronic(ctx, iso_path, emb_path, forces_path, emitter_atoms, rg_path,
         "direct_fc": report.direct_fc,
     })
     _write_stage_manifest(
-        ctx, "vibronic",
-        {"isolated": iso_path, "embedded": emb_path, "forces": forces_path,
-         "r_ground": rg_path, "r_excited": re_path},
+        ctx,
+        {"isolated": isolated, "embedded": embedded, "forces": forces,
+         "r_ground": r_ground, "r_excited": r_excited},
         {"emitter_atoms": emitter_atoms},
         [out_path],
     )
@@ -547,17 +509,14 @@ def vibronic(ctx, iso_path, emb_path, forces_path, emitter_atoms, rg_path,
 # --- spin ------------------------------------------------------------------
 
 @main.command()
-@click.option("--states", "states_path", type=click.Path(exists=True),
-              default=None, help="Excited-state table JSON.")
-@click.option("--out", "out_name", default="spin.json", show_default=True)
+@click.option("--states", type=click.Path(exists=True), required=True,
+              help="Excited-state table JSON.")
+@click.option("--out", default="spin.json", show_default=True)
 @click.pass_context
 @_stage
-def spin(ctx, states_path, out_name):
+def spin(ctx, states, out):
     """Aggregate spin-orbit couplings into SOC / rSOC / gsSOC."""
-    states_path = _resolve(states_path, ctx, "spin", "states")
-    if states_path is None:
-        raise ValueError("spin needs --states")
-    table = load_excited_state_table(states_path)
+    table = load_excited_state_table(states)
     payload = {
         "soc": soc_metric(table),
         "rsoc": rsoc_metric(table),
@@ -567,10 +526,9 @@ def spin(ctx, states_path, out_name):
         "e_s1_eV": table.e_s1,
         "n_triplets": len(table.triplets),
     }
-    out_path = _out(ctx, out_name)
+    out_path = _out(ctx, out)
     _write_json(out_path, payload)
-    _write_stage_manifest(ctx, "spin", {"states": states_path}, {},
-                          [out_path])
+    _write_stage_manifest(ctx, {"states": states}, {}, [out_path])
     click.echo(
         f"soc={payload['soc']:.4f} rsoc={payload['rsoc']:.4f} "
         f"gssoc={payload['gssoc']}"
@@ -580,35 +538,31 @@ def spin(ctx, states_path, out_name):
 # --- stark -----------------------------------------------------------------
 
 @main.command()
-@click.option("--delta-mu", type=float, default=None,
+@click.option("--delta-mu", type=float, required=True,
               help="|dipole difference| in atomic units.")
-@click.option("--delta-alpha", type=float, default=None,
+@click.option("--delta-alpha", type=float, required=True,
               help="Polarizability difference in atomic units.")
-@click.option("--field", "fields", type=float, multiple=True,
-              help="Evaluate the shift at these fields (kV/cm); repeatable.")
-@click.option("--out", "out_name", default="stark.json", show_default=True)
+@click.option("--field", type=float, multiple=True,
+              help="Evaluate the shift at these fields (kV/cm); repeatable, "
+                   "command line only.")
+@click.option("--out", default="stark.json", show_default=True)
 @click.pass_context
 @_stage
-def stark(ctx, delta_mu, delta_alpha, fields, out_name):
+def stark(ctx, delta_mu, delta_alpha, field, out):
     """Linear and quadratic Stark shift coefficients."""
-    delta_mu = _resolve(delta_mu, ctx, "stark", "delta_mu", cast=float)
-    delta_alpha = _resolve(delta_alpha, ctx, "stark", "delta_alpha",
-                           cast=float)
-    if delta_mu is None or delta_alpha is None:
-        raise ValueError("stark needs --delta-mu and --delta-alpha")
     coeffs = stark_coefficients(StarkInput(delta_mu, delta_alpha))
     payload = {
         "a_mhz_per_kvcm": coeffs.a_mhz_per_kvcm,
         "b_mhz_per_kvcm2": coeffs.b_mhz_per_kvcm2,
         "shifts": [
             {"field_kv_cm": f, "shift_mhz": coeffs.shift_mhz(f)}
-            for f in fields
+            for f in field
         ],
     }
-    out_path = _out(ctx, out_name)
+    out_path = _out(ctx, out)
     _write_json(out_path, payload)
     _write_stage_manifest(
-        ctx, "stark", {},
+        ctx, {},
         {"delta_mu": delta_mu, "delta_alpha": delta_alpha},
         [out_path],
     )
@@ -620,74 +574,65 @@ def stark(ctx, delta_mu, delta_alpha, fields, out_name):
 
 # --- label / classify ------------------------------------------------------
 
-def _load_records_and_labels(ctx, records_path, lambda_host, no_soc, stage):
-    records_path = _resolve(records_path, ctx, stage, "records")
-    lambda_host = _resolve(lambda_host, ctx, stage, "lambda_host", cast=float)
-    if records_path is None or lambda_host is None:
-        raise ValueError(f"{stage} needs --records and --lambda-host")
-    records = read_candidates_csv(records_path)
-    if not records:
+def _read_records(records):
+    candidates = read_candidates_csv(records)
+    if not candidates:
         raise ValueError("record table is empty")
-    good = label_good(records, lambda_host, include_soc=not no_soc)
-    return records_path, lambda_host, records, good
+    return candidates
 
 
 @main.command()
-@click.option("--records", "records_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--lambda-host", type=float, default=None,
+@click.option("--records", type=click.Path(exists=True), required=True)
+@click.option("--lambda-host", type=float, required=True,
               help="Host absorption wavelength threshold (nm).")
 @click.option("--no-soc", is_flag=True, default=False,
               help="Drop the SOC condition from the labeling rule.")
-@click.option("--out", "out_name", default="labels.csv", show_default=True)
+@click.option("--out", default="labels.csv", show_default=True)
 @click.pass_context
 @_stage
-def label(ctx, records_path, lambda_host, no_soc, out_name):
+def label(ctx, records, lambda_host, no_soc, out):
     """Label candidates as good/bad emitters."""
-    records_path, lambda_host, records, good = _load_records_and_labels(
-        ctx, records_path, lambda_host, no_soc, "label"
-    )
-    out_path = _out(ctx, out_name)
+    candidates = _read_records(records)
+    good = label_good(candidates, lambda_host, include_soc=not no_soc)
+    out_path = _out(ctx, out)
     _write_csv(out_path, ["id", "label"],
-               ([rec.id, int(g)] for rec, g in zip(records, good)))
+               ([rec.id, int(g)] for rec, g in zip(candidates, good)))
     _write_stage_manifest(
-        ctx, "label", {"records": records_path},
+        ctx, {"records": records},
         {"lambda_host": lambda_host, "include_soc": not no_soc},
         [out_path],
     )
-    click.echo(f"labeled {int(good.sum())}/{len(records)} as good")
+    click.echo(f"labeled {int(good.sum())}/{len(candidates)} as good")
 
 
 @main.command()
-@click.option("--records", "records_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--lambda-host", type=float, default=None)
+@click.option("--records", type=click.Path(exists=True), required=True)
+@click.option("--lambda-host", type=float, required=True)
 @click.option("--no-soc", is_flag=True, default=False)
-@click.option("--out", "out_name", default="labels.csv", show_default=True)
+@click.option("--out", default="labels.csv", show_default=True)
 @click.pass_context
 @_stage
-def classify(ctx, records_path, lambda_host, no_soc, out_name):
+def classify(ctx, records, lambda_host, no_soc, out):
     """Label candidates and attach GPC class probabilities."""
-    records_path, lambda_host, records, good = _load_records_and_labels(
-        ctx, records_path, lambda_host, no_soc, "classify"
-    )
-    features = feature_matrix(records)
+    candidates = _read_records(records)
+    good = label_good(candidates, lambda_host, include_soc=not no_soc)
+    features = feature_matrix(candidates)
     model = gpc_train(features.values, good.astype(float))
     probs = gpc_predict(model, features.values)
-    out_path = _out(ctx, out_name)
+    out_path = _out(ctx, out)
     _write_csv(out_path, ["id", "label", "probability"], (
         [rec.id, int(g), f"{p:.6f}"]
-        for rec, g, p in zip(records, good, probs)
+        for rec, g, p in zip(candidates, good, probs)
     ))
     _write_stage_manifest(
-        ctx, "classify", {"records": records_path},
+        ctx, {"records": records},
         {"lambda_host": lambda_host, "include_soc": not no_soc,
          "sigma2": model.sigma2, "lengthscale": model.lengthscale,
          **_gpc_counters(model)},
         [out_path],
     )
     click.echo(
-        f"classified {len(records)} records "
+        f"classified {len(candidates)} records "
         f"(sigma2={model.sigma2:.3g}, lengthscale={model.lengthscale:.3g})"
     )
 
@@ -699,55 +644,46 @@ _FIG3_METRICS = ("soc", "rsoc", "gssoc", "svc", "e_bind_eV",
 
 
 @main.command()
-@click.option("--records", "records_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--lambda-host", type=float, default=None,
+@click.option("--records", type=click.Path(exists=True), required=True)
+@click.option("--lambda-host", type=float,
               help="Enables label/PC-score/GPC-grid outputs.")
 @click.option("--no-soc", is_flag=True, default=False)
 @click.option("--vibronic-dir", type=click.Path(exists=True, file_okay=False),
-              default=None,
               help="Directory of per-candidate vibronic JSONs named <id>.json.")
 @click.pass_context
 @_stage
-def report(ctx, records_path, lambda_host, no_soc, vibronic_dir):
+def report(ctx, records, lambda_host, no_soc, vibronic_dir):
     """Assemble the results table and per-figure CSV data."""
-    records_path = _resolve(records_path, ctx, "report", "records")
-    lambda_host = _resolve(lambda_host, ctx, "report", "lambda_host",
-                           cast=float)
-    if records_path is None:
-        raise ValueError("report needs --records")
-    records = read_candidates_csv(records_path)
-    if not records:
-        raise ValueError("record table is empty")
+    candidates = _read_records(records)
     outputs = []
     grid_model = {}   # fit parameters and counters of the fig4-grid GPC
 
     table_csv = _out(ctx, "table1.csv")
-    write_candidates_csv(records, table_csv)
+    write_candidates_csv(candidates, table_csv)
     table_json = _out(ctx, "table1.json")
     _write_json(table_json,
-                [dict(zip(CANDIDATE_COLUMNS, r.as_row())) for r in records])
+                [dict(zip(CANDIDATE_COLUMNS, r.as_row())) for r in candidates])
     outputs += [table_csv, table_json]
 
     for metric in _FIG3_METRICS:
         path = _out(ctx, f"fig3_{metric}.csv")
         _write_csv(path, ["id", "tanimoto", metric], (
             [r.id, f"{r.tanimoto:.4f}", f"{getattr(r, metric):.4f}"]
-            for r in records
+            for r in candidates
         ))
         outputs.append(path)
 
     if lambda_host is not None:
-        good = label_good(records, lambda_host, include_soc=not no_soc)
-        features = feature_matrix(records)
+        good = label_good(candidates, lambda_host, include_soc=not no_soc)
+        features = feature_matrix(candidates)
         comp = pca(features.values, k=2)
         path = _out(ctx, "fig4_pca.csv")
         _write_csv(path, ["id", "pc1", "pc2", "label"], (
             [r.id, f"{row[0]:.6f}", f"{row[1]:.6f}", int(g)]
-            for r, row, g in zip(records, comp.scores, good)
+            for r, row, g in zip(candidates, comp.scores, good)
         ))
         outputs.append(path)
-        if 0 < int(good.sum()) < len(records):
+        if 0 < int(good.sum()) < len(candidates):
             model = gpc_train(comp.scores, good.astype(float))
             lo = comp.scores.min(axis=0) - 1.0
             hi = comp.scores.max(axis=0) + 1.0
@@ -767,7 +703,7 @@ def report(ctx, records_path, lambda_host, no_soc, vibronic_dir):
 
     if vibronic_dir is not None:
         rows = []
-        for r in records:
+        for r in candidates:
             path = os.path.join(vibronic_dir, f"{r.id}.json")
             if not os.path.exists(path):
                 continue
@@ -785,7 +721,7 @@ def report(ctx, records_path, lambda_host, no_soc, vibronic_dir):
             outputs.append(path)
 
     _write_stage_manifest(
-        ctx, "report", {"records": records_path},
+        ctx, {"records": records},
         {"lambda_host": lambda_host, "include_soc": not no_soc,
          **grid_model},
         outputs,

@@ -42,6 +42,8 @@ class AtomicStructure:
                 raise ValueError("masses must be positive")
         if self.cell is not None:
             self.cell = np.asarray(self.cell, dtype=float).reshape(3, 3)
+            if not np.isfinite(self.cell).all():
+                raise ValueError(f"non-finite cell: {self.cell.tolist()}")
             if abs(np.linalg.det(self.cell)) <= 0.0:
                 raise ValueError("cell volume must be positive")
             if not any(self.pbc):

@@ -9,6 +9,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -169,6 +170,27 @@ class TestEmbed:
         assert result.exit_code == 2, result.output
         assert "not two comma-separated elements" in result.output
 
+    @pytest.mark.parametrize("fmax", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("lj", [False, True])
+    def test_bad_fmax_exit_2_before_any_work(self, runner, tmp_path, fmax,
+                                             lj):
+        host = tmp_path / "host.xyz"
+        emitter = tmp_path / "emitter.xyz"
+        write_xyz(lj_lattice(3), host)
+        write_xyz(dimer(r=1.2), emitter)
+        argv = ["--host", str(host), "--emitter", str(emitter),
+                "--cutoff", "2.0", "--per-count", "1", "--max-trials", "400",
+                "--fmax", fmax]
+        if lj:
+            params = tmp_path / "lj.json"
+            params.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+            argv += ["--lj-params", str(params)]
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out-dir", str(out), "embed"] + argv)
+        assert result.exit_code == 2, result.output
+        assert "--fmax" in result.output
+        assert not list(out.iterdir())
+
 
 class TestModes:
     def test_lj_dimer_modes(self, runner, tmp_path):
@@ -292,6 +314,7 @@ class TestModes:
     @pytest.mark.parametrize("fmax, flag", [
         ("nan", "--relax"), ("inf", "--relax"), ("-inf", "--relax"),
         ("0", "--relax"), ("nan", "--no-relax"), ("inf", "--no-relax"),
+        ("-1", "--no-relax"), ("0", "--no-relax"),
     ])
     def test_bad_fmax_exit_2(self, runner, tmp_path, fmax, flag):
         s = tmp_path / "dimer.xyz"
@@ -304,6 +327,22 @@ class TestModes:
         ])
         assert result.exit_code == 2, result.output
         assert "fmax" in result.output
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_cell_exit_2(self, runner, tmp_path, bad):
+        s = tmp_path / "d.xyz"
+        s.write_text(f'2\nLattice="{bad} 0 0 0 10 0 0 0 10"\n'
+                     "Ar 0.0 0.0 0.0\nAr 3.8 0.0 0.0\n")
+        lj = tmp_path / "lj.json"
+        lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "modes", "--structure", str(s),
+            "--lj-params", str(lj),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "non-finite cell" in result.output
+        assert not list(out.iterdir())
 
 
 _BAD_NUMBERS = ("nan", "inf", "-inf", "1e400", "x", "")
@@ -877,11 +916,17 @@ class TestColdStart:
 
 
 def _exit_code(argv):
-    """Exit code of one in-process CLI call; other exceptions propagate."""
+    """Exit code of one in-process CLI call; other exceptions propagate.
+
+    A click usage error (a bad option value) carries the code that the
+    standalone command exits with.
+    """
     try:
         main(argv, standalone_mode=False)
     except SystemExit as exc:
         return exc.code
+    except click.ClickException as exc:
+        return exc.exit_code
     return 0
 
 
@@ -1124,3 +1169,153 @@ class TestConfig:
             for line in (out / "labels.csv").read_text().splitlines()[1:]
         ]
         assert any(labels)
+
+    @pytest.mark.parametrize("text", [
+        b"[global]\nseed = x\n",
+        b"seed = 1\n",
+        b"[stark]\ndelta_mu = 0.05\ndelta_mu = 0.06\n",
+        b"[stark]\ndelta_mu = \xff\n",
+    ], ids=["bad-seed", "no-section-header", "duplicate-key", "not-utf8"])
+    def test_malformed_config_exit_2(self, runner, tmp_path, text):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(text)
+        result = runner.invoke(main, [
+            "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+            "stark", "--delta-mu", "0.05", "--delta-alpha", "600",
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    @staticmethod
+    def _stage_argv(tmp_path, smiles_table, records_csv):
+        """Per stage: global flags and stage flags, each away from its
+        default where the stage allows it."""
+        host, emitter = tmp_path / "host.xyz", tmp_path / "emitter.xyz"
+        write_xyz(lj_lattice(3), host)
+        write_xyz(dimer(r=1.2), emitter)
+        write_xyz(dimer(r=3.8), tmp_path / "dimer.xyz")
+        lj = tmp_path / "lj.json"
+        lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+        (tmp_path / "states.json").write_text(json.dumps({
+            "singlets": [{"energy_eV": 2.2, "fosc": 0.3}],
+            "triplets": [{"energy_eV": 1.5, "soc_s1_cm1": 0.2}],
+        }))
+        (tmp_path / "vib").mkdir()
+        vibronic = TestVibronic._inputs(tmp_path)[1:]
+        records = ["--records", str(records_csv), "--lambda-host", "500"]
+        return {
+            "similarity": ([], ["--smiles", str(smiles_table), "--reference",
+                                "ref", "--nbits", "512", "--radius", "3"]),
+            "map": (["--seed", "4"], [
+                "--smiles", str(smiles_table), "--perplexity", "3",
+                "--min-cluster-size", "2", "--nbits", "512", "--radius", "1",
+                "--out", "m.csv"]),
+            "embed": (["--seed", "7"], [
+                "--host", str(host), "--emitter", str(emitter),
+                "--cutoff", "2.0", "--min-removed", "2", "--max-removed", "2",
+                "--per-count", "1", "--max-trials", "400",
+                "--lj-params", str(lj), "--fmax", "0.05"]),
+            "modes": ([], ["--structure", str(tmp_path / "dimer.xyz"),
+                           "--lj-params", str(lj), "--relax",
+                           "--fmax", "0.005", "--out", "m.json"]),
+            "vibronic": ([], vibronic + ["--emitter-atoms", "2:4",
+                                         "--out", "v.json"]),
+            "spin": ([], ["--states", str(tmp_path / "states.json"),
+                          "--out", "s.json"]),
+            "stark": ([], ["--delta-mu", "0.0616", "--delta-alpha", "612.15",
+                           "--out", "st.json"]),
+            "label": ([], records + ["--no-soc", "--out", "l.csv"]),
+            "classify": ([], records + ["--out", "c.csv"]),
+            "report": ([], records + ["--no-soc", "--vibronic-dir",
+                                      str(tmp_path / "vib")]),
+        }
+
+    @staticmethod
+    def _ini(section, argv):
+        """`--a-b v` becomes `a_b = v` and a bare `--x` becomes `x = true`."""
+        lines = [f"[{section}]"]
+        i = 0
+        while i < len(argv):
+            key = argv[i][2:].replace("-", "_")
+            if i + 1 < len(argv) and not argv[i + 1].startswith("--"):
+                lines.append(f"{key} = {argv[i + 1]}")
+                i += 2
+            else:
+                lines.append(f"{key} = true")
+                i += 1
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def _artifacts(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("stage", ["similarity", "map", "embed", "modes",
+                                       "vibronic", "spin", "stark", "label",
+                                       "classify", "report"])
+    def test_config_run_matches_flag_run(self, runner, tmp_path,
+                                         smiles_table, records_csv, stage):
+        """Every flag of a stage set from the INI file writes the same
+        bytes, manifest included, as the flags; `--field` stays a flag."""
+        global_argv, argv = self._stage_argv(tmp_path, smiles_table,
+                                             records_csv)[stage]
+        out = tmp_path / "out"
+        field = ["--field", "1.5", "--field", "-2"] if stage == "stark" else []
+        result = runner.invoke(main, ["--out-dir", str(out)] + global_argv
+                               + [stage] + argv + field)
+        assert result.exit_code == 0, result.output
+        flag_run = self._artifacts(out)
+        assert f"{stage}_manifest.json" in flag_run
+
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(self._ini("global", global_argv)
+                       + self._ini(stage, argv))
+        for path in out.iterdir():
+            path.unlink()
+        result = runner.invoke(main, ["--config", str(cfg), "--out-dir",
+                                      str(out), stage] + field)
+        assert result.exit_code == 0, result.output
+        assert self._artifacts(out) == flag_run
+
+    @pytest.mark.parametrize("key", ["records", "vibronic_dir"])
+    def test_missing_config_path_exit_2(self, runner, tmp_path, records_csv,
+                                        key):
+        paths = {"records": records_csv, "vibronic_dir": tmp_path}
+        paths[key] = tmp_path / "missing"
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[report]\nrecords = {paths['records']}\n"
+                       f"vibronic_dir = {paths['vibronic_dir']}\n")
+        result = runner.invoke(main, [
+            "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+            "report",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "does not exist" in result.output
+
+    def test_field_is_flag_only(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[stark]\ndelta_mu = 0.0616\ndelta_alpha = 612.15\n"
+                       "field = 1.0\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--config", str(cfg), "--out-dir", str(out), "stark",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--field" in result.output
+        assert not list(out.iterdir())
+
+    def test_missing_required_option(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "--out-dir", str(tmp_path / "out"), "stark", "--delta-mu", "0.05",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "Missing option '--delta-alpha'" in result.output
+
+    def test_stage_name_in_messages(self, runner, tmp_path):
+        table = tmp_path / "table.tsv"
+        table.write_text("")
+        result = runner.invoke(main, [
+            "--out-dir", str(tmp_path / "out"), "map", "--smiles", str(table),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("[map] ")

@@ -118,6 +118,14 @@ class TestContainer:
         with pytest.raises(ValueError):
             AtomicStructure(elements=["H"], positions=np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell(self, bad):
+        cell = np.eye(3) * 10.0
+        cell[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite cell"):
+            AtomicStructure(elements=["H"], positions=np.zeros((1, 3)),
+                            cell=cell)
+
     def test_com_and_translate(self):
         w = water()
         com0 = w.center_of_mass()
