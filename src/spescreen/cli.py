@@ -148,7 +148,10 @@ def _read_config(ctx, param, path):
     """Eager --config callback: load the INI file into click's default_map.
 
     `[global]` keys go to the top level, where the group's options read
-    them; each other section goes under the stage of that name.
+    them; each other section goes under the stage of that name. A section
+    that names no stage, or a key that names no option of its stage (of
+    the group, for `[global]`), is rejected, so a typo cannot fall back to
+    the default unnoticed.
     """
     if path is None:
         return
@@ -159,6 +162,16 @@ def _read_config(ctx, param, path):
         sections = {name: dict(parser[name]) for name in parser.sections()}
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise click.BadParameter(str(exc), ctx, param) from None
+    for name, section in sections.items():
+        command = ctx.command if name == "global" \
+            else ctx.command.commands.get(name)
+        if command is None:
+            raise click.BadParameter(f"[{name}] names no stage", ctx, param)
+        known = {p.name for p in command.params if p.expose_value}
+        for key in section:
+            if key not in known:
+                raise click.BadParameter(f"[{name}] {key} names no option",
+                                         ctx, param)
     ctx.default_map = {**sections.pop("global", {}), **sections}
 
 
@@ -265,6 +278,13 @@ def map_cmd(ctx, smiles, perplexity, min_cluster_size, nbits, radius, out):
     result = tsne(dist, perplexity=perplexity, seed=ctx.obj["seed"],
                   metric="precomputed")
     clusters = hdbscan(result.embedding, min_cluster_size=min_cluster_size)
+    off_target = [ids[i] for i in result.rows_off_target]
+    if off_target:
+        # flagged, not fatal: such a row (equidistant from all others, say)
+        # has the same entropy at every bandwidth
+        click.echo(f"[{ctx.info_name}] {len(off_target)} rows miss the "
+                   "perplexity target by up to "
+                   f"{result.perplexity_error:.3g} nats", err=True)
 
     out_path = _out(ctx, out)
     _write_csv(out_path, ["x", "y", "cluster", "id"], (
@@ -275,7 +295,10 @@ def map_cmd(ctx, smiles, perplexity, min_cluster_size, nbits, radius, out):
         ctx, {"smiles": smiles},
         {"perplexity": perplexity, "min_cluster_size": min_cluster_size,
          "nbits": nbits, "radius": radius, "seed": ctx.obj["seed"],
-         "skipped_rows": skipped},
+         "skipped_rows": skipped, "kl_divergence": result.kl_divergence,
+         "n_iter": result.n_iter, "lr_halvings": result.lr_halvings,
+         "perplexity_error": result.perplexity_error,
+         "rows_off_target": off_target},
         [out_path],
     )
     click.echo(

@@ -5,6 +5,21 @@ the conditional distribution hits the requested perplexity; gradient
 descent runs an early-exaggeration phase followed by a monotone-safeguarded
 final phase (a step that increases the KL divergence is reverted and the
 learning rate halved).
+
+The bisection runs on all rows at once, on the (n, n-1) matrix of
+off-diagonal squared distances, and gives the betas a per-row bisection
+gives, bit for bit: each row keeps its own beta/lo/hi sequence and leaves
+the active set once its entropy is within _BANDWIDTH_TOL. A row's entropy
+sums p log p over exactly its entries p > _EPS, in order. A row with no
+entry at or below _EPS takes the batched row sum, which numpy groups as it
+groups the sum of that row alone; a row with such entries sums its
+compacted entries on its own, because zeros left in place would change
+how the pairwise sum groups the terms.
+
+The gradient loop scales P by the exaggeration once per phase, skips the
+KL divergence in the early phase (where it is not used), and forms the
+gradient's Laplacian in place with the same arithmetic as
+np.diag(pq.sum(axis=1)) - pq, signs of zeros included.
 """
 
 from __future__ import annotations
@@ -27,19 +42,33 @@ _MOMENTUM = 0.5
 _FINAL_MOMENTUM = 0.8
 
 
-def _conditional_probs(d2_row, beta):
-    """P(j|i) for one row of squared distances at precision beta."""
-    logits = -beta * d2_row
-    logits -= logits.max()
+def _off_diagonal(d2):
+    """The (n, n-1) matrix whose row i is d2[i] without its entry i."""
+    n = d2.shape[0]
+    return d2[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+
+
+def _conditional_probs(off, betas):
+    """P(j|i) for rows of squared distances, row i at precision betas[i]."""
+    logits = -betas[:, None] * off
+    logits -= logits.max(axis=1, keepdims=True)
     p = np.exp(logits)
-    p /= p.sum()
+    p /= p.sum(axis=1, keepdims=True)
     return p
 
 
-def _row_entropy(d2_row, beta):
-    p = _conditional_probs(d2_row, beta)
+def _entropies(off, betas):
+    """Shannon entropy of each row of _conditional_probs(off, betas)."""
+    p = _conditional_probs(off, betas)
     nz = p > _EPS
-    return -(p[nz] * np.log(p[nz])).sum()
+    full = nz.all(axis=1)
+    h = np.empty(len(p))
+    pf = p[full]
+    h[full] = -(pf * np.log(pf)).sum(axis=1)
+    for i in np.flatnonzero(~full):
+        pi = p[i, nz[i]]
+        h[i] = -(pi * np.log(pi)).sum()
+    return h
 
 
 def calibrate_bandwidths(d2, perplexity):
@@ -52,49 +81,67 @@ def calibrate_bandwidths(d2, perplexity):
     if not 1.0 < perplexity < n:
         raise ValueError(f"perplexity {perplexity} outside (1, {n})")
     target = np.log(perplexity)
+    off = _off_diagonal(d2)
     betas = np.ones(n)
-    p_cond = np.zeros((n, n))
-    for i in range(n):
-        row = np.delete(d2[i], i)
-        beta, lo, hi = 1.0, 0.0, np.inf
-        for _ in range(_BANDWIDTH_MAX_ITER):
-            h = _row_entropy(row, beta)
-            if abs(h - target) < _BANDWIDTH_TOL:
+    # the rows still bisecting, their distances and their bisection state
+    rows = np.arange(n)
+    act = off
+    beta, lo, hi = betas.copy(), np.zeros(n), np.full(n, np.inf)
+    for _ in range(_BANDWIDTH_MAX_ITER):
+        h = _entropies(act, beta)
+        go = ~(np.abs(h - target) < _BANDWIDTH_TOL)
+        if not go.all():
+            betas[rows[~go]] = beta[~go]
+            rows, act, h = rows[go], act[go], h[go]
+            beta, lo, hi = beta[go], lo[go], hi[go]
+            if not len(rows):
                 break
-            if h > target:   # too flat -> sharpen
-                lo = beta
-                beta = beta * 2.0 if not np.isfinite(hi) else 0.5 * (lo + hi)
-            else:
-                hi = beta
-                beta = beta / 2.0 if lo == 0.0 else 0.5 * (lo + hi)
-        betas[i] = beta
-        p = _conditional_probs(row, beta)
-        p_cond[i, np.arange(n) != i] = p
+        up = h > target      # too flat -> sharpen
+        lo = np.where(up, beta, lo)
+        hi = np.where(up, hi, beta)
+        mid = 0.5 * (lo + hi)
+        beta = np.where(up, np.where(np.isfinite(hi), mid, beta * 2.0),
+                        np.where(lo == 0.0, beta / 2.0, mid))
+    betas[rows] = beta
+    p_cond = np.zeros((n, n))
+    p_cond[~np.eye(n, dtype=bool)] = _conditional_probs(off, betas).ravel()
     return betas, p_cond
+
+
+def _entropy_errors(d2, betas, perplexity):
+    """|H(P_i) - log(perplexity)| of each row."""
+    return np.abs(_entropies(_off_diagonal(d2), betas) - np.log(perplexity))
 
 
 def perplexity_error(d2, betas, perplexity):
     """Max |H(P_i) - log(perplexity)| across rows, for verification."""
-    n = d2.shape[0]
-    target = np.log(perplexity)
-    errs = [
-        abs(_row_entropy(np.delete(d2[i], i), betas[i]) - target)
-        for i in range(n)
-    ]
-    return float(max(errs))
+    # Python's max, so a NaN row is kept or passed over as it always was
+    return float(max(_entropy_errors(d2, betas, perplexity).tolist()))
 
 
-def _kl_and_grad(p_joint, y):
-    n = y.shape[0]
-    d2 = squared_euclidean(y)
-    num = 1.0 / (1.0 + d2)
+def _kl(p_joint, q):
+    return float((p_joint * np.log(p_joint / q)).sum())
+
+
+def _affinities(y):
+    """Student-t kernel 1 / (1 + |y_i - y_j|^2), zero diagonal, and Q."""
+    num = squared_euclidean(y)
+    num += 1.0
+    np.reciprocal(num, out=num)
     np.fill_diagonal(num, 0.0)
     q = num / num.sum()
-    q = np.maximum(q, _EPS)
-    kl = float((p_joint * np.log(np.maximum(p_joint, _EPS) / q)).sum())
-    pq = (p_joint - q) * num
-    grad = 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
-    return kl, grad
+    np.maximum(q, _EPS, out=q)
+    return num, q
+
+
+def _grad(p, num, q, y):
+    pq = p - q
+    pq *= num
+    s = pq.sum(axis=1)
+    diag = s - pq.diagonal()
+    np.subtract(0.0, pq, out=pq)
+    np.fill_diagonal(pq, diag)
+    return 4.0 * (pq @ y)
 
 
 @dataclass
@@ -104,6 +151,10 @@ class TSNEResult:
     betas: np.ndarray
     perplexity_error: float
     n_iter: int
+    # final-phase steps reverted because they raised the KL divergence
+    lr_halvings: int
+    # rows whose entropy the calibration left outside _BANDWIDTH_TOL
+    rows_off_target: np.ndarray
 
 
 def tsne(x, perplexity: float = 50.0, n_iter: int = 1000, seed: int = 0,
@@ -127,33 +178,44 @@ def tsne(x, perplexity: float = 50.0, n_iter: int = 1000, seed: int = 0,
                          "'precomputed'")
     betas, p_cond = calibrate_bandwidths(d2, perplexity)
     perr = perplexity_error(d2, betas, perplexity)
+    off_target = np.flatnonzero(
+        ~(_entropy_errors(d2, betas, perplexity) < _BANDWIDTH_TOL))
     p_joint = (p_cond + p_cond.T) / (2.0 * n)
+    # the floor also keeps every P / Q finite in the KL divergence
     p_joint = np.maximum(p_joint, _EPS)
+    p_early = p_joint * _EARLY_EXAGGERATION
 
     rng = np.random.default_rng(seed)
     y = 1e-4 * rng.standard_normal((n, _N_COMPONENTS))
     vel = np.zeros_like(y)
     lr = _LEARNING_RATE
     kl_prev = np.inf
+    halvings = 0
     it = 0
     for it in range(1, n_iter + 1):
-        exagg = _EARLY_EXAGGERATION if it <= _EARLY_ITER else 1.0
-        mom = _MOMENTUM if it <= _EARLY_ITER else _FINAL_MOMENTUM
-        kl, grad = _kl_and_grad(p_joint * exagg, y)
-        if it > _EARLY_ITER:
+        num, q = _affinities(y)
+        if it <= _EARLY_ITER:
+            grad = _grad(p_early, num, q, y)
+            mom = _MOMENTUM
+        else:
+            kl = _kl(p_joint, q)
             # monotone safeguard: never accept a KL increase
             if kl > kl_prev + 1e-12:
                 y = y_prev
                 vel = np.zeros_like(y)
                 lr *= 0.5
+                halvings += 1
                 if lr < 1e-6:
                     break
                 continue
             kl_prev = kl
+            grad = _grad(p_joint, num, q, y)
+            mom = _FINAL_MOMENTUM
         y_prev = y
         vel = mom * vel - lr * grad
         y = y + vel
         y = y - y.mean(axis=0)
-    kl_final, _ = _kl_and_grad(p_joint, y)
+    kl_final = _kl(p_joint, _affinities(y)[1])
     return TSNEResult(embedding=y, kl_divergence=kl_final, betas=betas,
-                      perplexity_error=perr, n_iter=it)
+                      perplexity_error=perr, n_iter=it,
+                      lr_halvings=halvings, rows_off_target=off_target)

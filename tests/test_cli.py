@@ -136,6 +136,26 @@ class TestMap:
             outs.append((out / "map.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_manifest_counters(self, runner, tmp_path, smiles_table):
+        """The t-SNE counters land in the manifest, and rows no bandwidth
+        fits are flagged there without failing the stage: x2 and x6 share
+        no fingerprint bit with any other row, so every other row is at
+        distance 1 from them."""
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "--seed", "4", "map",
+            "--smiles", str(smiles_table), "--perplexity", "3",
+        ])
+        assert result.exit_code == 0, result.output
+        params = json.loads((out / "map_manifest.json").read_text())[
+            "parameters"]
+        assert params["rows_off_target"] == ["x2", "x6"]
+        # the uniform P(j|i) over 9 rows has entropy log 9, not log 3
+        assert params["perplexity_error"] == pytest.approx(np.log(3.0))
+        assert params["n_iter"] == 1000
+        assert isinstance(params["lr_halvings"], int)
+        assert params["kl_divergence"] > 0.0
+
 
 class TestEmbed:
     def test_embed_outputs(self, runner, tmp_path):
@@ -1186,6 +1206,28 @@ class TestConfig:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("text, name", [
+        ("[starkk]\nout = x.json\n", "[starkk]"),
+        ("delta_muu = 9\n", "delta_muu"),
+        ("[global]\nsed = 1\n", "sed"),
+        ("[global]\nconfig = other.ini\n", "config"),
+        ("[spin]\nstates_file = s.json\n", "states_file"),
+    ], ids=["section", "stage-key", "global-key", "global-config",
+            "other-stage-key"])
+    def test_unknown_config_name_exit_2(self, runner, tmp_path, text, name):
+        """A section or key that names nothing exits 2 and names it, even
+        next to a valid section for the stage that runs."""
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[stark]\ndelta_alpha = 600\n" + text)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--config", str(cfg), "--out-dir", str(out),
+            "stark", "--delta-mu", "0.05",
+        ])
+        assert result.exit_code == 2, result.output
+        assert name in result.output
+        assert not out.exists()
 
     @staticmethod
     def _stage_argv(tmp_path, smiles_table, records_csv):

@@ -27,6 +27,17 @@ from spescreen.ml import (
     rbf_kernel,
     tsne,
 )
+from spescreen.ml.tsne import (
+    _BANDWIDTH_MAX_ITER,
+    _BANDWIDTH_TOL,
+    _EARLY_EXAGGERATION,
+    _EARLY_ITER,
+    _EPS,
+    _FINAL_MOMENTUM,
+    _LEARNING_RATE,
+    _MOMENTUM,
+    _N_COMPONENTS,
+)
 from spescreen.spectro import CandidateRecord
 
 
@@ -571,7 +582,217 @@ class TestSquaredEuclidean:
         assert np.array_equal(np.sqrt(d2), squareform(pdist(x)))
 
 
+# --- the per-row t-SNE the batched kernel replaced, as its oracle: the
+# seed functions verbatim, renamed ref_*; ref_tsne returns a namespace
+
+def ref_conditional_probs(d2_row, beta):
+    """P(j|i) for one row of squared distances at precision beta."""
+    logits = -beta * d2_row
+    logits -= logits.max()
+    p = np.exp(logits)
+    p /= p.sum()
+    return p
+
+
+def ref_row_entropy(d2_row, beta):
+    p = ref_conditional_probs(d2_row, beta)
+    nz = p > _EPS
+    return -(p[nz] * np.log(p[nz])).sum()
+
+
+def ref_calibrate_bandwidths(d2, perplexity):
+    """Bisection for per-point precisions beta so H(P_i) = log(perplexity),
+    to within _BANDWIDTH_TOL nats or _BANDWIDTH_MAX_ITER steps per row.
+
+    Returns (betas, conditional probability matrix with zero diagonal).
+    """
+    n = d2.shape[0]
+    if not 1.0 < perplexity < n:
+        raise ValueError(f"perplexity {perplexity} outside (1, {n})")
+    target = np.log(perplexity)
+    betas = np.ones(n)
+    p_cond = np.zeros((n, n))
+    for i in range(n):
+        row = np.delete(d2[i], i)
+        beta, lo, hi = 1.0, 0.0, np.inf
+        for _ in range(_BANDWIDTH_MAX_ITER):
+            h = ref_row_entropy(row, beta)
+            if abs(h - target) < _BANDWIDTH_TOL:
+                break
+            if h > target:   # too flat -> sharpen
+                lo = beta
+                beta = beta * 2.0 if not np.isfinite(hi) else 0.5 * (lo + hi)
+            else:
+                hi = beta
+                beta = beta / 2.0 if lo == 0.0 else 0.5 * (lo + hi)
+        betas[i] = beta
+        p = ref_conditional_probs(row, beta)
+        p_cond[i, np.arange(n) != i] = p
+    return betas, p_cond
+
+
+def ref_perplexity_error(d2, betas, perplexity):
+    """Max |H(P_i) - log(perplexity)| across rows, for verification."""
+    n = d2.shape[0]
+    target = np.log(perplexity)
+    errs = [
+        abs(ref_row_entropy(np.delete(d2[i], i), betas[i]) - target)
+        for i in range(n)
+    ]
+    return float(max(errs))
+
+
+def ref_kl_and_grad(p_joint, y):
+    n = y.shape[0]
+    d2 = squared_euclidean(y)
+    num = 1.0 / (1.0 + d2)
+    np.fill_diagonal(num, 0.0)
+    q = num / num.sum()
+    q = np.maximum(q, _EPS)
+    kl = float((p_joint * np.log(np.maximum(p_joint, _EPS) / q)).sum())
+    pq = (p_joint - q) * num
+    grad = 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ y)
+    return kl, grad
+
+
+def ref_tsne(x, perplexity: float = 50.0, n_iter: int = 1000, seed: int = 0,
+             metric: str = "euclidean"):
+    """Exact t-SNE embedding of a feature matrix.
+
+    With metric="precomputed", x is interpreted as a square matrix of
+    pairwise distances instead of a feature matrix; any metric other than
+    these two raises ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if metric == "precomputed":
+        if x.shape != (n, n):
+            raise ValueError("precomputed distance matrix must be square")
+        d2 = x**2
+    elif metric == "euclidean":
+        d2 = squared_euclidean(x)
+    else:
+        raise ValueError(f"unknown metric '{metric}': use 'euclidean' or "
+                         "'precomputed'")
+    betas, p_cond = ref_calibrate_bandwidths(d2, perplexity)
+    perr = ref_perplexity_error(d2, betas, perplexity)
+    p_joint = (p_cond + p_cond.T) / (2.0 * n)
+    p_joint = np.maximum(p_joint, _EPS)
+
+    rng = np.random.default_rng(seed)
+    y = 1e-4 * rng.standard_normal((n, _N_COMPONENTS))
+    vel = np.zeros_like(y)
+    lr = _LEARNING_RATE
+    kl_prev = np.inf
+    it = 0
+    for it in range(1, n_iter + 1):
+        exagg = _EARLY_EXAGGERATION if it <= _EARLY_ITER else 1.0
+        mom = _MOMENTUM if it <= _EARLY_ITER else _FINAL_MOMENTUM
+        kl, grad = ref_kl_and_grad(p_joint * exagg, y)
+        if it > _EARLY_ITER:
+            # monotone safeguard: never accept a KL increase
+            if kl > kl_prev + 1e-12:
+                y = y_prev
+                vel = np.zeros_like(y)
+                lr *= 0.5
+                if lr < 1e-6:
+                    break
+                continue
+            kl_prev = kl
+        y_prev = y
+        vel = mom * vel - lr * grad
+        y = y + vel
+        y = y - y.mean(axis=0)
+    kl_final, _ = ref_kl_and_grad(p_joint, y)
+    return SimpleNamespace(embedding=y, kl_divergence=kl_final, betas=betas,
+                           perplexity_error=perr, n_iter=it)
+
+
+@st.composite
+def tsne_inputs(draw):
+    """(x, metric, perplexity): n 8-80 points in d 1-6 as features or as
+    precomputed distances, at scales 1e-3 to 1e3, some rows repeated.
+
+    Blobs up to 300 noise widths apart push far entries of P below 1e-12;
+    a precomputed matrix may hold a row at one distance from all others,
+    whose entropy is the same at every bandwidth.
+    """
+    n = draw(st.integers(8, 80))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blobs = draw(st.integers(1, 4))
+    gap = draw(st.sampled_from([1.0, 10.0, 300.0]))
+    x = rng.standard_normal((n, d)) \
+        + gap * rng.standard_normal((blobs, d))[rng.integers(blobs, size=n)]
+    x *= 10.0 ** draw(st.floats(-3.0, 3.0))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  max_size=5)):
+        x[dst] = x[src]
+    perplexity = draw(st.floats(1.0, float(n), exclude_min=True,
+                                exclude_max=True))
+    if not draw(st.booleans()):
+        return x, "euclidean", perplexity
+    dist = np.sqrt(squared_euclidean(x))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        dist[k, :] = dist[:, k] = dist.max() + 1.0
+        dist[k, k] = 0.0
+    return dist, "precomputed", perplexity
+
+
 class TestTSNE:
+    @settings(max_examples=100, deadline=None)
+    @given(tsne_inputs())
+    def test_calibration_bit_identical_to_per_row(self, case):
+        x, metric, perplexity = case
+        d2 = x**2 if metric == "precomputed" else squared_euclidean(x)
+        betas, p_cond = calibrate_bandwidths(d2, perplexity)
+        ref_betas, ref_p_cond = ref_calibrate_bandwidths(d2, perplexity)
+        assert np.array_equal(betas, ref_betas)
+        assert np.array_equal(p_cond, ref_p_cond)
+        assert perplexity_error(d2, betas, perplexity) == \
+            ref_perplexity_error(d2, betas, perplexity)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tsne_inputs(),
+           st.one_of(st.integers(1, _EARLY_ITER), st.integers(251, 400)),
+           st.integers(0, 2**16))
+    def test_bit_identical_to_per_row(self, case, n_iter, seed):
+        """Embedding, betas, KL, perplexity error and n_iter equal the
+        per-row loop's; the off-target rows are those its entropies put
+        outside the tolerance."""
+        x, metric, perplexity = case
+        res = tsne(x, perplexity=perplexity, n_iter=n_iter, seed=seed,
+                   metric=metric)
+        ref = ref_tsne(x, perplexity=perplexity, n_iter=n_iter, seed=seed,
+                       metric=metric)
+        assert np.array_equal(res.embedding, ref.embedding)
+        assert np.array_equal(res.betas, ref.betas)
+        assert res.kl_divergence == ref.kl_divergence
+        assert res.perplexity_error == ref.perplexity_error
+        assert res.n_iter == ref.n_iter
+        d2 = x**2 if metric == "precomputed" else squared_euclidean(x)
+        target = np.log(perplexity)
+        errs = [abs(ref_row_entropy(np.delete(d2[i], i), b) - target)
+                for i, b in enumerate(res.betas)]
+        assert np.array_equal(res.rows_off_target,
+                              np.flatnonzero(~(np.array(errs)
+                                               < _BANDWIDTH_TOL)))
+        if n_iter <= _EARLY_ITER:
+            assert res.lr_halvings == 0
+
+    def test_equidistant_row_flagged(self):
+        rng = np.random.default_rng(7)
+        dist = np.sqrt(squared_euclidean(rng.normal(size=(30, 3))))
+        dist[4, :] = dist[:, 4] = 10.0
+        dist[4, 4] = 0.0
+        res = tsne(dist, perplexity=5.0, n_iter=300, seed=1,
+                   metric="precomputed")
+        # P(j|4) is uniform at every beta: entropy log 29, not log 5
+        assert list(res.rows_off_target) == [4]
+        assert res.perplexity_error == pytest.approx(np.log(29 / 5))
+
     def test_perplexity_calibration(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(120, 4))

@@ -39,33 +39,43 @@ PBC_PATTERNS = [p for p in itertools.product((False, True), repeat=3)
 # kernel replaced. ref_lj returns (per-pair energies, forces).
 
 def ref_min_image(structure, deltas):
-    """Fractional rounding, then a search over the 27 images, both along
-    periodic axes only: an open axis is neither rounded nor shifted.
+    """Brute force over integer images along the periodic axes only.
 
-    A partly periodic cell returns deltas - n @ cell for the integer image
-    n found, as the kernel does. Fractional rounding misses the minimum
-    for pairs more than a cell apart along a tilted open axis; the
-    structures drawn here keep every pair within one cell.
+    Every integer image m (zero along open axes) with |m| <= 2 max|d| /
+    s_min, s_min the smallest singular value of the periodic lattice
+    vectors, is tried: a shorter image would be longer than d itself. A
+    fully periodic cell measures m from the rounded fractional coordinates
+    and returns (frac - round(frac)) @ cell + m @ cell, a partly periodic
+    one returns deltas - m @ cell; each is the kernel's arithmetic for the
+    image it picks. Tie rule: of images of equal squared length, the first
+    in lexicographic order of m (a, then b, then c) wins, which puts a
+    pair at exactly half a cell at -1/2.
     """
     if structure.cell is None or not any(structure.pbc):
         return deltas
     cell = structure.cell
     periodic = np.array(structure.pbc)
-    frac = deltas @ np.linalg.inv(cell)
-    n = np.where(periodic, np.round(frac), 0.0)
-    best = (frac - n) @ cell
-    steps = np.array([
-        (a, b, c)
-        for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)
-        if not np.any(np.array([a, b, c])[~periodic])
-    ], dtype=float)
-    shifts = np.array([a * cell[0] + b * cell[1] + c * cell[2]
-                       for a, b, c in steps])
-    cand = best[:, None, :] + shifts[None, :, :]
+    if periodic.all():
+        frac = deltas @ np.linalg.inv(cell)
+        base = (frac - np.round(frac)) @ cell
+    else:
+        base = deltas
+    s_min = np.linalg.svd(cell[periodic], compute_uv=False).min()
+    reach = int(2.0 * np.linalg.norm(base, axis=1).max() / s_min)
+    span = range(-reach, reach + 1)
+    images = np.array([m for m in itertools.product(span, repeat=3)
+                       if not np.any(np.array(m)[~periodic])], dtype=float)
+    if periodic.all():
+        shifts = (images[:, :1] * cell[0] + images[:, 1:2] * cell[1]
+                  + images[:, 2:] * cell[2])
+        cand = base[:, None, :] + shifts[None, :, :]
+    else:
+        cand = base[:, None, :] - (images @ cell)[None, :, :]
+    # argmin returns the first of equal minima: the tie rule above
     idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
-    if all(structure.pbc):
-        return cand[np.arange(len(best)), idx]
-    return deltas - (n - steps[idx]) @ cell
+    if periodic.all():
+        return cand[np.arange(len(base)), idx]
+    return deltas - images[idx] @ cell
 
 
 def ref_lj(potential, structure):
@@ -236,6 +246,23 @@ class TestMinimumImage:
         assert np.array_equal(minimum_image(s, deltas),
                               ref_min_image(s, deltas))
 
+    def test_open_axes_lean_over_periodic_one(self):
+        # periodic c only, with open a and b leaning over it: rounding the
+        # full-cell fractional c misses the shortest image for most of
+        # these structures, so the search must not start from it
+        cell = np.array([[11.0, 0.0, 0.0], [2.75, 14.0, 0.0],
+                         [-4.25, -3.10, 6.0]])
+        rng = np.random.default_rng(0)
+        ii, jj = np.triu_indices(28, k=1)
+        for _ in range(20):
+            sites = rng.choice(64, size=28, replace=False)
+            frac = np.stack(np.unravel_index(sites, (4, 4, 4)), axis=1) / 4.0
+            frac += rng.uniform(-0.05, 0.05, size=(28, 3))
+            s = AtomicStructure(elements=["Ar"] * 28, positions=frac @ cell,
+                                cell=cell, pbc=(False, False, True))
+            deltas = s.positions[jj] - s.positions[ii]
+            assert np.array_equal(minimum_image(s, deltas),
+                                  ref_min_image(s, deltas))
 
     @settings(max_examples=80, deadline=None)
     @given(structures())
