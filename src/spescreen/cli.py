@@ -365,13 +365,16 @@ def embed(ctx, host, emitter, cutoff, min_removed, max_removed, per_count,
                           max_trials=max_trials, seed=ctx.obj["seed"])
     host_structure = parse_xyz(host)
     emitter_structure = parse_xyz(emitter)
-    trials = embed_emitter(host_structure, emitter_structure, cfg)
+    counters = {}
+    trials = embed_emitter(host_structure, emitter_structure, cfg,
+                           counters=counters)
 
     binding = None
     if lj_params is not None:
         potential = LennardJonesPotential(_load_lj_params(lj_params))
         _, _, binding = select_most_stable(trials, potential, host_structure,
-                                           emitter_structure, fmax=fmax)
+                                           emitter_structure, fmax=fmax,
+                                           counters=counters)
 
     manifest_path = _out(ctx, "embedding.json")
     prefix = _out(ctx, "embedded_")
@@ -384,7 +387,8 @@ def embed(ctx, host, emitter, cutoff, min_removed, max_removed, per_count,
         ctx, {"host": host, "emitter": emitter, "lj_params": lj_params},
         {"cutoff": cfg.overlap_cutoff, "min_removed": cfg.min_removed,
          "max_removed": cfg.max_removed, "per_count": cfg.structures_per_count,
-         "max_trials": cfg.max_trials, "seed": cfg.seed, "fmax": fmax},
+         "max_trials": cfg.max_trials, "seed": cfg.seed, "fmax": fmax,
+         **counters},
         outputs,
     )
     click.echo(f"accepted {len(trials)} embedded structures")

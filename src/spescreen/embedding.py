@@ -56,8 +56,15 @@ def _random_unit_vector(rng):
 
 
 def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
-                  cfg: EmbeddingConfig):
-    """Run the stochastic embedding loop; returns accepted EmbeddingTrials."""
+                  cfg: EmbeddingConfig, counters: dict | None = None):
+    """Run the stochastic embedding loop; returns accepted EmbeddingTrials.
+
+    A `counters` dict receives `trials_drawn`, `trials_accepted` and the
+    rejections by reason: `rejected_count_range` (removed molecules
+    outside [min_removed, max_removed]), `rejected_per_count_cap` (that
+    count already has structures_per_count trials) and
+    `rejected_containment` (emitter box not strictly inside the host's).
+    """
     if host.cell is None:
         raise ValueError("host must carry a periodic cell")
     rng = np.random.default_rng(cfg.seed)
@@ -68,10 +75,13 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
     walker.translate(host.center_of_mass() - walker.center_of_mass())
     accepted = []
     per_count = {k: 0 for k in range(cfg.min_removed, cfg.max_removed + 1)}
+    drawn = 0
+    rejected = {"count_range": 0, "per_count_cap": 0, "containment": 0}
 
     for trial in range(cfg.max_trials):
         if all(v >= cfg.structures_per_count for v in per_count.values()):
             break
+        drawn += 1
         axis = _random_unit_vector(rng)
         angle = float(rng.uniform(0.0, 360.0))
         walker.rotate(axis, angle)
@@ -86,14 +96,17 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
         removed_mols[labels.labels[(d < cfg.overlap_cutoff).any(axis=1)]] = True
         removed = int(np.count_nonzero(removed_mols))
         if not cfg.min_removed <= removed <= cfg.max_removed:
+            rejected["count_range"] += 1
             continue
         if per_count[removed] >= cfg.structures_per_count:
+            rejected["per_count_cap"] += 1
             continue
         reduced = host.subset(np.flatnonzero(~removed_mols[labels.labels]))
         # containment: emitter bbox strictly inside remaining-host bbox
         hmin, hmax = reduced.positions.min(0), reduced.positions.max(0)
         emin, emax = walker.positions.min(0), walker.positions.max(0)
         if not (np.all(emin > hmin) and np.all(emax < hmax)):
+            rejected["containment"] += 1
             continue
         combined = AtomicStructure(
             elements=list(reduced.elements) + list(walker.elements),
@@ -112,6 +125,9 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
             n_host_atoms=len(reduced),
         ))
         per_count[removed] += 1
+    if counters is not None:
+        counters.update(trials_drawn=drawn, trials_accepted=len(accepted),
+                        **{f"rejected_{k}": v for k, v in rejected.items()})
     return accepted
 
 
@@ -130,7 +146,7 @@ def binding_energy(e_complex: float, e_emitter: float, n_complex: int,
 
 def select_most_stable(trials, potential, host: AtomicStructure,
                        emitter: AtomicStructure, fmax: float = 0.01,
-                       max_steps: int = 500):
+                       max_steps: int = 500, counters: dict | None = None):
     """Relax complex/emitter/host, compute binding energies, return argmin.
 
     Energies are the final energies of the relaxations. Each trial's
@@ -138,6 +154,11 @@ def select_most_stable(trials, potential, host: AtomicStructure,
     only converged complexes take part in the argmin, and every trial keeps
     its (finite) binding energy. Raises FloatingPointError when the emitter
     or the host does not converge, or when no complex does.
+
+    A `counters` dict receives the L-BFGS `iterations`, energy-and-forces
+    `probes` and convergence of the emitter and host relaxations
+    (`emitter_relax_*`, `host_relax_*`), and the iteration and probe totals
+    and unconverged count of the trial relaxations (`trial_relax_*`).
 
     Returns (best_trial, best_binding_energy, per_trial_energies). Ties
     break toward the earliest trial index.
@@ -148,19 +169,31 @@ def select_most_stable(trials, potential, host: AtomicStructure,
     em_res = relax(emitter, potential, fmax=fmax, max_steps=max_steps)
     host_res = relax(host, potential, fmax=fmax, max_steps=max_steps)
     for name, res in (("emitter", em_res), ("host", host_res)):
+        if counters is not None:
+            counters.update({f"{name}_relax_iterations": res.iterations,
+                             f"{name}_relax_probes": res.probes,
+                             f"{name}_relax_converged": res.converged})
         if not res.converged:
             raise FloatingPointError(
                 f"{name} relaxation did not converge "
                 f"(max force {res.max_force:.3e} eV/A)"
             )
     energies = []
+    iterations = probes = 0
     for t in trials:
         res = relax(t.structure, potential, fmax=fmax, max_steps=max_steps)
         t.relax_converged = res.converged
+        iterations += res.iterations
+        probes += res.probes
         energies.append(binding_energy(
             res.energies[-1], em_res.energies[-1], len(t.structure),
             len(emitter), len(host), host_res.energies[-1],
         ))
+    if counters is not None:
+        counters.update(
+            trial_relax_iterations=iterations, trial_relax_probes=probes,
+            trial_relax_unconverged=sum(not t.relax_converged
+                                        for t in trials))
     ranked = [k for k, t in enumerate(trials) if t.relax_converged]
     if not ranked:
         raise FloatingPointError("no complex relaxation converged")

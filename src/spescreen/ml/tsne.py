@@ -9,7 +9,9 @@ learning rate halved).
 The bisection runs on all rows at once, on the (n, n-1) matrix of
 off-diagonal squared distances, and gives the betas a per-row bisection
 gives, bit for bit: each row keeps its own beta/lo/hi sequence and leaves
-the active set once its entropy is within _BANDWIDTH_TOL. A row's entropy
+the active set once its entropy is within _BANDWIDTH_TOL. A row whose
+off-diagonal distances are all equal never enters it: its P row is
+uniform, and its entropy the same, at every beta. A row's entropy
 sums p log p over exactly its entries p > _EPS, in order. A row with no
 entry at or below _EPS takes the batched row sum, which numpy groups as it
 groups the sum of that row alone; a row with such entries sums its
@@ -83,19 +85,22 @@ def calibrate_bandwidths(d2, perplexity):
     target = np.log(perplexity)
     off = _off_diagonal(d2)
     betas = np.ones(n)
-    # the rows still bisecting, their distances and their bisection state
-    rows = np.arange(n)
-    act = off
-    beta, lo, hi = betas.copy(), np.zeros(n), np.full(n, np.inf)
+    # the rows still bisecting, their distances and their bisection state;
+    # a row at one distance from all others has a uniform P(j|i) at every
+    # beta, so it keeps beta = 1 and never enters the bisection
+    rows = np.flatnonzero(~(off == off[:, :1]).all(axis=1))
+    act = off[rows]
+    m = len(rows)
+    beta, lo, hi = np.ones(m), np.zeros(m), np.full(m, np.inf)
     for _ in range(_BANDWIDTH_MAX_ITER):
+        if not len(rows):
+            break
         h = _entropies(act, beta)
         go = ~(np.abs(h - target) < _BANDWIDTH_TOL)
         if not go.all():
             betas[rows[~go]] = beta[~go]
             rows, act, h = rows[go], act[go], h[go]
             beta, lo, hi = beta[go], lo[go], hi[go]
-            if not len(rows):
-                break
         up = h > target      # too flat -> sharpen
         lo = np.where(up, beta, lo)
         hi = np.where(up, hi, beta)

@@ -2,50 +2,87 @@
 
 Shipped providers: a Lennard-Jones pair potential and an adapter that
 replays externally computed energies/forces/Hessians from a JSON file.
-Both are stateless and expose energy(structure) -> eV, forces(structure)
--> (N, 3) eV/A, energy_and_forces(structure) -> (eV, (N, 3) eV/A), which
-relaxation calls once per step, and hessian(structure) -> (3N, 3N) eV/A^2.
+Both expose energy(structure) -> eV, forces(structure) -> (N, 3) eV/A,
+energy_and_forces(structure) -> (eV, (N, 3) eV/A), hessian(structure) ->
+(3N, 3N) eV/A^2, and evaluator(structure), which returns a function of
+positions (N, 3) -> (eV, (N, 3) eV/A) for that structure's elements, cell
+and pbc. Relaxation takes one evaluator per call and probes it once per
+trial step, so everything that does not move with the atoms is built
+once per relaxation, not once per probe.
 
-The Lennard-Jones potential evaluates all i < j pairs in one kernel for
-energy and forces and one for the closed-form Hessian. Periodic
-displacements take `structure.minimum_image`, which decides the images
-along the periodic axes of `pbc` only.
+The Lennard-Jones potential keeps one pair table per element list (the
+i < j index arrays, 4 eps and sigma of each pair, and the flat 3N
+indices its forces scatter to) and rebuilds it only when the element
+list changes. Energy, forces and the closed-form Hessian all evaluate
+that table. Periodic displacements go through
+`structure.minimum_image_map`, which decides the images along the
+periodic axes of `pbc` only and is prepared once per evaluator.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structure import AtomicStructure, minimum_image
+from .structure import AtomicStructure, minimum_image_map
 
 
 def _pair_key(e1, e2):
     return tuple(sorted((e1, e2)))
 
 
-def _upper_pairs(n):
-    """Index arrays (ii, jj) of all pairs i < j in row order.
+class _PairTable:
+    """All i < j pairs of one element list and their LJ parameters.
 
-    Equal to np.triu_indices(n, k=1), which costs several times more at the
-    sizes relaxation evaluates over and over.
+    `ii`, `jj` list the pairs in row order (np.triu_indices(n, k=1), which
+    costs several times more to build); `fi`, `fj` are the flat indices
+    3 i + k and 3 j + k of each pair's force components, in pair order, so
+    each force bin sums its pairs in list order.
     """
-    return np.nonzero(~np.tri(n, dtype=bool))
 
+    def __init__(self, params, elements):
+        n = len(elements)
+        self.n = n
+        self.ii, self.jj = np.nonzero(~np.tri(n, dtype=bool))
+        types = {e: k for k, e in enumerate(dict.fromkeys(elements))}
+        codes = np.array([types[e] for e in elements], dtype=int)
+        table = np.array([
+            [params.get(_pair_key(a, b), (np.nan, np.nan)) for b in types]
+            for a in types
+        ], dtype=float)
+        pp = table[codes[self.ii], codes[self.jj]]
+        missing = np.isnan(pp[:, 0])
+        if missing.any():
+            k = int(np.argmax(missing))
+            e1, e2 = elements[self.ii[k]], elements[self.jj[k]]
+            raise KeyError(f"missing LJ parameters for pair {e1}-{e2}")
+        self.eps4 = 4.0 * pp[:, 0]
+        self.sigma = pp[:, 1]
+        axes = np.arange(3)
+        self.fi = (3 * self.ii[:, None] + axes).ravel()
+        self.fj = (3 * self.jj[:, None] + axes).ravel()
 
-def _scatter_forces(n, ii, jj, weights):
-    """Per-atom forces from (3, P) pair weights (dE/dr) d/r, +i and -j."""
-    return np.stack([
-        np.bincount(ii, weights=w, minlength=n)
-        - np.bincount(jj, weights=w, minlength=n)
-        for w in weights
-    ], axis=1)
+    def terms(self, positions, image):
+        """Minimum-image vectors j - i, their lengths r, (sigma/r)^6 and
+        dE/dr of every pair."""
+        deltas = image(positions.take(self.jj, axis=0)
+                       - positions.take(self.ii, axis=0))
+        r = np.linalg.norm(deltas, axis=1)
+        sr6 = (self.sigma / r) ** 6
+        dedr = self.eps4 * (-12.0 * sr6 * sr6 + 6.0 * sr6) / r
+        return deltas, r, sr6, dedr
 
 
 class LennardJonesPotential:
-    """Pairwise 4*eps*((sigma/r)^12 - (sigma/r)^6) with per-element-pair params."""
+    """Pairwise 4*eps*((sigma/r)^12 - (sigma/r)^6) with per-element-pair params.
+
+    The params are fixed at construction; the pair table of the last
+    element list evaluated is kept and reused.
+    """
 
     def __init__(self, params):
         # params: {("C","C"): (eps_eV, sigma_A), ...}
@@ -53,41 +90,37 @@ class LennardJonesPotential:
         for eps, sigma in self.params.values():
             if eps <= 0 or sigma <= 0:
                 raise ValueError("LJ parameters must be positive")
+        self._table = None      # (element tuple, its _PairTable)
 
-    def _pair_params(self, elements, ii, jj):
-        """Per-pair (eps, sigma) gathered from an element-type table."""
-        types = {e: k for k, e in enumerate(dict.fromkeys(elements))}
-        codes = np.array([types[e] for e in elements], dtype=int)
-        table = np.array([
-            [self.params.get(_pair_key(a, b), (np.nan, np.nan)) for b in types]
-            for a in types
-        ], dtype=float)
-        pp = table[codes[ii], codes[jj]]
-        missing = np.isnan(pp[:, 0])
-        if missing.any():
-            k = int(np.argmax(missing))
-            e1, e2 = elements[ii[k]], elements[jj[k]]
-            raise KeyError(f"missing LJ parameters for pair {e1}-{e2}")
-        return pp[:, 0], pp[:, 1]
+    def _pair_table(self, elements):
+        key = tuple(elements)
+        if self._table is None or self._table[0] != key:
+            self._table = (key, _PairTable(self.params, key))
+        return self._table[1]
 
-    def _pairs(self, structure):
-        """All i < j pairs: (ii, jj), minimum-image vectors j - i, their
-        lengths r, eps, (sigma/r)^6 and dE/dr."""
-        ii, jj = _upper_pairs(len(structure))
-        eps, sigma = self._pair_params(structure.elements, ii, jj)
-        positions = structure.positions
-        deltas = minimum_image(structure, np.take(positions, jj, axis=0)
-                               - np.take(positions, ii, axis=0))
-        r = np.linalg.norm(deltas, axis=1)
-        sr6 = (sigma / r) ** 6
-        dedr = 4.0 * eps * (-12.0 * sr6 * sr6 + 6.0 * sr6) / r
-        return ii, jj, deltas, r, eps, sr6, dedr
+    def evaluator(self, structure):
+        """positions (N, 3) -> (energy, forces) for the elements, cell and
+        pbc of `structure`; the pair table and image map are built here.
+
+        Forces scatter each pair's (dE/dr) d/r to +i and -j with one
+        bincount per sign over the flat 3N components.
+        """
+        table = self._pair_table(structure.elements)
+        image = minimum_image_map(structure.cell, structure.pbc)
+        n3 = 3 * table.n
+
+        def evaluate(positions):
+            deltas, r, sr6, dedr = table.terms(positions, image)
+            energy = float((table.eps4 * (sr6 * sr6 - sr6)).sum())
+            w = (deltas * (dedr / r)[:, None]).ravel()
+            forces = (np.bincount(table.fi, weights=w, minlength=n3)
+                      - np.bincount(table.fj, weights=w, minlength=n3))
+            return energy, forces.reshape(-1, 3)
+
+        return evaluate
 
     def energy_and_forces(self, structure):
-        ii, jj, deltas, r, eps, sr6, dedr = self._pairs(structure)
-        energy = float(np.sum(4.0 * eps * (sr6 * sr6 - sr6)))
-        return energy, _scatter_forces(len(structure), ii, jj,
-                                       (dedr / r) * deltas.T)
+        return self.evaluator(structure)(structure.positions)
 
     def energy(self, structure) -> float:
         return self.energy_and_forces(structure)[0]
@@ -105,13 +138,17 @@ class LennardJonesPotential:
         equals H.T bit for bit.
         """
         n = len(structure)
-        ii, jj, deltas, r, eps, sr6, dedr = self._pairs(structure)
+        table = self._pair_table(structure.elements)
+        deltas, r, sr6, dedr = table.terms(
+            structure.positions,
+            minimum_image_map(structure.cell, structure.pbc))
         u = deltas / r[:, None]
         uu = u[:, :, None] * u[:, None, :]
-        d2edr2 = 4.0 * eps * (156.0 * sr6 * sr6 - 42.0 * sr6) / r ** 2
+        d2edr2 = table.eps4 * (156.0 * sr6 * sr6 - 42.0 * sr6) / r ** 2
         block = (d2edr2[:, None, None] * uu
                  + (dedr / r)[:, None, None] * (np.eye(3) - uu))
         H = np.zeros((n, n, 3, 3))
+        ii, jj = table.ii, table.jj
         for a, b, sign in ((ii, ii, 1.0), (jj, jj, 1.0),
                            (ii, jj, -1.0), (jj, ii, -1.0)):
             np.add.at(H, (a, b), sign * block)
@@ -160,8 +197,14 @@ class ExternalPotential:
         self._check(structure)
         return self._forces.copy()
 
+    def evaluator(self, structure):
+        """positions -> (the file's energy, a copy of its forces), after one
+        atom-count check."""
+        self._check(structure)
+        return lambda positions: (self._energy, self._forces.copy())
+
     def energy_and_forces(self, structure):
-        return self.energy(structure), self.forces(structure)
+        return self.evaluator(structure)(structure.positions)
 
     def hessian(self, structure) -> np.ndarray:
         self._check(structure)
@@ -179,6 +222,7 @@ class RelaxationResult:
     iterations: int
     converged: bool
     energies: list = field(default_factory=list)
+    probes: int = 0             # energy-and-forces evaluations
 
 
 def max_force_norm(forces) -> float:
@@ -195,77 +239,79 @@ def relax(structure: AtomicStructure, potential, fmax: float = 0.01,
 
     Stops when the largest per-atom force norm drops to fmax (eV/A) or the
     step budget is exhausted. Accepted-step energies are non-increasing.
-    Every probe makes one potential.energy_and_forces call.
+    Takes one `potential.evaluator(structure)` and probes it once per
+    trial step; `probes` counts those calls.
     """
     if not (np.isfinite(fmax) and fmax > 0):
         raise ValueError("fmax must be positive and finite")
+    evaluate = potential.evaluator(structure)
     current = structure.copy()
     x = current.positions.ravel().copy()
-    n = x.size
-
-    def eval_at(vec):
-        current.positions = vec.reshape(-1, 3)
-        return potential.energy_and_forces(current)
-
-    e, f = eval_at(x)
+    e, f = evaluate(x.reshape(-1, 3))
     if not np.isfinite(e):
         raise ValueError("initial energy is not finite")
     energies = [e]
-    s_list, y_list, rho_list = [], [], []
-    g = -f.ravel()  # gradient
+    probes = 1
     it = 0
+
+    def done(mf, converged):
+        current.positions = x.reshape(-1, 3)
+        return RelaxationResult(current, mf, it, converged, energies, probes)
+
+    # (s, y, rho) of the last _LBFGS_MEMORY accepted steps, oldest first;
+    # gamma = s.y / y.y of the newest
+    memory = deque(maxlen=_LBFGS_MEMORY)
+    gamma = None
+    alphas = []
+    buf = np.empty(x.size)
+    g = -f.ravel()  # gradient
     while it < max_steps:
-        if max_force_norm(f) <= fmax:
-            return RelaxationResult(current, max_force_norm(f), it, True, energies)
-        # two-loop recursion
+        mf = max_force_norm(f)
+        if mf <= fmax:
+            return done(mf, True)
+        # two-loop recursion; ndarray.dot is the BLAS ddot that @ calls,
+        # with less dispatch, and the products reuse one buffer
         q = g.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-            a = rho * (s @ q)
+        alphas.clear()
+        for s, y, rho in reversed(memory):
+            a = rho * s.dot(q)
             alphas.append(a)
-            q -= a * y
-        if y_list:
-            gamma = (s_list[-1] @ y_list[-1]) / (y_list[-1] @ y_list[-1])
+            q -= np.multiply(a, y, out=buf)
+        if memory:
             q *= gamma
-        for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
-            b = rho * (y @ q)
-            q += (a - b) * s
+        for (s, y, rho), a in zip(memory, reversed(alphas)):
+            b = rho * y.dot(q)
+            q += np.multiply(a - b, s, out=buf)
         d = -q
-        if d @ g >= 0:  # not a descent direction; restart
+        if d.dot(g) >= 0:  # not a descent direction; restart
             d = -g
-            s_list, y_list, rho_list = [], [], []
+            memory.clear()
         # cap the largest single-atom displacement per trial step
         dmax = np.linalg.norm(d.reshape(-1, 3), axis=1).max()
         step = min(1.0, _MAX_DISPLACEMENT / dmax) if dmax > 0 else 1.0
         accepted = False
         for _ in range(30):
             x_new = x + step * d
-            e_new, f_new = eval_at(x_new)
-            if np.isfinite(e_new) and e_new <= e + 1e-12:
+            e_new, f_new = evaluate(x_new.reshape(-1, 3))
+            probes += 1
+            if math.isfinite(e_new) and e_new <= e + 1e-12:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
-            current.positions = x.reshape(-1, 3)
-            return RelaxationResult(current, max_force_norm(f), it, False, energies)
+            return done(mf, False)
         g_new = -f_new.ravel()
         s_vec = x_new - x
         y_vec = g_new - g
-        sy = s_vec @ y_vec
+        sy = s_vec.dot(y_vec)
         if sy > 1e-12:
-            s_list.append(s_vec)
-            y_list.append(y_vec)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > _LBFGS_MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            memory.append((s_vec, y_vec, 1.0 / sy))
+            gamma = sy / y_vec.dot(y_vec)
         x, e, f, g = x_new, e_new, f_new, g_new
         energies.append(e)
         it += 1
-    current.positions = x.reshape(-1, 3)
     mf = max_force_norm(f)
-    return RelaxationResult(current, mf, it, mf <= fmax, energies)
+    return done(mf, mf <= fmax)
 
 
 # --- Hessian ---------------------------------------------------------------

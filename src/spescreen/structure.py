@@ -2,11 +2,11 @@
 
 Provides extended-XYZ read/write, covalent neighbor lists, and molecule
 identification via connected components of the covalent-bond graph. The
-periodic-image rule lives here alone: `minimum_image` (which the pair
-potentials call) and `neighbor_list` both search `lattice_translations`,
-and axis k has images only when `pbc[k]` is true. `neighbor_list` and
-`identify_molecules` import scipy when called, so stages that only read
-and write structures never load it.
+periodic-image rule lives here alone: `minimum_image_map` (which the pair
+potential prepares once per cell) and `neighbor_list` both search
+`lattice_translations`, and axis k has images only when `pbc[k]` is
+true. `neighbor_list` and `identify_molecules` import scipy when called,
+so stages that only read and write structures never load it.
 """
 
 from __future__ import annotations
@@ -160,23 +160,41 @@ def write_xyz(structure: AtomicStructure, path, comment=""):
 _IMAGES = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
 
 
+def _periodic_images(pbc) -> np.ndarray:
+    """The `_IMAGES` rows that are 0 along every open axis of `pbc`."""
+    if all(pbc):
+        return _IMAGES
+    open_axes = ~np.asarray(pbc, dtype=bool)
+    return _IMAGES[~_IMAGES[:, open_axes].any(axis=1)]
+
+
+def _translations(cell, pbc) -> np.ndarray:
+    images = _periodic_images(pbc)
+    return (images[:, :1] * cell[0] + images[:, 1:2] * cell[1]
+            + images[:, 2:] * cell[2])
+
+
 def lattice_translations(structure: AtomicStructure) -> np.ndarray:
     """Cartesian translations (m, 3) a*cell[0] + b*cell[1] + c*cell[2].
 
     a, b, c run over {-1, 0, 1} along periodic axes and are 0 along open
     ones, in `_IMAGES` order: 27 images when all three axes are periodic.
     """
-    images = _IMAGES
-    if not all(structure.pbc):
-        open_axes = ~np.asarray(structure.pbc, dtype=bool)
-        images = _IMAGES[~_IMAGES[:, open_axes].any(axis=1)]
-    cell = structure.cell
-    return (images[:, :1] * cell[0] + images[:, 1:2] * cell[1]
-            + images[:, 2:] * cell[2])
+    return _translations(structure.cell, structure.pbc)
 
 
-def minimum_image(structure: AtomicStructure, deltas) -> np.ndarray:
-    """Apply the minimum-image convention to displacement vectors (P, 3).
+def _unchanged(deltas):
+    return deltas
+
+
+def minimum_image_map(cell, pbc):
+    """The minimum-image convention of one (cell, pbc), prepared once.
+
+    Returns a function that maps displacement vectors (P, 3) to their
+    shortest images. Everything that depends on the cell alone (its
+    inverse, the diagonal-Gram test, the periodic sub-lattice's
+    pseudo-inverse and images) is computed here, so a relaxation that
+    evaluates one cell many times builds it once.
 
     In a fully periodic cell fractional coordinates are rounded: the exact
     minimum image when the Gram matrix of the lattice is diagonal, where a
@@ -184,30 +202,58 @@ def minimum_image(structure: AtomicStructure, deltas) -> np.ndarray:
     cells then search the `lattice_translations` for the shortest image.
     A cell periodic along some axes only rounds the least-squares
     coordinates in its periodic sub-lattice instead, searches their +-1
-    neighbours and returns deltas - n @ cell, n integer.
+    neighbours and returns deltas - n @ cell, n integer. Without a cell or
+    a periodic axis the map returns its input.
     """
-    if structure.cell is None or not any(structure.pbc):
-        return deltas
-    cell = structure.cell
-    if not all(structure.pbc):
+    if cell is None or not any(pbc):
+        return _unchanged
+    # a copy: the map must not follow later in-place edits of the cell
+    cell = np.array(cell, dtype=float)
+    if not all(pbc):
         # fractional rounding ignores the tilt of an open axis: a pair
         # several cells apart along it would land beyond the +-1 search
-        periodic = np.asarray(structure.pbc, dtype=bool)
-        n = np.zeros((len(deltas), 3))
-        n[:, periodic] = np.round(deltas @ np.linalg.pinv(cell[periodic]))
-        images = _IMAGES[~_IMAGES[:, ~periodic].any(axis=1)]
-        cand = (deltas - n @ cell)[:, None, :] + (images @ cell)[None, :, :]
-        idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
-        return deltas - (n - images[idx]) @ cell
-    frac = deltas @ np.linalg.inv(cell)
-    frac -= np.round(frac)
+        periodic = np.asarray(pbc, dtype=bool)
+        pinv = np.linalg.pinv(cell[periodic])
+        images = _periodic_images(pbc)
+        shifts = images @ cell
+
+        def partial(deltas):
+            n = np.zeros((len(deltas), 3))
+            n[:, periodic] = np.round(deltas @ pinv)
+            cand = (deltas - n @ cell)[:, None, :] + shifts[None, :, :]
+            idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
+            return deltas - (n - images[idx]) @ cell
+
+        return partial
+    inv = np.linalg.inv(cell)
     if np.count_nonzero(cell @ cell.T) == 3:
-        frac[frac == 0.5] = -0.5
-        return frac @ cell
-    best = frac @ cell
-    cand = best[:, None, :] + lattice_translations(structure)[None, :, :]
-    idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
-    return cand[np.arange(len(best)), idx]
+        def diagonal(deltas):
+            frac = deltas @ inv
+            frac -= np.round(frac)
+            frac[frac == 0.5] = -0.5
+            return frac @ cell
+
+        return diagonal
+    shifts = _translations(cell, pbc)
+
+    def skewed(deltas):
+        frac = deltas @ inv
+        frac -= np.round(frac)
+        best = frac @ cell
+        cand = best[:, None, :] + shifts[None, :, :]
+        idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
+        return cand[np.arange(len(best)), idx]
+
+    return skewed
+
+
+def minimum_image(structure: AtomicStructure, deltas) -> np.ndarray:
+    """Apply the minimum-image convention to displacement vectors (P, 3).
+
+    One call through `minimum_image_map(structure.cell, structure.pbc)`,
+    which states the rule.
+    """
+    return minimum_image_map(structure.cell, structure.pbc)(deltas)
 
 
 # --- neighbor list ---------------------------------------------------------

@@ -174,6 +174,42 @@ class TestEmbed:
         assert manifest["accepted"]
         for rec in manifest["accepted"]:
             assert (out / rec["xyz"].split("/")[-1]).exists()
+        params = json.loads((out / "embed_manifest.json").read_text())[
+            "parameters"]
+        assert params["trials_accepted"] == len(manifest["accepted"])
+        assert params["trials_drawn"] == params["trials_accepted"] + sum(
+            params[f"rejected_{k}"]
+            for k in ("count_range", "per_count_cap", "containment"))
+        # no relaxation without --lj-params
+        assert not any("relax" in key for key in params)
+
+    def test_embed_relaxation_counters(self, runner, tmp_path):
+        host = tmp_path / "host.xyz"
+        emitter = tmp_path / "emitter.xyz"
+        write_xyz(lj_lattice(3, spacing=3.8), host)
+        write_xyz(dimer(r=1.2), emitter)
+        lj = tmp_path / "lj.json"
+        lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "--seed", "7", "embed",
+            "--host", str(host), "--emitter", str(emitter),
+            "--cutoff", "2.0", "--min-removed", "2", "--max-removed", "3",
+            "--per-count", "1", "--max-trials", "4000",
+            "--lj-params", str(lj),
+        ])
+        assert result.exit_code == 0, result.output
+        params = json.loads((out / "embed_manifest.json").read_text())[
+            "parameters"]
+        n = len(json.loads((out / "embedding.json").read_text())["accepted"])
+        assert params["trials_accepted"] == n
+        for part in ("emitter", "host"):
+            assert params[f"{part}_relax_converged"] is True
+            assert params[f"{part}_relax_probes"] >= \
+                params[f"{part}_relax_iterations"] + 1
+        assert params["trial_relax_probes"] >= \
+            params["trial_relax_iterations"] + n
+        assert 0 <= params["trial_relax_unconverged"] <= n
 
     def test_bad_lj_params_exit_2(self, runner, tmp_path):
         host = tmp_path / "host.xyz"

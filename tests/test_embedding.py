@@ -12,7 +12,7 @@ from spescreen.embedding import (
     select_most_stable,
     write_manifest,
 )
-from spescreen.potential import LennardJonesPotential
+from spescreen.potential import LennardJonesPotential, relax
 
 from conftest import dimer, lj_lattice
 
@@ -39,10 +39,10 @@ class StalledLJ:
     def __init__(self, *sizes):
         self.sizes = sizes
 
-    def energy_and_forces(self, structure):
+    def evaluator(self, structure):
         if len(structure) in self.sizes:
-            return -100.0, np.ones((len(structure), 3))
-        return AR_LJ.energy_and_forces(structure)
+            return lambda positions: (-100.0, np.ones((len(structure), 3)))
+        return AR_LJ.evaluator(structure)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,50 @@ class TestContract:
             assert ta.trial_index == tb.trial_index
             assert np.array_equal(ta.structure.positions,
                                   tb.structure.positions)
+
+
+class TestCounters:
+    def test_trials_add_up(self):
+        host, emitter, cfg, trials = small_run(per_count=2, max_trials=3000)
+        counters = {}
+        again = embed_emitter(host, emitter, cfg, counters=counters)
+        assert [t.trial_index for t in again] == \
+            [t.trial_index for t in trials]
+        assert counters["trials_accepted"] == len(trials)
+        assert counters["trials_drawn"] == (
+            counters["trials_accepted"] + counters["rejected_count_range"]
+            + counters["rejected_per_count_cap"]
+            + counters["rejected_containment"])
+        # the budget ran out, or every count filled up at the last draw
+        assert counters["trials_drawn"] in (cfg.max_trials,
+                                            trials[-1].trial_index + 1)
+        assert counters["rejected_count_range"] > 0
+        assert counters["rejected_per_count_cap"] > 0
+
+    def test_relaxation_counters(self):
+        host, emitter, cfg, trials = small_run(per_count=2, max_trials=800)
+        stalled = next(len(t.structure) for t in trials
+                       if len(t.structure) != len(host))
+        potential = StalledLJ(stalled)
+        counters = {}
+        select_most_stable(trials, potential, host, emitter, fmax=0.05,
+                           max_steps=200, counters=counters)
+        runs = {name: relax(s, potential, fmax=0.05, max_steps=200)
+                for name, s in (("emitter", emitter), ("host", host))}
+        for name, res in runs.items():
+            assert counters[f"{name}_relax_iterations"] == res.iterations
+            assert counters[f"{name}_relax_probes"] == res.probes
+            assert counters[f"{name}_relax_converged"] is True
+        results = [relax(t.structure, potential, fmax=0.05, max_steps=200)
+                   for t in trials]
+        assert counters["trial_relax_iterations"] == sum(
+            r.iterations for r in results)
+        assert counters["trial_relax_probes"] == sum(
+            r.probes for r in results)
+        assert counters["trial_relax_unconverged"] == sum(
+            len(t.structure) == stalled for t in trials) > 0
+        # a probe per step at least, and the starting point
+        assert all(r.probes >= r.iterations + 1 for r in results)
 
 
 class TestBindingEnergy:

@@ -1,5 +1,6 @@
 """Labeling, PCA, GPC, t-SNE, and HDBSCAN tests."""
 
+import importlib
 import sys
 from dataclasses import fields
 from types import SimpleNamespace
@@ -39,6 +40,9 @@ from spescreen.ml.tsne import (
     _N_COMPONENTS,
 )
 from spescreen.spectro import CandidateRecord
+
+# the module, which `spescreen.ml.tsne` the function shadows
+tsne_module = importlib.import_module("spescreen.ml.tsne")
 
 
 def random_records(rng, n):
@@ -741,6 +745,24 @@ def tsne_inputs(draw):
     return dist, "precomputed", perplexity
 
 
+def equidistant_rows(d2):
+    """Rows whose off-diagonal entries are all equal."""
+    return np.array([len(set(np.delete(row, i).tolist())) == 1
+                     for i, row in enumerate(d2)])
+
+
+def assert_betas_match(betas, ref_betas, d2):
+    """Bit-equal to the per-row loop's betas, except on equidistant rows.
+
+    The loop doubles or halves such a row's beta for all its steps, while
+    its P row is uniform at every beta; the batched calibration leaves it
+    at beta = 1.
+    """
+    same = equidistant_rows(d2)
+    assert np.array_equal(betas[~same], ref_betas[~same])
+    assert np.all(betas[same] == 1.0)
+
+
 class TestTSNE:
     @settings(max_examples=100, deadline=None)
     @given(tsne_inputs())
@@ -749,7 +771,7 @@ class TestTSNE:
         d2 = x**2 if metric == "precomputed" else squared_euclidean(x)
         betas, p_cond = calibrate_bandwidths(d2, perplexity)
         ref_betas, ref_p_cond = ref_calibrate_bandwidths(d2, perplexity)
-        assert np.array_equal(betas, ref_betas)
+        assert_betas_match(betas, ref_betas, d2)
         assert np.array_equal(p_cond, ref_p_cond)
         assert perplexity_error(d2, betas, perplexity) == \
             ref_perplexity_error(d2, betas, perplexity)
@@ -767,12 +789,12 @@ class TestTSNE:
                    metric=metric)
         ref = ref_tsne(x, perplexity=perplexity, n_iter=n_iter, seed=seed,
                        metric=metric)
+        d2 = x**2 if metric == "precomputed" else squared_euclidean(x)
         assert np.array_equal(res.embedding, ref.embedding)
-        assert np.array_equal(res.betas, ref.betas)
+        assert_betas_match(res.betas, ref.betas, d2)
         assert res.kl_divergence == ref.kl_divergence
         assert res.perplexity_error == ref.perplexity_error
         assert res.n_iter == ref.n_iter
-        d2 = x**2 if metric == "precomputed" else squared_euclidean(x)
         target = np.log(perplexity)
         errs = [abs(ref_row_entropy(np.delete(d2[i], i), b) - target)
                 for i, b in enumerate(res.betas)]
@@ -792,6 +814,37 @@ class TestTSNE:
         # P(j|4) is uniform at every beta: entropy log 29, not log 5
         assert list(res.rows_off_target) == [4]
         assert res.perplexity_error == pytest.approx(np.log(29 / 5))
+
+    def test_equidistant_rows_leave_the_bisection(self):
+        """Two rows no bandwidth fits, as in a map of 60 molecules where
+        two share no fingerprint bit with the rest: they no longer keep
+        the bisection running for all its steps."""
+        rng = np.random.default_rng(7)
+        dist = np.sqrt(squared_euclidean(rng.normal(size=(60, 3))))
+        for k in (4, 31):
+            dist[k, :] = dist[:, k] = 10.0
+        np.fill_diagonal(dist, 0.0)
+        d2 = dist ** 2
+        with mock.patch.object(tsne_module, "_entropies",
+                               wraps=tsne_module._entropies) as spy:
+            betas, p_cond = calibrate_bandwidths(d2, 5.0)
+        assert spy.call_count < _BANDWIDTH_MAX_ITER // 4
+        ref_betas, ref_p_cond = ref_calibrate_bandwidths(d2, 5.0)
+        assert np.flatnonzero(equidistant_rows(d2)).tolist() == [4, 31]
+        assert_betas_match(betas, ref_betas, d2)
+        assert np.array_equal(p_cond, ref_p_cond)
+        assert perplexity_error(d2, betas, 5.0) == \
+            ref_perplexity_error(d2, ref_betas, 5.0)
+
+    def test_all_rows_equidistant(self):
+        # a regular simplex: every P row is uniform, nothing to bisect
+        d2 = 1.0 - np.eye(6)
+        with mock.patch.object(tsne_module, "_entropies",
+                               wraps=tsne_module._entropies) as spy:
+            betas, p_cond = calibrate_bandwidths(d2, 3.0)
+        assert spy.call_count == 0
+        assert np.array_equal(betas, np.ones(6))
+        assert np.array_equal(p_cond, ref_calibrate_bandwidths(d2, 3.0)[1])
 
     def test_perplexity_calibration(self):
         rng = np.random.default_rng(8)

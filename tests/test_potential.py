@@ -8,14 +8,23 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spescreen.potential import (
+    _LBFGS_MEMORY,
+    _MAX_DISPLACEMENT,
     ExternalPotential,
     LennardJonesPotential,
+    RelaxationResult,
     _pair_key,
     hessian_finite_difference,
     max_force_norm,
     relax,
 )
-from spescreen.structure import AtomicStructure, minimum_image
+from spescreen.structure import (
+    _IMAGES,
+    AtomicStructure,
+    lattice_translations,
+    minimum_image,
+    minimum_image_map,
+)
 
 from conftest import dimer, lj_lattice
 
@@ -493,3 +502,302 @@ class TestExternalPotential:
         p.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="non-finite"):
             ExternalPotential(p)
+
+
+# --- the per-probe kernel the prepared pair table and image map replaced:
+# the seed's minimum_image, _upper_pairs, _scatter_forces, _pair_params,
+# _pairs, energy_and_forces, hessian and relax verbatim, renamed ref_*.
+# The prepared kernel must equal them bit for bit.
+
+def ref_minimum_image(structure, deltas):
+    if structure.cell is None or not any(structure.pbc):
+        return deltas
+    cell = structure.cell
+    if not all(structure.pbc):
+        # fractional rounding ignores the tilt of an open axis: a pair
+        # several cells apart along it would land beyond the +-1 search
+        periodic = np.asarray(structure.pbc, dtype=bool)
+        n = np.zeros((len(deltas), 3))
+        n[:, periodic] = np.round(deltas @ np.linalg.pinv(cell[periodic]))
+        images = _IMAGES[~_IMAGES[:, ~periodic].any(axis=1)]
+        cand = (deltas - n @ cell)[:, None, :] + (images @ cell)[None, :, :]
+        idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
+        return deltas - (n - images[idx]) @ cell
+    frac = deltas @ np.linalg.inv(cell)
+    frac -= np.round(frac)
+    if np.count_nonzero(cell @ cell.T) == 3:
+        frac[frac == 0.5] = -0.5
+        return frac @ cell
+    best = frac @ cell
+    cand = best[:, None, :] + lattice_translations(structure)[None, :, :]
+    idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
+    return cand[np.arange(len(best)), idx]
+
+
+def ref_upper_pairs(n):
+    return np.nonzero(~np.tri(n, dtype=bool))
+
+
+def ref_scatter_forces(n, ii, jj, weights):
+    return np.stack([
+        np.bincount(ii, weights=w, minlength=n)
+        - np.bincount(jj, weights=w, minlength=n)
+        for w in weights
+    ], axis=1)
+
+
+def ref_pair_params(potential, elements, ii, jj):
+    types = {e: k for k, e in enumerate(dict.fromkeys(elements))}
+    codes = np.array([types[e] for e in elements], dtype=int)
+    table = np.array([
+        [potential.params.get(_pair_key(a, b), (np.nan, np.nan))
+         for b in types]
+        for a in types
+    ], dtype=float)
+    pp = table[codes[ii], codes[jj]]
+    missing = np.isnan(pp[:, 0])
+    if missing.any():
+        k = int(np.argmax(missing))
+        e1, e2 = elements[ii[k]], elements[jj[k]]
+        raise KeyError(f"missing LJ parameters for pair {e1}-{e2}")
+    return pp[:, 0], pp[:, 1]
+
+
+def ref_pairs(potential, structure):
+    ii, jj = ref_upper_pairs(len(structure))
+    eps, sigma = ref_pair_params(potential, structure.elements, ii, jj)
+    positions = structure.positions
+    deltas = ref_minimum_image(structure, np.take(positions, jj, axis=0)
+                               - np.take(positions, ii, axis=0))
+    r = np.linalg.norm(deltas, axis=1)
+    sr6 = (sigma / r) ** 6
+    dedr = 4.0 * eps * (-12.0 * sr6 * sr6 + 6.0 * sr6) / r
+    return ii, jj, deltas, r, eps, sr6, dedr
+
+
+def ref_energy_and_forces(potential, structure):
+    ii, jj, deltas, r, eps, sr6, dedr = ref_pairs(potential, structure)
+    energy = float(np.sum(4.0 * eps * (sr6 * sr6 - sr6)))
+    return energy, ref_scatter_forces(len(structure), ii, jj,
+                                      (dedr / r) * deltas.T)
+
+
+def ref_hessian(potential, structure):
+    n = len(structure)
+    ii, jj, deltas, r, eps, sr6, dedr = ref_pairs(potential, structure)
+    u = deltas / r[:, None]
+    uu = u[:, :, None] * u[:, None, :]
+    d2edr2 = 4.0 * eps * (156.0 * sr6 * sr6 - 42.0 * sr6) / r ** 2
+    block = (d2edr2[:, None, None] * uu
+             + (dedr / r)[:, None, None] * (np.eye(3) - uu))
+    H = np.zeros((n, n, 3, 3))
+    for a, b, sign in ((ii, ii, 1.0), (jj, jj, 1.0),
+                       (ii, jj, -1.0), (jj, ii, -1.0)):
+        np.add.at(H, (a, b), sign * block)
+    return H.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+
+
+class RefLJ:
+    """The seed's per-probe energy_and_forces, for ref_relax."""
+
+    def __init__(self, potential):
+        self.potential = potential
+
+    def energy_and_forces(self, structure):
+        return ref_energy_and_forces(self.potential, structure)
+
+
+def ref_relax(structure, potential, fmax=0.01, max_steps=500):
+    if not (np.isfinite(fmax) and fmax > 0):
+        raise ValueError("fmax must be positive and finite")
+    current = structure.copy()
+    x = current.positions.ravel().copy()
+    n = x.size
+
+    def eval_at(vec):
+        current.positions = vec.reshape(-1, 3)
+        return potential.energy_and_forces(current)
+
+    e, f = eval_at(x)
+    if not np.isfinite(e):
+        raise ValueError("initial energy is not finite")
+    energies = [e]
+    s_list, y_list, rho_list = [], [], []
+    g = -f.ravel()  # gradient
+    it = 0
+    while it < max_steps:
+        if max_force_norm(f) <= fmax:
+            return RelaxationResult(current, max_force_norm(f), it, True, energies)
+        # two-loop recursion
+        q = g.copy()
+        alphas = []
+        for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+            a = rho * (s @ q)
+            alphas.append(a)
+            q -= a * y
+        if y_list:
+            gamma = (s_list[-1] @ y_list[-1]) / (y_list[-1] @ y_list[-1])
+            q *= gamma
+        for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+            b = rho * (y @ q)
+            q += (a - b) * s
+        d = -q
+        if d @ g >= 0:  # not a descent direction; restart
+            d = -g
+            s_list, y_list, rho_list = [], [], []
+        # cap the largest single-atom displacement per trial step
+        dmax = np.linalg.norm(d.reshape(-1, 3), axis=1).max()
+        step = min(1.0, _MAX_DISPLACEMENT / dmax) if dmax > 0 else 1.0
+        accepted = False
+        for _ in range(30):
+            x_new = x + step * d
+            e_new, f_new = eval_at(x_new)
+            if np.isfinite(e_new) and e_new <= e + 1e-12:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            current.positions = x.reshape(-1, 3)
+            return RelaxationResult(current, max_force_norm(f), it, False, energies)
+        g_new = -f_new.ravel()
+        s_vec = x_new - x
+        y_vec = g_new - g
+        sy = s_vec @ y_vec
+        if sy > 1e-12:
+            s_list.append(s_vec)
+            y_list.append(y_vec)
+            rho_list.append(1.0 / sy)
+            if len(s_list) > _LBFGS_MEMORY:
+                s_list.pop(0)
+                y_list.pop(0)
+                rho_list.pop(0)
+        x, e, f, g = x_new, e_new, f_new, g_new
+        energies.append(e)
+        it += 1
+    current.positions = x.reshape(-1, 3)
+    mf = max_force_norm(f)
+    return RelaxationResult(current, mf, it, mf <= fmax, energies)
+
+
+@st.composite
+def shuffled_structures(draw):
+    """`structures()` with its atoms, and so its element order, permuted."""
+    s = draw(structures())
+    return s.subset(draw(st.permutations(range(len(s)))))
+
+
+def assert_same_probe(potential, structure):
+    e, f = potential.energy_and_forces(structure)
+    ref_e, ref_f = ref_energy_and_forces(potential, structure)
+    assert e == ref_e
+    assert np.array_equal(f, ref_f)
+    assert potential.energy(structure) == ref_e
+    assert np.array_equal(potential.forces(structure), ref_f)
+
+
+class TestPreparedKernelOracle:
+    """Pair table and image map, built once, against the per-probe seed."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shuffled_structures())
+    def test_minimum_image_bit_identical(self, s):
+        ii, jj = np.triu_indices(len(s), k=1)
+        deltas = s.positions[jj] - s.positions[ii]
+        image = minimum_image_map(s.cell, s.pbc)
+        for d in (deltas, 3.0 * deltas[::-1]):
+            assert np.array_equal(image(d), ref_minimum_image(s, d))
+            assert np.array_equal(minimum_image(s, d),
+                                  ref_minimum_image(s, d))
+
+    @settings(max_examples=80, deadline=None)
+    @given(shuffled_structures())
+    def test_energy_and_forces_bit_identical(self, s):
+        assert_same_probe(MIXED_LJ, s)
+        evaluate = MIXED_LJ.evaluator(s)
+        moved = s.positions + 0.01
+        e, f = evaluate(moved)
+        work = s.copy()
+        work.positions = moved
+        ref_e, ref_f = ref_energy_and_forces(MIXED_LJ, work)
+        assert e == ref_e and np.array_equal(f, ref_f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shuffled_structures())
+    def test_hessian_bit_identical(self, s):
+        assert np.array_equal(MIXED_LJ.hessian(s), ref_hessian(MIXED_LJ, s))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shuffled_structures(), st.sampled_from([1e-3, 1e-2, 5e-2]),
+           st.integers(1, 60))
+    def test_relax_bit_identical(self, s, fmax, max_steps):
+        res = relax(s, MIXED_LJ, fmax=fmax, max_steps=max_steps)
+        ref = ref_relax(s, RefLJ(MIXED_LJ), fmax=fmax, max_steps=max_steps)
+        assert np.array_equal(res.structure.positions,
+                              ref.structure.positions)
+        assert res.energies == ref.energies
+        assert res.iterations == ref.iterations
+        assert res.converged == ref.converged
+        assert res.max_force == ref.max_force
+        assert res.probes >= res.iterations + 1
+
+    def test_relax_past_the_memory_bit_identical(self):
+        # enough steps that the L-BFGS memory drops its oldest pairs
+        s = lj_lattice(3, spacing=3.6)
+        s.positions = s.positions + np.random.default_rng(3).uniform(
+            -0.4, 0.4, size=s.positions.shape)
+        res = relax(s, AR_LJ, fmax=1e-6, max_steps=200)
+        ref = ref_relax(s, RefLJ(AR_LJ), fmax=1e-6, max_steps=200)
+        assert res.iterations > 2 * _LBFGS_MEMORY
+        assert np.array_equal(res.structure.positions,
+                              ref.structure.positions)
+        assert res.energies == ref.energies
+        assert (res.iterations, res.converged) == (ref.iterations,
+                                                   ref.converged)
+
+    def test_no_stale_table(self):
+        """One instance follows changes of elements, cell and pbc between
+        calls, including an element list changed in place."""
+        potential = LennardJonesPotential(MIXED_LJ.params)
+        rng = np.random.default_rng(5)
+        frac = np.stack(np.unravel_index(rng.choice(64, size=12,
+                                                    replace=False),
+                                         (4, 4, 4)), axis=1) / 4.0
+        s = AtomicStructure(elements=["Ar"] * 12, positions=frac @ SKEWED_CELL,
+                            cell=SKEWED_CELL, pbc=(True, True, True))
+        steps = [
+            lambda s: None,
+            lambda s: s.elements.__setitem__(3, "Ne"),           # in place
+            lambda s: setattr(s, "elements", ["C"] * 6 + ["Ar"] * 6),
+            lambda s: setattr(s, "cell", np.diag([9.0, 10.0, 8.0])),
+            lambda s: setattr(s, "pbc", (True, False, True)),
+            lambda s: setattr(s, "cell", LEANING_CELL),
+            lambda s: setattr(s, "pbc", (True, True, True)),
+        ]
+        for change in steps:
+            change(s)
+            assert_same_probe(potential, s)
+            assert np.array_equal(potential.hessian(s),
+                                  ref_hessian(potential, s))
+            res = relax(s, potential, fmax=1e-2, max_steps=5)
+            ref = ref_relax(s, RefLJ(potential), fmax=1e-2, max_steps=5)
+            assert res.energies == ref.energies
+        s.elements[0] = "Xe"
+        with pytest.raises(KeyError, match="Xe-C"):
+            potential.energy(s)
+        s.elements[0] = "Ar"
+        assert_same_probe(potential, s)
+
+    def test_external_evaluator_checks_once(self, tmp_path):
+        p = tmp_path / "sp.json"
+        p.write_text(json.dumps({
+            "n_atoms": 2, "energy_eV": -1.0,
+            "forces_eV_per_A": [[0.0, 0.0, 0.1], [0.0, 0.0, -0.1]],
+        }))
+        pot = ExternalPotential(p)
+        evaluate = pot.evaluator(dimer(r=3.0))
+        e, f = evaluate(np.zeros((2, 3)))
+        f[0, 2] = 5.0                     # callers may write to their copy
+        assert evaluate(np.zeros((2, 3)))[1][0, 2] == 0.1
+        with pytest.raises(ValueError, match="3 atoms"):
+            pot.evaluator(AtomicStructure(elements=["Ar"] * 3,
+                                          positions=np.eye(3)))
