@@ -787,7 +787,7 @@ class TestPreparedKernelOracle:
         s.elements[0] = "Ar"
         assert_same_probe(potential, s)
 
-    def test_external_evaluator_checks_once(self, tmp_path):
+    def test_external_evaluator_checks_count_and_copies(self, tmp_path):
         p = tmp_path / "sp.json"
         p.write_text(json.dumps({
             "n_atoms": 2, "energy_eV": -1.0,
