@@ -10,11 +10,10 @@ and pbc. Relaxation takes one evaluator per call and probes it once per
 trial step, so everything that does not move with the atoms is built
 once per relaxation, not once per probe.
 
-The Lennard-Jones potential keeps one pair table per element list (the
+The Lennard-Jones potential builds one pair table per evaluator (the
 i < j index arrays, 4 eps and sigma of each pair, and the flat 3N
-indices its forces scatter to) and rebuilds it only when the element
-list changes. Energy, forces and the closed-form Hessian all evaluate
-that table. Periodic displacements go through
+indices its forces scatter to); energy, forces and the closed-form
+Hessian all evaluate such a table. Periodic displacements go through
 `structure.minimum_image_map`, which decides the images along the
 periodic axes of `pbc` only and is prepared once per evaluator.
 """
@@ -78,11 +77,7 @@ class _PairTable:
 
 
 class LennardJonesPotential:
-    """Pairwise 4*eps*((sigma/r)^12 - (sigma/r)^6) with per-element-pair params.
-
-    The params are fixed at construction; the pair table of the last
-    element list evaluated is kept and reused.
-    """
+    """Pairwise 4*eps*((sigma/r)^12 - (sigma/r)^6) with per-element-pair params."""
 
     def __init__(self, params):
         # params: {("C","C"): (eps_eV, sigma_A), ...}
@@ -90,13 +85,6 @@ class LennardJonesPotential:
         for eps, sigma in self.params.values():
             if eps <= 0 or sigma <= 0:
                 raise ValueError("LJ parameters must be positive")
-        self._table = None      # (element tuple, its _PairTable)
-
-    def _pair_table(self, elements):
-        key = tuple(elements)
-        if self._table is None or self._table[0] != key:
-            self._table = (key, _PairTable(self.params, key))
-        return self._table[1]
 
     def evaluator(self, structure):
         """positions (N, 3) -> (energy, forces) for the elements, cell and
@@ -105,7 +93,7 @@ class LennardJonesPotential:
         Forces scatter each pair's (dE/dr) d/r to +i and -j with one
         bincount per sign over the flat 3N components.
         """
-        table = self._pair_table(structure.elements)
+        table = _PairTable(self.params, structure.elements)
         image = minimum_image_map(structure.cell, structure.pbc)
         n3 = 3 * table.n
 
@@ -138,7 +126,7 @@ class LennardJonesPotential:
         equals H.T bit for bit.
         """
         n = len(structure)
-        table = self._pair_table(structure.elements)
+        table = _PairTable(self.params, structure.elements)
         deltas, r, sr6, dedr = table.terms(
             structure.positions,
             minimum_image_map(structure.cell, structure.pbc))

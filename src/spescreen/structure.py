@@ -160,27 +160,18 @@ def write_xyz(structure: AtomicStructure, path, comment=""):
 _IMAGES = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
 
 
-def _periodic_images(pbc) -> np.ndarray:
-    """The `_IMAGES` rows that are 0 along every open axis of `pbc`."""
-    if all(pbc):
-        return _IMAGES
-    open_axes = ~np.asarray(pbc, dtype=bool)
-    return _IMAGES[~_IMAGES[:, open_axes].any(axis=1)]
-
-
-def _translations(cell, pbc) -> np.ndarray:
-    images = _periodic_images(pbc)
-    return (images[:, :1] * cell[0] + images[:, 1:2] * cell[1]
-            + images[:, 2:] * cell[2])
-
-
-def lattice_translations(structure: AtomicStructure) -> np.ndarray:
+def lattice_translations(cell, pbc) -> np.ndarray:
     """Cartesian translations (m, 3) a*cell[0] + b*cell[1] + c*cell[2].
 
     a, b, c run over {-1, 0, 1} along periodic axes and are 0 along open
     ones, in `_IMAGES` order: 27 images when all three axes are periodic.
     """
-    return _translations(structure.cell, structure.pbc)
+    images = _IMAGES
+    if not all(pbc):
+        open_axes = ~np.asarray(pbc, dtype=bool)
+        images = _IMAGES[~_IMAGES[:, open_axes].any(axis=1)]
+    return (images[:, :1] * cell[0] + images[:, 1:2] * cell[1]
+            + images[:, 2:] * cell[2])
 
 
 def _unchanged(deltas):
@@ -214,7 +205,7 @@ def minimum_image_map(cell, pbc):
         # several cells apart along it would land beyond the +-1 search
         periodic = np.asarray(pbc, dtype=bool)
         pinv = np.linalg.pinv(cell[periodic])
-        images = _periodic_images(pbc)
+        images = _IMAGES[~_IMAGES[:, ~periodic].any(axis=1)]
         shifts = images @ cell
 
         def partial(deltas):
@@ -234,7 +225,7 @@ def minimum_image_map(cell, pbc):
             return frac @ cell
 
         return diagonal
-    shifts = _translations(cell, pbc)
+    shifts = lattice_translations(cell, pbc)
 
     def skewed(deltas):
         frac = deltas @ inv
@@ -280,7 +271,7 @@ def neighbor_list(structure: AtomicStructure) -> np.ndarray:
         frac = pos @ np.linalg.inv(structure.cell)
         frac[:, periodic] -= np.floor(frac[:, periodic])
         pos = frac @ structure.cell
-        shifts = lattice_translations(structure)
+        shifts = lattice_translations(structure.cell, structure.pbc)
     images = (shifts[:, None, :] + pos[None, :, :]).reshape(-1, 3)
     cand = cKDTree(pos).sparse_distance_matrix(
         cKDTree(images), 2.0 * cutoffs.max(), output_type="ndarray")
