@@ -18,6 +18,7 @@ from spescreen.ml import (
     pca,
     tsne,
 )
+from spescreen.ml.distance import squared_euclidean
 from spescreen.spectro import CandidateRecord
 
 # synthesize a candidate table: half "bright, red-shifted, quiet" rows
@@ -60,8 +61,10 @@ print(f"kernel: sigma^2 = {model.sigma2:.3g}, "
 accuracy = np.mean((probs > 0.5) == labels)
 print(f"training accuracy {accuracy:.2f}")
 
-# low-dimensional map of the standardized features, then density clusters
-embedding = tsne(features.values, perplexity=15.0, seed=1, n_iter=400)
+# low-dimensional map of the standardized features (t-SNE takes squared
+# distances), then density clusters
+embedding = tsne(squared_euclidean(features.values), perplexity=15.0, seed=1,
+                 n_iter=400)
 clusters = hdbscan(embedding.embedding, min_cluster_size=8)
 print(f"t-SNE KL divergence {embedding.kl_divergence:.3f}, "
       f"{clusters.n_clusters} clusters, "

@@ -3,8 +3,8 @@
 Supported grammar: the organic subset (B C N O P S F Cl Br I and the
 aromatic forms b c n o p s), bracket atoms with isotope/charge/H-count,
 bond symbols - = # :, branches, ring closures including %nn, and the dot
-disconnect. Stereo markers (/ \\ @ @@) are consumed and recorded on the
-graph but carry no geometric meaning here.
+disconnect. Stereo markers (/ \\ @ @@) are consumed and discarded: they
+carry no geometric meaning here.
 """
 
 from __future__ import annotations
@@ -65,9 +65,7 @@ def _parse_bracket(text, start):
     else:
         raise SmilesParseError(f"unknown element token in bracket '{body}'", start)
     # chirality markers: consumed, not interpreted
-    stereo = None
     while i < len(body) and body[i] == "@":
-        stereo = (stereo or "") + "@"
         i += 1
     h_count = 0
     if i < len(body) and body[i] == "H":
@@ -96,7 +94,7 @@ def _parse_bracket(text, start):
         raise SmilesParseError(f"unrecognized bracket content '{body[i:]}'", start + 1 + i)
     atom = Atom(element=element, charge=charge, h_count=h_count,
                 aromatic=aromatic, isotope=isotope, bracket=True)
-    return atom, stereo, end + 1
+    return atom, end + 1
 
 
 def parse_smiles(text: str) -> MolecularGraph:
@@ -111,7 +109,6 @@ def parse_smiles(text: str) -> MolecularGraph:
     text = text.strip()
     graph = MolecularGraph(source=text)
     positions = {}
-    stereo_markers = []
     prev = None          # previous atom index
     pending_bond = None  # explicit bond symbol awaiting use
     stack = []
@@ -143,8 +140,6 @@ def parse_smiles(text: str) -> MolecularGraph:
         if ch in _BOND_CHARS:
             if pending_bond is not None:
                 raise SmilesParseError("two bond symbols in a row", pos)
-            if ch in ("/", "\\"):
-                stereo_markers.append((pos, ch))
             pending_bond = _BOND_CHARS[ch]
             pos += 1
             continue
@@ -190,9 +185,7 @@ def parse_smiles(text: str) -> MolecularGraph:
             pos += width
             continue
         if ch == "[":
-            atom, stereo, newpos = _parse_bracket(text, pos)
-            if stereo:
-                stereo_markers.append((pos, stereo))
+            atom, newpos = _parse_bracket(text, pos)
             idx = add_atom(atom)
             if prev is not None:
                 connect(prev, idx, pending_bond, pos)
@@ -227,7 +220,6 @@ def parse_smiles(text: str) -> MolecularGraph:
     if pending_bond is not None:
         raise SmilesParseError("dangling bond symbol", n)
 
-    graph.stereo_markers = stereo_markers
     assign_implicit_hydrogens(graph, positions)
     perceive_aromaticity(graph)
     assign_implicit_hydrogens(graph, positions)

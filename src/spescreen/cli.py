@@ -273,10 +273,9 @@ def map_cmd(ctx, smiles, perplexity, min_cluster_size, nbits, radius, out):
     entries, skipped = load_smiles_table(smiles)
     ids = [cid for cid, _ in entries]
     fps = [morgan_fingerprint(graph, radius, nbits) for _, graph in entries]
-    dist = 1.0 - tanimoto_matrix(fps, fps)
+    d2 = (1.0 - tanimoto_matrix(fps, fps)) ** 2
 
-    result = tsne(dist, perplexity=perplexity, seed=ctx.obj["seed"],
-                  metric="precomputed")
+    result = tsne(d2, perplexity=perplexity, seed=ctx.obj["seed"])
     clusters = hdbscan(result.embedding, min_cluster_size=min_cluster_size)
     off_target = [ids[i] for i in result.rows_off_target]
     if off_target:
@@ -408,14 +407,18 @@ def embed(ctx, host, emitter, cutoff, min_removed, max_removed, per_count,
 @_stage
 def modes(ctx, structure, potential_file, lj_params, relax, fmax, out):
     """Compute normal modes from an external or Lennard-Jones Hessian."""
+    if (potential_file is None) == (lj_params is None):
+        raise ValueError(
+            "modes needs exactly one of --potential-file and --lj-params")
+    if relax and potential_file is not None:
+        # the file holds forces at its one geometry: nothing to relax on
+        raise ValueError("--relax needs --lj-params, not --potential-file")
     geometry = parse_xyz(structure)
 
     if potential_file is not None:
         potential = ExternalPotential(potential_file)
-    elif lj_params is not None:
-        potential = LennardJonesPotential(_load_lj_params(lj_params))
     else:
-        raise ValueError("modes needs --potential-file or --lj-params")
+        potential = LennardJonesPotential(_load_lj_params(lj_params))
 
     params = {"relax": relax, "fmax": fmax}
     if relax:

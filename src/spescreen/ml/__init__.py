@@ -1,7 +1,7 @@
 """Candidate labeling, dimensionality reduction, and classification."""
 
 from .gpc import GPCModel, gpc_predict, gpc_train, rbf_kernel
-from .hdbscan import HDBSCANResult, core_distances, hdbscan, mutual_reachability
+from .hdbscan import HDBSCANResult, hdbscan
 from .labeling import FEATURE_COLUMNS, FeatureMatrix, feature_matrix, label_good
 from .pca import PCAResult, pca
 from .tsne import TSNEResult, calibrate_bandwidths, perplexity_error, tsne
@@ -14,13 +14,11 @@ __all__ = [
     "PCAResult",
     "TSNEResult",
     "calibrate_bandwidths",
-    "core_distances",
     "feature_matrix",
     "gpc_predict",
     "gpc_train",
     "hdbscan",
     "label_good",
-    "mutual_reachability",
     "pca",
     "perplexity_error",
     "rbf_kernel",

@@ -17,8 +17,6 @@ FEATURE_COLUMNS = (
 class FeatureMatrix:
     values: np.ndarray       # (n_records, n_features), standardized
     columns: tuple
-    means: np.ndarray
-    stds: np.ndarray
     dropped: tuple = ()      # zero-variance columns removed
 
 
@@ -37,8 +35,7 @@ def feature_matrix(records) -> FeatureMatrix:
     dropped = tuple(c for c, k in zip(columns, keep) if not k)
     kept_cols = tuple(c for c, k in zip(columns, keep) if k)
     z = (raw[:, keep] - means[keep]) / stds[keep]
-    return FeatureMatrix(values=z, columns=kept_cols, means=means[keep],
-                         stds=stds[keep], dropped=dropped)
+    return FeatureMatrix(values=z, columns=kept_cols, dropped=dropped)
 
 
 def label_good(records, lambda_host_abs_nm: float,

@@ -1,5 +1,8 @@
 """Exact (dense) t-SNE for desk-scale candidate maps.
 
+`tsne` takes an (n, n) matrix of squared distances: the map stage passes
+squared Tanimoto distances (1 - similarity)**2, a caller with features
+squared_euclidean(x).
 Per-point Gaussian bandwidths are calibrated by bisection so every row of
 the conditional distribution hits the requested perplexity; gradient
 descent runs an early-exaggeration phase followed by a monotone-safeguarded
@@ -162,29 +165,22 @@ class TSNEResult:
     rows_off_target: np.ndarray
 
 
-def tsne(x, perplexity: float = 50.0, n_iter: int = 1000, seed: int = 0,
-         metric: str = "euclidean") -> TSNEResult:
-    """Exact t-SNE embedding of a feature matrix.
+def tsne(d2, perplexity: float = 50.0, n_iter: int = 1000,
+         seed: int = 0) -> TSNEResult:
+    """Exact t-SNE embedding from an (n, n) matrix of squared distances.
 
-    With metric="precomputed", x is interpreted as a square matrix of
-    pairwise distances instead of a feature matrix; any metric other than
-    these two raises ValueError.
+    Callers holding a feature matrix x pass squared_euclidean(x); a
+    matrix that is not square raises ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if metric == "precomputed":
-        if x.shape != (n, n):
-            raise ValueError("precomputed distance matrix must be square")
-        d2 = x**2
-    elif metric == "euclidean":
-        d2 = squared_euclidean(x)
-    else:
-        raise ValueError(f"unknown metric '{metric}': use 'euclidean' or "
-                         "'precomputed'")
+    d2 = np.asarray(d2, dtype=float)
+    n = d2.shape[0]
+    if d2.shape != (n, n):
+        raise ValueError("squared distance matrix must be square")
     betas, p_cond = calibrate_bandwidths(d2, perplexity)
-    perr = perplexity_error(d2, betas, perplexity)
-    off_target = np.flatnonzero(
-        ~(_entropy_errors(d2, betas, perplexity) < _BANDWIDTH_TOL))
+    # one pass over the rows' entropies gives both calibration diagnostics
+    errors = _entropy_errors(d2, betas, perplexity)
+    perr = float(max(errors.tolist()))      # as perplexity_error takes it
+    off_target = np.flatnonzero(~(errors < _BANDWIDTH_TOL))
     p_joint = (p_cond + p_cond.T) / (2.0 * n)
     # the floor also keeps every P / Q finite in the KL divergence
     p_joint = np.maximum(p_joint, _EPS)

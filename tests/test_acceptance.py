@@ -19,6 +19,7 @@ from spescreen.chem import (
 from spescreen.constants import AMU_TO_ME, ANGSTROM_TO_BOHR, VIB_FREQ_TO_AU
 from spescreen.embedding import EmbeddingConfig, binding_energy, embed_emitter, write_manifest
 from spescreen.ml import gpc_predict, gpc_train, label_good, tsne
+from spescreen.ml.distance import squared_euclidean
 from spescreen.potential import LennardJonesPotential, hessian_finite_difference, relax
 from spescreen.spectro import (
     ExcitedStateTable,
@@ -347,8 +348,9 @@ def test_09_tsne_calibration():
         rng.normal(size=(250, 5)),
         rng.normal(size=(250, 5)) + [10, 0, 0, 0, 0],
     ])
-    r1 = tsne(x, perplexity=50.0, seed=6, n_iter=400)
-    r2 = tsne(x, perplexity=50.0, seed=6, n_iter=400)
+    d2 = squared_euclidean(x)
+    r1 = tsne(d2, perplexity=50.0, seed=6, n_iter=400)
+    r2 = tsne(d2, perplexity=50.0, seed=6, n_iter=400)
     a, b = r1.embedding[:250], r1.embedding[250:]
     sep = np.linalg.norm(a.mean(0) - b.mean(0))
     spread = max(np.linalg.norm(a - a.mean(0), axis=1).mean(),

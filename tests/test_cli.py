@@ -293,6 +293,36 @@ class TestModes:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--relax"], "--relax needs --lj-params"),
+        (["--lj-params", "lj.json"], "exactly one of --potential-file"),
+    ], ids=["relax", "lj-params"])
+    def test_potential_file_conflicts_exit_2(self, runner, tmp_path, extra,
+                                             message):
+        """Rejected before any work: a relaxation would walk the file's
+        constant forces, and the file would silently win over the
+        Lennard-Jones parameters."""
+        s = tmp_path / "dimer.xyz"
+        write_xyz(dimer(r=3.8), s)
+        ext = tmp_path / "sp.json"
+        ext.write_text(json.dumps({
+            "n_atoms": 2, "energy_eV": -0.01,
+            "forces_eV_per_A": [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]],
+            "hessian_eV_per_A2": np.eye(6).tolist(),
+        }))
+        (tmp_path / "lj.json").write_text(
+            json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+        extra = [str(tmp_path / a) if a.endswith(".json") else a
+                 for a in extra]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "modes", "--structure", str(s),
+            "--potential-file", str(ext)] + extra)
+        assert result.exit_code == 2, result.output
+        assert result.output.count("\n") == 1
+        assert "validation error" in result.output and message in result.output
+        assert not (out / "modes.json").exists()
+
     def test_manifest_counters(self, runner, tmp_path):
         s = tmp_path / "dimer.xyz"
         write_xyz(dimer(r=3.5), s)

@@ -785,11 +785,10 @@ class TestTSNE:
         per-row loop's; the off-target rows are those its entropies put
         outside the tolerance."""
         x, metric, perplexity = case
-        res = tsne(x, perplexity=perplexity, n_iter=n_iter, seed=seed,
-                   metric=metric)
+        d2 = x**2 if metric == "precomputed" else squared_euclidean(x)
+        res = tsne(d2, perplexity=perplexity, n_iter=n_iter, seed=seed)
         ref = ref_tsne(x, perplexity=perplexity, n_iter=n_iter, seed=seed,
                        metric=metric)
-        d2 = x**2 if metric == "precomputed" else squared_euclidean(x)
         assert np.array_equal(res.embedding, ref.embedding)
         assert_betas_match(res.betas, ref.betas, d2)
         assert res.kl_divergence == ref.kl_divergence
@@ -809,8 +808,7 @@ class TestTSNE:
         dist = np.sqrt(squared_euclidean(rng.normal(size=(30, 3))))
         dist[4, :] = dist[:, 4] = 10.0
         dist[4, 4] = 0.0
-        res = tsne(dist, perplexity=5.0, n_iter=300, seed=1,
-                   metric="precomputed")
+        res = tsne(dist**2, perplexity=5.0, n_iter=300, seed=1)
         # P(j|4) is uniform at every beta: entropy log 29, not log 5
         assert list(res.rows_off_target) == [4]
         assert res.perplexity_error == pytest.approx(np.log(29 / 5))
@@ -858,7 +856,7 @@ class TestTSNE:
         rng = np.random.default_rng(9)
         x = np.vstack([rng.normal(size=(60, 3)),
                        rng.normal(size=(60, 3)) + [8, 0, 0]])
-        res = tsne(x, perplexity=15.0, seed=1, n_iter=400)
+        res = tsne(squared_euclidean(x), perplexity=15.0, seed=1, n_iter=400)
         a = res.embedding[:60]
         b = res.embedding[60:]
         sep = np.linalg.norm(a.mean(0) - b.mean(0))
@@ -871,33 +869,235 @@ class TestTSNE:
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(40, 3))
-        r1 = tsne(x, perplexity=10.0, seed=3, n_iter=150)
-        r2 = tsne(x, perplexity=10.0, seed=3, n_iter=150)
+        d2 = squared_euclidean(x)
+        r1 = tsne(d2, perplexity=10.0, seed=3, n_iter=150)
+        r2 = tsne(d2, perplexity=10.0, seed=3, n_iter=150)
         assert np.array_equal(r1.embedding, r2.embedding)
 
     def test_precomputed_matches_euclidean_calibration(self):
-        # identical bandwidth calibration from features or their distances
-        # (trajectories themselves diverge chaotically from rounding noise)
+        # identical bandwidth calibration from squared differences of the
+        # features or from squared distances (trajectories themselves
+        # diverge chaotically from rounding noise)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(30, 3))
-        d = squareform(pdist(x))
-        r1 = tsne(x, perplexity=8.0, seed=2, n_iter=50)
-        r2 = tsne(d, perplexity=8.0, seed=2, n_iter=50,
-                  metric="precomputed")
+        r1 = tsne(squared_euclidean(x), perplexity=8.0, seed=2, n_iter=50)
+        r2 = tsne(squareform(pdist(x))**2, perplexity=8.0, seed=2, n_iter=50)
         assert np.allclose(r1.betas, r2.betas, rtol=1e-9)
         assert r1.perplexity_error < 1e-4 and r2.perplexity_error < 1e-4
 
     def test_bad_perplexity(self):
         with pytest.raises(ValueError):
-            tsne(np.zeros((5, 2)), perplexity=10.0)
+            tsne(np.zeros((5, 5)), perplexity=10.0)
 
-    def test_unknown_metric(self):
-        x = np.random.default_rng(0).normal(size=(10, 2))
-        with pytest.raises(ValueError, match="cityblock"):
-            tsne(x, perplexity=3.0, metric="cityblock")
+    def test_not_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            tsne(np.zeros((10, 2)), perplexity=3.0)
+
+
+# --- the condensed-tree HDBSCAN the leaf-only replay replaced, as its
+# oracle: the seed functions verbatim, renamed ref_*; ref_hdbscan returns a
+# namespace
+
+def ref_core_distances(d, k: int) -> np.ndarray:
+    """Distance to the k-th nearest neighbor (the point itself counts)."""
+    n = d.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside [1, {n}]")
+    return np.sort(d, axis=1)[:, k - 1]
+
+
+def ref_mutual_reachability(d, core) -> np.ndarray:
+    return np.maximum(d, np.maximum(core[:, None], core[None, :]))
+
+
+class RefUnionFind:
+    def __init__(self, n):
+        self.parent = np.arange(n)
+
+    def find(self, i):
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, i, j):
+        self.parent[self.find(i)] = self.find(j)
+
+
+def ref_condensed_tree(mst_edges, n, min_cluster_size):
+    """Condense the single-linkage dendrogram with the min-cluster-size rule.
+
+    The dendrogram is replayed bottom-up (edges by increasing mutual
+    reachability, i.e. decreasing density level lambda = 1/weight). A merge
+    of two components both of size >= min_cluster_size is a true split in
+    the top-down view: the two condensed child clusters end there and a
+    parent begins. A merge with one side < min_cluster_size means those
+    points fall out of the surviving cluster as individual points at that
+    lambda; they stay attached to that cluster in the condensed tree.
+
+    Returns (clusters, point_cluster, point_lambda): clusters maps id ->
+    dict(children, stability); point_cluster[p] is the condensed cluster
+    each point is attached to, point_lambda[p] its fall-out level.
+    """
+    order = np.argsort(mst_edges[:, 2], kind="stable")
+    uf = RefUnionFind(n)
+    members = {i: [i] for i in range(n)}       # union-find root -> points
+    comp_cluster = {i: None for i in range(n)}  # root -> condensed cluster
+    clusters = {}
+    next_cluster = 0
+    point_cluster = np.full(n, -1, dtype=int)
+    point_lambda = np.zeros(n)
+
+    def new_cluster():
+        nonlocal next_cluster
+        cid = next_cluster
+        next_cluster += 1
+        clusters[cid] = {"children": [], "stability": 0.0}
+        return cid
+
+    def attach(points, cid, lam):
+        for p in points:
+            point_cluster[p] = cid
+            point_lambda[p] = lam
+
+    for e in order:
+        i, j, w = mst_edges[e]
+        ri, rj = uf.find(int(i)), uf.find(int(j))
+        lam = 1.0 / w if w > 0 else np.inf
+        mi, mj = members[ri], members[rj]
+        ci, cj = comp_cluster[ri], comp_cluster[rj]
+        big_i = len(mi) >= min_cluster_size
+        big_j = len(mj) >= min_cluster_size
+        merged = mi + mj
+        uf.union(ri, rj)
+        root = uf.find(rj)
+        for r in (ri, rj):
+            members.pop(r, None)
+            comp_cluster.pop(r, None)
+        members[root] = merged
+
+        if big_i and big_j:
+            # top-down split at lambda = lam: close both children there
+            parent = new_cluster()
+            for cid in (ci, cj):
+                clusters[parent]["children"].append(cid)
+                attached = point_cluster == cid
+                clusters[cid]["stability"] = float(
+                    (point_lambda[attached] - lam).sum()
+                )
+            comp_cluster[root] = parent
+        elif big_i or big_j:
+            big_c = ci if big_i else cj
+            small = mj if big_i else mi
+            if big_c is None:  # big side just crossed the size threshold
+                big_c = new_cluster()
+                attach(mi if big_i else mj, big_c, lam)
+            attach(small, big_c, lam)
+            comp_cluster[root] = big_c
+        else:
+            comp_cluster[root] = None
+            if len(merged) >= min_cluster_size:
+                cid = new_cluster()
+                attach(merged, cid, lam)
+                comp_cluster[root] = cid
+
+    # clusters that never merged under a parent end at lambda = 0
+    closed = {c for info in clusters.values() for c in info["children"]}
+    for cid in clusters:
+        if cid not in closed:
+            attached = point_cluster == cid
+            clusters[cid]["stability"] = float(point_lambda[attached].sum())
+    return clusters, point_cluster, point_lambda
+
+
+def ref_hdbscan(x, min_cluster_size: int = 5):
+    """Cluster a feature matrix by Euclidean distance; returns -1 labels
+    for noise points."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n = x.shape[0]
+    if min_cluster_size < 2:
+        raise ValueError("min_cluster_size must be >= 2")
+    if n < min_cluster_size:
+        return SimpleNamespace(
+            labels=np.full(n, -1, dtype=int), n_clusters=0,
+            core_distances=np.zeros(n), mst_edges=np.empty((0, 3)),
+        )
+    d = np.sqrt(squared_euclidean(x))
+    core = ref_core_distances(d, min_cluster_size)
+    mreach = ref_mutual_reachability(d, core)
+    mst = minimum_spanning_tree(csr_matrix(mreach)).tocoo()
+    mst_edges = np.column_stack([mst.row, mst.col, mst.data])
+    clusters, point_cluster, _ = ref_condensed_tree(mst_edges, n,
+                                                    min_cluster_size)
+
+    # leaf extraction: select condensed clusters with no children; a point
+    # belongs to the leaf it is attached to, everything else is noise
+    leaves = sorted(
+        cid for cid, info in clusters.items() if not info["children"]
+    )
+    leaf_id = {cid: k for k, cid in enumerate(leaves)}
+    labels = np.array(
+        [leaf_id.get(c, -1) for c in point_cluster], dtype=int
+    )
+    # compact ids in order of first appearance for stable output
+    remap = {}
+    for v in labels:
+        if v >= 0 and v not in remap:
+            remap[v] = len(remap)
+    labels = np.array([remap[v] if v >= 0 else -1 for v in labels])
+    return SimpleNamespace(
+        labels=labels, n_clusters=len(remap),
+        core_distances=core, mst_edges=mst_edges,
+    )
+
+
+@st.composite
+def hdbscan_inputs(draw):
+    """(x, min_cluster_size): n 1-120 points in d 1-3, drawn Gaussian, as
+    blobs, rounded to one decimal or on a small integer grid, some rows
+    repeated; n may fall below min_cluster_size.
+
+    Rounded and grid points tie in mutual reachability; min_cluster_size
+    or more coincident points have core distance 0, and the zero edges
+    between them drop out of the sparse graph, so the spanning tree is a
+    forest.
+    """
+    n = draw(st.integers(1, 120))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "blobs", "rounded", "grid"]))
+    if kind == "grid":
+        x = rng.integers(0, draw(st.integers(1, 5)), size=(n, d)) * 1.0
+    else:
+        x = rng.standard_normal((n, d))
+    if kind == "blobs":
+        k = draw(st.integers(2, 6))
+        x += 8.0 * rng.standard_normal((k, d))[rng.integers(k, size=n)]
+    elif kind == "rounded":
+        x = np.round(x, 1)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  max_size=8)):
+        x[dst] = x[src]
+    return x, draw(st.integers(2, 12))
 
 
 class TestHDBSCAN:
+    @settings(max_examples=300, deadline=None)
+    @given(hdbscan_inputs())
+    def test_matches_condensed_tree_reference(self, case):
+        x, min_cluster_size = case
+        res = hdbscan(x, min_cluster_size=min_cluster_size)
+        ref = ref_hdbscan(x, min_cluster_size=min_cluster_size)
+        assert np.array_equal(res.labels, ref.labels)
+        assert res.labels.dtype == ref.labels.dtype
+        assert res.n_clusters == ref.n_clusters
+
     def test_three_blobs(self):
         rng = np.random.default_rng(12)
         centers = [[0, 0], [10, 0], [0, 10]]
