@@ -250,12 +250,8 @@ def gpc_train(x, y, sigma2_bounds=DEFAULT_SIGMA2_BOUNDS,
         success = []
         for point in starts:
             seen.append((np.inf, point))
-            # with both bounds set, L-BFGS-B's first step is the raw
-            # gradient: on a flat surface (|grad| ~ 1e-5) its gain falls
-            # under the default ftol and the search stopped there
             res = minimize(neg_log_q, point, jac=True, method="L-BFGS-B",
-                           bounds=bounds,
-                           options={"gtol": 1e-8, "ftol": 1e-12})
+                           bounds=bounds, options={"gtol": 1e-8})
             success.append(bool(res.success))
         # the fit takes the lowest point any search reached; searches within
         # 1e-9 of it tie, and the first wins, so that rounding noise (e.g.
