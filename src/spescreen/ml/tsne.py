@@ -121,10 +121,15 @@ def _entropy_errors(d2, betas, perplexity):
     return np.abs(_entropies(_off_diagonal(d2), betas) - np.log(perplexity))
 
 
+def _max_error(errors):
+    """The largest row error by Python's max, so a NaN row is kept or
+    passed over as it always was."""
+    return float(max(errors.tolist()))
+
+
 def perplexity_error(d2, betas, perplexity):
     """Max |H(P_i) - log(perplexity)| across rows, for verification."""
-    # Python's max, so a NaN row is kept or passed over as it always was
-    return float(max(_entropy_errors(d2, betas, perplexity).tolist()))
+    return _max_error(_entropy_errors(d2, betas, perplexity))
 
 
 def _kl(p_joint, q):
@@ -179,7 +184,7 @@ def tsne(d2, perplexity: float = 50.0, n_iter: int = 1000,
     betas, p_cond = calibrate_bandwidths(d2, perplexity)
     # one pass over the rows' entropies gives both calibration diagnostics
     errors = _entropy_errors(d2, betas, perplexity)
-    perr = float(max(errors.tolist()))      # as perplexity_error takes it
+    perr = _max_error(errors)
     off_target = np.flatnonzero(~(errors < _BANDWIDTH_TOL))
     p_joint = (p_cond + p_cond.T) / (2.0 * n)
     # the floor also keeps every P / Q finite in the KL divergence
