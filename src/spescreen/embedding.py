@@ -6,10 +6,21 @@ closer than the overlap cutoff to the emitter are deleted whole, and a
 trial is kept only when the emitter bounding box lies strictly inside the
 remaining host bounding box. Selection ranks the binding energies of the
 relaxed complexes whose relaxation converged.
+
+Trials are walked in chunks of at most 256, and never more trials than
+slots are open, so the loop stops where a one-trial loop would. One
+`cKDTree.sparse_distance_matrix` query per chunk, against a host tree
+built once per call, proposes host-emitter pairs within a slightly
+inflated cutoff. The tree only proposes: each pair is kept when
+`np.linalg.norm(host - walker)` is strictly below the cutoff, the
+expression the dense host x emitter array used, so the accepted trials
+are the same bit for bit. Distances are raw, with no periodic images.
+scipy is imported when `embed_emitter` runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -30,8 +41,12 @@ class EmbeddingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.overlap_cutoff <= 0:
-            raise ValueError("overlap cutoff must be positive")
+        if not 0 < self.overlap_cutoff < math.inf:
+            raise ValueError(
+                f"overlap cutoff {self.overlap_cutoff} is not finite and "
+                "positive")
+        if self.min_removed < 0:
+            raise ValueError("min_removed must be >= 0")
         if self.min_removed > self.max_removed:
             raise ValueError("min_removed must be <= max_removed")
         if self.structures_per_count < 1 or self.max_trials < 1:
@@ -52,7 +67,12 @@ class EmbeddingTrial:
 
 def _random_unit_vector(rng):
     v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    # sqrt(v.v) is what np.linalg.norm computes for a 1-D vector
+    return v / math.sqrt(v.dot(v))
+
+
+# trials per overlap query; the accepted trials do not depend on it
+_CHUNK = 256
 
 
 def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
@@ -65,11 +85,15 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
     count already has structures_per_count trials) and
     `rejected_containment` (emitter box not strictly inside the host's).
     """
+    from scipy.spatial import cKDTree
+
     if host.cell is None:
         raise ValueError("host must carry a periodic cell")
     rng = np.random.default_rng(cfg.seed)
     labels = identify_molecules(host)
-    lengths = np.linalg.norm(host.cell, axis=1)
+    step = cfg.translation_scale * np.linalg.norm(host.cell, axis=1)
+    host_tree = cKDTree(host.positions)
+    cutoff = cfg.overlap_cutoff
 
     walker = emitter.copy()
     walker.translate(host.center_of_mass() - walker.center_of_mass())
@@ -78,53 +102,72 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
     drawn = 0
     rejected = {"count_range": 0, "per_count_cap": 0, "containment": 0}
 
-    for trial in range(cfg.max_trials):
-        if all(v >= cfg.structures_per_count for v in per_count.values()):
+    while drawn < cfg.max_trials:
+        open_slots = sum(cfg.structures_per_count - v
+                         for v in per_count.values())
+        if open_slots <= 0:
             break
-        drawn += 1
-        axis = _random_unit_vector(rng)
-        angle = float(rng.uniform(0.0, 360.0))
-        walker.rotate(axis, angle)
-        shift = cfg.translation_scale * lengths * rng.uniform(-1.0, 1.0, size=3)
-        walker.translate(shift)
+        # a trial fills at most one slot and a chunk has no more trials
+        # than open slots, so the last slot can only fill at the chunk's
+        # last trial: no trial is walked past where a one-trial loop stops
+        size = min(_CHUNK, cfg.max_trials - drawn, open_slots)
+        draws = []
+        positions = np.empty((size, len(walker), 3))
+        for c in range(size):
+            axis = _random_unit_vector(rng)
+            angle = float(rng.uniform(0.0, 360.0))
+            walker.rotate(axis, angle)
+            shift = step * rng.uniform(-1.0, 1.0, size=3)
+            walker.translate(shift)
+            draws.append((axis, angle, shift))
+            positions[c] = walker.positions
 
-        # host atoms within the cutoff of any emitter atom (raw distances)
-        d = np.linalg.norm(
-            host.positions[:, None, :] - walker.positions[None, :, :], axis=2
-        )
-        removed_mols = np.zeros(labels.count, dtype=bool)
-        removed_mols[labels.labels[(d < cfg.overlap_cutoff).any(axis=1)]] = True
-        removed = int(np.count_nonzero(removed_mols))
-        if not cfg.min_removed <= removed <= cfg.max_removed:
-            rejected["count_range"] += 1
-            continue
-        if per_count[removed] >= cfg.structures_per_count:
-            rejected["per_count_cap"] += 1
-            continue
-        reduced = host.subset(np.flatnonzero(~removed_mols[labels.labels]))
-        # containment: emitter bbox strictly inside remaining-host bbox
-        hmin, hmax = reduced.positions.min(0), reduced.positions.max(0)
-        emin, emax = walker.positions.min(0), walker.positions.max(0)
-        if not (np.all(emin > hmin) and np.all(emax < hmax)):
-            rejected["containment"] += 1
-            continue
-        combined = AtomicStructure(
-            elements=list(reduced.elements) + list(walker.elements),
-            positions=np.vstack([reduced.positions, walker.positions]),
-            masses=np.concatenate([reduced.masses, walker.masses]),
-            cell=host.cell.copy(),
-            pbc=host.pbc,
-        )
-        accepted.append(EmbeddingTrial(
-            structure=combined,
-            removed_count=removed,
-            rotation_axis=axis,
-            rotation_angle_deg=angle,
-            translation=shift,
-            trial_index=trial,
-            n_host_atoms=len(reduced),
-        ))
-        per_count[removed] += 1
+        # the tree only proposes pairs; each is kept on the raw distance
+        # computed as the dense host x emitter array would have it
+        flat = positions.reshape(-1, 3)
+        pairs = cKDTree(flat).sparse_distance_matrix(
+            host_tree, cutoff * (1 + 1e-9), output_type="ndarray")
+        w, h = pairs["i"], pairs["j"]
+        close = np.linalg.norm(host.positions[h] - flat[w], axis=-1) < cutoff
+        removed_mols = np.zeros((size, labels.count), dtype=bool)
+        removed_mols[w[close] // len(walker), labels.labels[h[close]]] = True
+        removed_counts = np.count_nonzero(removed_mols, axis=1).tolist()
+
+        for c, (axis, angle, shift) in enumerate(draws):
+            trial = drawn + c
+            removed = removed_counts[c]
+            if not cfg.min_removed <= removed <= cfg.max_removed:
+                rejected["count_range"] += 1
+                continue
+            if per_count[removed] >= cfg.structures_per_count:
+                rejected["per_count_cap"] += 1
+                continue
+            reduced = host.subset(
+                np.flatnonzero(~removed_mols[c][labels.labels]))
+            # containment: emitter bbox strictly inside remaining-host bbox
+            hmin, hmax = reduced.positions.min(0), reduced.positions.max(0)
+            emin, emax = positions[c].min(0), positions[c].max(0)
+            if not (np.all(emin > hmin) and np.all(emax < hmax)):
+                rejected["containment"] += 1
+                continue
+            combined = AtomicStructure(
+                elements=list(reduced.elements) + list(walker.elements),
+                positions=np.vstack([reduced.positions, positions[c]]),
+                masses=np.concatenate([reduced.masses, walker.masses]),
+                cell=host.cell.copy(),
+                pbc=host.pbc,
+            )
+            accepted.append(EmbeddingTrial(
+                structure=combined,
+                removed_count=removed,
+                rotation_axis=axis,
+                rotation_angle_deg=angle,
+                translation=shift,
+                trial_index=trial,
+                n_host_atoms=len(reduced),
+            ))
+            per_count[removed] += 1
+        drawn += size
     if counters is not None:
         counters.update(trials_drawn=drawn, trials_accepted=len(accepted),
                         **{f"rejected_{k}": v for k, v in rejected.items()})

@@ -12,12 +12,16 @@ so stages that only read and write structures never load it.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import atomic_mass, covalent_radius
+
+
+_EYE3 = np.eye(3)
 
 
 @dataclass
@@ -71,11 +75,12 @@ class AtomicStructure:
     def rotate(self, axis, angle_deg):
         """Rotate positions about `axis` through the center of mass."""
         axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
+        # sqrt(a.a) is what np.linalg.norm computes for a 1-D vector
+        axis = axis / math.sqrt(axis.dot(axis))
         theta = np.deg2rad(angle_deg)
-        k = axis
+        k = axis.tolist()
         K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-        R = np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
+        R = _EYE3 + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
         c = self.center_of_mass()
         self.positions = (self.positions - c) @ R.T + c
         return self

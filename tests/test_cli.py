@@ -247,6 +247,26 @@ class TestEmbed:
         assert "--fmax" in result.output
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--cutoff", "nan", "overlap cutoff nan is not finite and positive"),
+        ("--cutoff", "inf", "overlap cutoff inf is not finite and positive"),
+        ("--cutoff", "0", "overlap cutoff 0.0 is not finite and positive"),
+        ("--min-removed", "-1", "min_removed must be >= 0"),
+    ])
+    def test_bad_config_exit_2_before_any_work(self, runner, tmp_path,
+                                               option, value, message):
+        host = tmp_path / "host.xyz"
+        emitter = tmp_path / "emitter.xyz"
+        write_xyz(lj_lattice(3), host)
+        write_xyz(dimer(r=1.2), emitter)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "embed", "--host", str(host),
+            "--emitter", str(emitter), "--max-trials", "400", option, value])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"[embed] validation error: {message}\n"
+        assert not (out / "embedding.json").exists()
+
 
 class TestModes:
     def test_lj_dimer_modes(self, runner, tmp_path):

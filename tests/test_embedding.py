@@ -1,22 +1,113 @@
 """Stochastic guest-in-host embedding and binding energies."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spescreen.embedding import (
     EmbeddingConfig,
+    EmbeddingTrial,
+    _random_unit_vector,
     binding_energy,
     embed_emitter,
     select_most_stable,
     write_manifest,
 )
 from spescreen.potential import LennardJonesPotential, relax
+from spescreen.structure import AtomicStructure, identify_molecules
 
 from conftest import dimer, lj_lattice
 
 AR_LJ = LennardJonesPotential({("Ar", "Ar"): (0.0104, 3.4)})
+
+
+# --- reference implementations: the one-trial-at-a-time loop with a dense
+# host x emitter distance array, which the chunked tree query replaced,
+# and the rotation and unit vector it called.
+
+def ref_rotate(structure, axis, angle_deg):
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    theta = np.deg2rad(angle_deg)
+    k = axis
+    K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    R = np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
+    c = structure.center_of_mass()
+    structure.positions = (structure.positions - c) @ R.T + c
+    return structure
+
+
+def ref_random_unit_vector(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def ref_embed_emitter(host, emitter, cfg, counters=None):
+    if host.cell is None:
+        raise ValueError("host must carry a periodic cell")
+    rng = np.random.default_rng(cfg.seed)
+    labels = identify_molecules(host)
+    lengths = np.linalg.norm(host.cell, axis=1)
+
+    walker = emitter.copy()
+    walker.translate(host.center_of_mass() - walker.center_of_mass())
+    accepted = []
+    per_count = {k: 0 for k in range(cfg.min_removed, cfg.max_removed + 1)}
+    drawn = 0
+    rejected = {"count_range": 0, "per_count_cap": 0, "containment": 0}
+
+    for trial in range(cfg.max_trials):
+        if all(v >= cfg.structures_per_count for v in per_count.values()):
+            break
+        drawn += 1
+        axis = ref_random_unit_vector(rng)
+        angle = float(rng.uniform(0.0, 360.0))
+        ref_rotate(walker, axis, angle)
+        shift = cfg.translation_scale * lengths * rng.uniform(-1.0, 1.0, size=3)
+        walker.translate(shift)
+
+        d = np.linalg.norm(
+            host.positions[:, None, :] - walker.positions[None, :, :], axis=2
+        )
+        removed_mols = np.zeros(labels.count, dtype=bool)
+        removed_mols[labels.labels[(d < cfg.overlap_cutoff).any(axis=1)]] = True
+        removed = int(np.count_nonzero(removed_mols))
+        if not cfg.min_removed <= removed <= cfg.max_removed:
+            rejected["count_range"] += 1
+            continue
+        if per_count[removed] >= cfg.structures_per_count:
+            rejected["per_count_cap"] += 1
+            continue
+        reduced = host.subset(np.flatnonzero(~removed_mols[labels.labels]))
+        hmin, hmax = reduced.positions.min(0), reduced.positions.max(0)
+        emin, emax = walker.positions.min(0), walker.positions.max(0)
+        if not (np.all(emin > hmin) and np.all(emax < hmax)):
+            rejected["containment"] += 1
+            continue
+        combined = AtomicStructure(
+            elements=list(reduced.elements) + list(walker.elements),
+            positions=np.vstack([reduced.positions, walker.positions]),
+            masses=np.concatenate([reduced.masses, walker.masses]),
+            cell=host.cell.copy(),
+            pbc=host.pbc,
+        )
+        accepted.append(EmbeddingTrial(
+            structure=combined,
+            removed_count=removed,
+            rotation_axis=axis,
+            rotation_angle_deg=angle,
+            translation=shift,
+            trial_index=trial,
+            n_host_atoms=len(reduced),
+        ))
+        per_count[removed] += 1
+    if counters is not None:
+        counters.update(trials_drawn=drawn, trials_accepted=len(accepted),
+                        **{f"rejected_{k}": v for k, v in rejected.items()})
+    return accepted
 
 
 def small_run(seed=0, per_count=3, max_trials=1500):
@@ -139,6 +230,159 @@ class TestCounters:
             len(t.structure) == stalled for t in trials) > 0
         # a probe per step at least, and the starting point
         assert all(r.probes >= r.iterations + 1 for r in results)
+
+
+def _random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+@st.composite
+def embedding_hosts(draw):
+    """Permuted, shifted cubic Ar lattices, or grids of dimers and trimers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        base = lj_lattice(side, spacing=draw(st.floats(2.5, 4.0)))
+        positions = base.positions[rng.permutation(len(base))]
+        return AtomicStructure(elements=base.elements,
+                               positions=positions + rng.uniform(-5, 5, 3),
+                               cell=base.cell)
+    # bonded within a molecule (1.4 A), 2.8 A or more between molecules
+    spacing = 4.5
+    triangle = 1.4 / np.sqrt(3.0) * np.array(
+        [[np.cos(a), np.sin(a), 0.0] for a in (0.0, 2.1, 4.2)])
+    elements, positions = [], []
+    for site in np.ndindex(side, side, side):
+        atoms = triangle[:rng.integers(2, 4)] @ _random_rotation(rng).T
+        positions.extend(np.array(site) * spacing + atoms)
+        elements.extend(rng.choice(["Ar", "C"], size=len(atoms)).tolist())
+    return AtomicStructure(elements=elements, positions=np.array(positions),
+                           cell=np.eye(3) * side * spacing)
+
+
+@st.composite
+def embedding_emitters(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    return AtomicStructure(elements=rng.choice(["Ar", "C"], size=n).tolist(),
+                           positions=rng.uniform(-1.5, 1.5, size=(n, 3)))
+
+
+@st.composite
+def embedding_configs(draw):
+    low = draw(st.integers(0, 3))
+    return EmbeddingConfig(
+        overlap_cutoff=draw(st.floats(0.5, 3.0)),
+        min_removed=low, max_removed=low + draw(st.integers(0, 9)),
+        structures_per_count=draw(st.integers(1, 40)),
+        max_trials=draw(st.integers(1, 2000)),
+        seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def assert_same_trials(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.trial_index == b.trial_index
+        assert a.removed_count == b.removed_count
+        assert a.n_host_atoms == b.n_host_atoms
+        assert np.array_equal(a.rotation_axis, b.rotation_axis)
+        assert a.rotation_angle_deg == b.rotation_angle_deg
+        assert np.array_equal(a.translation, b.translation)
+        assert np.array_equal(a.structure.positions, b.structure.positions)
+        assert a.structure.elements == b.structure.elements
+        assert np.array_equal(a.structure.masses, b.structure.masses)
+
+
+class TestReferenceLoop:
+    """The chunked tree query gives the one-trial loop's trials, bit for
+    bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(embedding_hosts(), embedding_emitters(), embedding_configs())
+    def test_matches_reference(self, host, emitter, cfg):
+        got_counters, want_counters = {}, {}
+        try:
+            want = ref_embed_emitter(host, emitter, cfg,
+                                     counters=want_counters)
+        except ValueError as exc:
+            # a trial that removes every host molecule leaves no box
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                embed_emitter(host, emitter, cfg)
+            return
+        got = embed_emitter(host, emitter, cfg, counters=got_counters)
+        assert got_counters == want_counters
+        assert_same_trials(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3).filter(
+               lambda v: np.linalg.norm(v) > 1e-3),
+           st.booleans(),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_rotate_matches_reference(self, seed, axis, as_list, angle):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        s = AtomicStructure(elements=rng.choice(["Ar", "C", "H"],
+                                                size=n).tolist(),
+                            positions=rng.uniform(-5, 5, size=(n, 3)))
+        axis = axis if as_list else np.array(axis)
+        want = ref_rotate(s.copy(), axis, angle).positions
+        assert np.array_equal(s.rotate(axis, angle).positions, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_unit_vector_matches_reference(self, seed):
+        got = _random_unit_vector(np.random.default_rng(seed))
+        want = ref_random_unit_vector(np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+    def test_cutoff_is_strict(self):
+        """A host atom at exactly the cutoff stays; one just inside goes."""
+        host, emitter = lj_lattice(4, spacing=3.0), dimer(r=1.2).subset([0])
+        cfg = dict(min_removed=0, max_removed=5, max_trials=1, seed=3)
+        (probe,) = embed_emitter(host, emitter,
+                                 EmbeddingConfig(overlap_cutoff=0.01, **cfg))
+        site = probe.structure.positions[-1]
+        d = np.sort(np.linalg.norm(host.positions - site, axis=-1))
+        assert d[1] - d[0] > 1e-3   # one atom at the boundary
+        for cutoff, removed in ((d[0], 0), (np.nextafter(d[0], np.inf), 1)):
+            if removed:
+                assert d[0] == np.nextafter(cutoff, 0)
+            run = EmbeddingConfig(overlap_cutoff=float(cutoff), **cfg)
+            for embed in (embed_emitter, ref_embed_emitter):
+                (trial,) = embed(host, emitter, run)
+                assert trial.removed_count == removed
+                assert np.array_equal(trial.structure.positions[-1], site)
+
+    @pytest.mark.parametrize("per_count, max_trials", [(5, 3000), (40, 200)])
+    def test_rotate_calls_equal_trials_drawn(self, monkeypatch, per_count,
+                                             max_trials):
+        """The benchmark counts trials as rotate calls inside
+        embed_emitter."""
+        calls = []
+        rotate = AtomicStructure.rotate
+
+        def counted(self, *args):
+            calls.append(None)
+            return rotate(self, *args)
+
+        monkeypatch.setattr(AtomicStructure, "rotate", counted)
+        host, emitter = lj_lattice(5, spacing=3.0), dimer(r=1.2)
+        cfg = EmbeddingConfig(overlap_cutoff=2.0, min_removed=1,
+                              max_removed=3, structures_per_count=per_count,
+                              max_trials=max_trials, seed=3)
+        counters = {}
+        trials = embed_emitter(host, emitter, cfg, counters=counters)
+        assert len(calls) == counters["trials_drawn"]
+        if per_count == 5:
+            # every count filled early
+            assert len(trials) == 3 * per_count
+            assert counters["trials_drawn"] == trials[-1].trial_index + 1
+            assert counters["trials_drawn"] < max_trials
+        else:
+            assert counters["trials_drawn"] == max_trials
+            assert len(trials) < 3 * per_count
 
 
 class TestBindingEnergy:
