@@ -74,8 +74,9 @@ def _write_json(path, payload):
     write_json(path, payload, indent=2, sort_keys=True)
 
 
-def _write_stage_manifest(ctx, inputs, params, outputs):
-    """Record inputs (with hashes), parameters, and outputs for a stage."""
+def _write_stage_manifest(ctx, inputs, params):
+    """Record inputs (with hashes), parameters, and the outputs `_out`
+    recorded for a stage."""
     stage = ctx.info_name
     manifest = {
         "stage": stage,
@@ -85,11 +86,10 @@ def _write_stage_manifest(ctx, inputs, params, outputs):
             for name, p in inputs.items() if p is not None
         },
         "parameters": params,
-        "outputs": sorted(str(o) for o in outputs),
+        "outputs": sorted(str(o) for o in ctx.obj["outputs"]),
     }
-    path = os.path.join(ctx.obj["out_dir"], f"{stage}_manifest.json")
-    _write_json(path, manifest)
-    return path
+    _write_json(os.path.join(ctx.obj["out_dir"], f"{stage}_manifest.json"),
+                manifest)
 
 
 def _write_csv(path, header, rows):
@@ -100,9 +100,12 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _gpc_counters(model):
-    """Deterministic fit diagnostics of a GPCModel for a stage manifest."""
+def _gpc_params(model):
+    """Hyperparameters and deterministic fit diagnostics of a GPCModel for
+    a stage manifest."""
     return {
+        "sigma2": model.sigma2,
+        "lengthscale": model.lengthscale,
         "log_marginal_likelihood": model.log_marginal_likelihood,
         "grad_norm": model.grad_norm,
         "n_evaluations": model.n_evaluations,
@@ -115,17 +118,26 @@ def _gpc_counters(model):
 
 
 def _stage(func):
-    """Map stage exceptions onto the documented exit codes.
+    """Run a stage body, write its manifest, and map its exceptions onto
+    the documented exit codes.
 
-    Numerical failures exit 3; every other exception exits 2 with a
-    one-line message, so no stage ends in a traceback with exit 1.
+    The body takes the click context, records each path it writes through
+    `_out`, and returns (inputs, parameters, message). Only then is
+    `<stage>_manifest.json` written and the message echoed. Numerical
+    failures exit 3; every other exception exits 2 with a one-line
+    message, so no stage ends in a traceback with exit 1, and a stage
+    that fails leaves no manifest.
     """
 
+    @click.pass_context
     @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        stage = click.get_current_context().info_name
+    def wrapper(ctx, *args, **kwargs):
+        stage = ctx.info_name
+        ctx.obj["outputs"] = []
         try:
-            return func(*args, **kwargs)
+            inputs, params, message = func(ctx, *args, **kwargs)
+            _write_stage_manifest(ctx, inputs, params)
+            click.echo(message)
         except _NUMERICAL_ERRORS as exc:
             click.echo(f"[{stage}] numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
@@ -141,7 +153,10 @@ def _stage(func):
 
 
 def _out(ctx, name):
-    return os.path.join(ctx.obj["out_dir"], name)
+    """Path of output `name` in the out-dir, recorded for the manifest."""
+    path = os.path.join(ctx.obj["out_dir"], name)
+    ctx.obj["outputs"].append(path)
+    return path
 
 
 def _read_config(ctx, param, path):
@@ -182,7 +197,7 @@ def _finite_positive(ctx, param, value):
     return value
 
 
-# options that two stages share, declared once
+# options that two or three stages share, declared once
 _FMAX = click.option("--fmax", type=float, default=0.01, show_default=True,
                      callback=_finite_positive,
                      help="Force tolerance (eV/A) of relaxation and the "
@@ -191,6 +206,13 @@ _LJ_PARAMS = click.option("--lj-params", type=click.Path(exists=True),
                           help="JSON {\"C,C\": [eps_eV, sigma_A], ...}.")
 _NBITS = click.option("--nbits", type=int, default=1024, show_default=True)
 _RADIUS = click.option("--radius", type=int, default=2, show_default=True)
+_RECORDS = click.option("--records", type=click.Path(exists=True),
+                        required=True)
+_NO_SOC = click.option("--no-soc", is_flag=True, default=False,
+                       help="Drop the SOC condition from the labeling rule.")
+_LAMBDA_HOST = click.option("--lambda-host", type=float, required=True,
+                            help="Host absorption wavelength threshold (nm).")
+_LABELS_OUT = click.option("--out", default="labels.csv", show_default=True)
 
 
 @click.group()
@@ -218,7 +240,6 @@ def main(ctx, seed, out_dir):
               help="Reference: an id from the table or a SMILES string.")
 @_NBITS
 @_RADIUS
-@click.pass_context
 @_stage
 def similarity(ctx, smiles, reference, nbits, radius):
     """Rank a SMILES table by Tanimoto similarity to a reference."""
@@ -235,26 +256,20 @@ def similarity(ctx, smiles, reference, nbits, radius):
     summary = similarity_summary(ranked)
     summary["skipped_rows"] = skipped
 
-    ranking_path = _out(ctx, "ranking.csv")
-    _write_csv(ranking_path, ["id", "tanimoto"],
+    _write_csv(_out(ctx, "ranking.csv"), ["id", "tanimoto"],
                ([cid, f"{sim:.6f}"] for cid, sim in ranked))
 
     sims = np.array([s for _, s in ranked])
     edges = np.linspace(0.0, 1.0, 21)
     counts, _ = np.histogram(sims, bins=edges)
-    hist_path = _out(ctx, "histogram.json")
-    _write_json(hist_path, {
+    _write_json(_out(ctx, "histogram.json"), {
         "bin_edges": edges.tolist(),
         "counts": counts.tolist(),
         "summary": summary,
     })
-
-    _write_stage_manifest(
-        ctx, {"smiles": smiles},
-        {"reference": reference, "nbits": nbits, "radius": radius},
-        [ranking_path, hist_path],
-    )
-    click.echo(f"ranked {len(ranked)} entries ({skipped} skipped)")
+    return ({"smiles": smiles},
+            {"reference": reference, "nbits": nbits, "radius": radius},
+            f"ranked {len(ranked)} entries ({skipped} skipped)")
 
 
 # --- map -------------------------------------------------------------------
@@ -266,7 +281,6 @@ def similarity(ctx, smiles, reference, nbits, radius):
 @_NBITS
 @_RADIUS
 @click.option("--out", default="map.csv", show_default=True)
-@click.pass_context
 @_stage
 def map_cmd(ctx, smiles, perplexity, min_cluster_size, nbits, radius, out):
     """Embed fingerprints with t-SNE and cluster the 2D map."""
@@ -285,25 +299,19 @@ def map_cmd(ctx, smiles, perplexity, min_cluster_size, nbits, radius, out):
                    "perplexity target by up to "
                    f"{result.perplexity_error:.3g} nats", err=True)
 
-    out_path = _out(ctx, out)
-    _write_csv(out_path, ["x", "y", "cluster", "id"], (
+    _write_csv(_out(ctx, out), ["x", "y", "cluster", "id"], (
         [f"{xy[0]:.6f}", f"{xy[1]:.6f}", int(lab), cid]
         for xy, lab, cid in zip(result.embedding, clusters.labels, ids)
     ))
-    _write_stage_manifest(
-        ctx, {"smiles": smiles},
-        {"perplexity": perplexity, "min_cluster_size": min_cluster_size,
-         "nbits": nbits, "radius": radius, "seed": ctx.obj["seed"],
-         "skipped_rows": skipped, "kl_divergence": result.kl_divergence,
-         "n_iter": result.n_iter, "lr_halvings": result.lr_halvings,
-         "perplexity_error": result.perplexity_error,
-         "rows_off_target": off_target},
-        [out_path],
-    )
-    click.echo(
-        f"mapped {len(ids)} entries into {clusters.n_clusters} clusters "
-        f"(kl={result.kl_divergence:.4f})"
-    )
+    return ({"smiles": smiles},
+            {"perplexity": perplexity, "min_cluster_size": min_cluster_size,
+             "nbits": nbits, "radius": radius, "seed": ctx.obj["seed"],
+             "skipped_rows": skipped, "kl_divergence": result.kl_divergence,
+             "n_iter": result.n_iter, "lr_halvings": result.lr_halvings,
+             "perplexity_error": result.perplexity_error,
+             "rows_off_target": off_target},
+            f"mapped {len(ids)} entries into {clusters.n_clusters} clusters "
+            f"(kl={result.kl_divergence:.4f})")
 
 
 # --- embed -----------------------------------------------------------------
@@ -349,7 +357,6 @@ def _load_lj_params(path):
 @click.option("--max-trials", type=int, default=10000, show_default=True)
 @_LJ_PARAMS
 @_FMAX
-@click.pass_context
 @_stage
 def embed(ctx, host, emitter, cutoff, min_removed, max_removed, per_count,
           max_trials, lj_params, fmax):
@@ -375,22 +382,18 @@ def embed(ctx, host, emitter, cutoff, min_removed, max_removed, per_count,
                                            emitter_structure, fmax=fmax,
                                            counters=counters)
 
-    manifest_path = _out(ctx, "embedding.json")
-    prefix = _out(ctx, "embedded_")
-    write_manifest(trials, manifest_path, cfg, binding_energies=binding,
-                   xyz_prefix=prefix)
-    outputs = [manifest_path] + [
-        f"{prefix}{k:04d}.xyz" for k in range(len(trials))
-    ]
-    _write_stage_manifest(
-        ctx, {"host": host, "emitter": emitter, "lj_params": lj_params},
-        {"cutoff": cfg.overlap_cutoff, "min_removed": cfg.min_removed,
-         "max_removed": cfg.max_removed, "per_count": cfg.structures_per_count,
-         "max_trials": cfg.max_trials, "seed": cfg.seed, "fmax": fmax,
-         **counters},
-        outputs,
-    )
-    click.echo(f"accepted {len(trials)} embedded structures")
+    write_manifest(trials, _out(ctx, "embedding.json"), cfg,
+                   binding_energies=binding,
+                   xyz_prefix=os.path.join(ctx.obj["out_dir"], "embedded_"))
+    for k in range(len(trials)):
+        _out(ctx, f"embedded_{k:04d}.xyz")
+    return ({"host": host, "emitter": emitter, "lj_params": lj_params},
+            {"cutoff": cfg.overlap_cutoff, "min_removed": cfg.min_removed,
+             "max_removed": cfg.max_removed,
+             "per_count": cfg.structures_per_count,
+             "max_trials": cfg.max_trials, "seed": cfg.seed, "fmax": fmax,
+             **counters},
+            f"accepted {len(trials)} embedded structures")
 
 
 # --- modes -----------------------------------------------------------------
@@ -403,7 +406,6 @@ def embed(ctx, host, emitter, cutoff, min_removed, max_removed, per_count,
 @click.option("--relax/--no-relax", default=False, show_default=True)
 @_FMAX
 @click.option("--out", default="modes.json", show_default=True)
-@click.pass_context
 @_stage
 def modes(ctx, structure, potential_file, lj_params, relax, fmax, out):
     """Compute normal modes from an external or Lennard-Jones Hessian."""
@@ -433,22 +435,16 @@ def modes(ctx, structure, potential_file, lj_params, relax, fmax, out):
 
     hessian = potential.hessian(geometry)
     modeset = normal_modes(hessian, geometry.masses)
-    out_path = _out(ctx, out)
-    save_mode_set(modeset, out_path)
+    save_mode_set(modeset, _out(ctx, out))
     n_im = int((modeset.frequencies < 0).sum())
     # a Hessian describes vibrations only at a stationary point
     max_force = max_force_norm(potential.forces(geometry))
     params.update(n_atoms=len(geometry), n_imaginary=n_im,
                   hessian_asymmetry=float(np.abs(hessian - hessian.T).max()),
                   max_force=max_force, stationary=max_force <= fmax)
-    _write_stage_manifest(
-        ctx,
-        {"structure": structure, "potential_file": potential_file,
-         "lj_params": lj_params},
-        params,
-        [out_path],
-    )
-    click.echo(f"{len(modeset.frequencies)} modes ({n_im} imaginary)")
+    return ({"structure": structure, "potential_file": potential_file,
+             "lj_params": lj_params},
+            params, f"{len(modeset.frequencies)} modes ({n_im} imaginary)")
 
 
 # --- vibronic --------------------------------------------------------------
@@ -497,7 +493,6 @@ def _parse_atom_selection(spec, n):
 @click.option("--r-excited", type=click.Path(exists=True), required=True,
               help="Excited-state emitter geometry (XYZ).")
 @click.option("--out", default="vibronic.json", show_default=True)
-@click.pass_context
 @_stage
 def vibronic(ctx, isolated, embedded, forces, emitter_atoms, r_ground,
              r_excited, out):
@@ -515,8 +510,7 @@ def vibronic(ctx, isolated, embedded, forces, emitter_atoms, r_ground,
 
     report = vibronic_report(iso_modes, emb_modes, atoms, excited_forces,
                              ground, excited)
-    out_path = _out(ctx, out)
-    _write_json(out_path, {
+    _write_json(_out(ctx, out), {
         "g": report.g.tolist(),
         "s_projection": report.s_projection.tolist(),
         "huang_rhys": report.huang_rhys.tolist(),
@@ -526,14 +520,10 @@ def vibronic(ctx, isolated, embedded, forces, emitter_atoms, r_ground,
         "sum_weighted_hr": report.sum_weighted_hr,
         "direct_fc": report.direct_fc,
     })
-    _write_stage_manifest(
-        ctx,
-        {"isolated": isolated, "embedded": embedded, "forces": forces,
-         "r_ground": r_ground, "r_excited": r_excited},
-        {"emitter_atoms": emitter_atoms},
-        [out_path],
-    )
-    click.echo(f"svc={report.svc:.4f} direct_fc={report.direct_fc:.4f}")
+    return ({"isolated": isolated, "embedded": embedded, "forces": forces,
+             "r_ground": r_ground, "r_excited": r_excited},
+            {"emitter_atoms": emitter_atoms},
+            f"svc={report.svc:.4f} direct_fc={report.direct_fc:.4f}")
 
 
 # --- spin ------------------------------------------------------------------
@@ -542,7 +532,6 @@ def vibronic(ctx, isolated, embedded, forces, emitter_atoms, r_ground,
 @click.option("--states", type=click.Path(exists=True), required=True,
               help="Excited-state table JSON.")
 @click.option("--out", default="spin.json", show_default=True)
-@click.pass_context
 @_stage
 def spin(ctx, states, out):
     """Aggregate spin-orbit couplings into SOC / rSOC / gsSOC."""
@@ -556,13 +545,10 @@ def spin(ctx, states, out):
         "e_s1_eV": table.e_s1,
         "n_triplets": len(table.triplets),
     }
-    out_path = _out(ctx, out)
-    _write_json(out_path, payload)
-    _write_stage_manifest(ctx, {"states": states}, {}, [out_path])
-    click.echo(
-        f"soc={payload['soc']:.4f} rsoc={payload['rsoc']:.4f} "
-        f"gssoc={payload['gssoc']}"
-    )
+    _write_json(_out(ctx, out), payload)
+    return ({"states": states}, {},
+            f"soc={payload['soc']:.4f} rsoc={payload['rsoc']:.4f} "
+            f"gssoc={payload['gssoc']}")
 
 
 # --- stark -----------------------------------------------------------------
@@ -576,7 +562,6 @@ def spin(ctx, states, out):
               help="Evaluate the shift at these fields (kV/cm); repeatable, "
                    "command line only.")
 @click.option("--out", default="stark.json", show_default=True)
-@click.pass_context
 @_stage
 def stark(ctx, delta_mu, delta_alpha, field, out):
     """Linear and quadratic Stark shift coefficients."""
@@ -589,17 +574,10 @@ def stark(ctx, delta_mu, delta_alpha, field, out):
             for f in field
         ],
     }
-    out_path = _out(ctx, out)
-    _write_json(out_path, payload)
-    _write_stage_manifest(
-        ctx, {},
-        {"delta_mu": delta_mu, "delta_alpha": delta_alpha},
-        [out_path],
-    )
-    click.echo(
-        f"a={coeffs.a_mhz_per_kvcm:.3f} MHz/(kV/cm) "
-        f"b={coeffs.b_mhz_per_kvcm2:.4f} MHz/(kV/cm)^2"
-    )
+    _write_json(_out(ctx, out), payload)
+    return ({}, {"delta_mu": delta_mu, "delta_alpha": delta_alpha},
+            f"a={coeffs.a_mhz_per_kvcm:.3f} MHz/(kV/cm) "
+            f"b={coeffs.b_mhz_per_kvcm2:.4f} MHz/(kV/cm)^2")
 
 
 # --- label / classify ------------------------------------------------------
@@ -612,35 +590,27 @@ def _read_records(records):
 
 
 @main.command()
-@click.option("--records", type=click.Path(exists=True), required=True)
-@click.option("--lambda-host", type=float, required=True,
-              help="Host absorption wavelength threshold (nm).")
-@click.option("--no-soc", is_flag=True, default=False,
-              help="Drop the SOC condition from the labeling rule.")
-@click.option("--out", default="labels.csv", show_default=True)
-@click.pass_context
+@_RECORDS
+@_LAMBDA_HOST
+@_NO_SOC
+@_LABELS_OUT
 @_stage
 def label(ctx, records, lambda_host, no_soc, out):
     """Label candidates as good/bad emitters."""
     candidates = _read_records(records)
     good = label_good(candidates, lambda_host, include_soc=not no_soc)
-    out_path = _out(ctx, out)
-    _write_csv(out_path, ["id", "label"],
+    _write_csv(_out(ctx, out), ["id", "label"],
                ([rec.id, int(g)] for rec, g in zip(candidates, good)))
-    _write_stage_manifest(
-        ctx, {"records": records},
-        {"lambda_host": lambda_host, "include_soc": not no_soc},
-        [out_path],
-    )
-    click.echo(f"labeled {int(good.sum())}/{len(candidates)} as good")
+    return ({"records": records},
+            {"lambda_host": lambda_host, "include_soc": not no_soc},
+            f"labeled {int(good.sum())}/{len(candidates)} as good")
 
 
 @main.command()
-@click.option("--records", type=click.Path(exists=True), required=True)
-@click.option("--lambda-host", type=float, required=True)
-@click.option("--no-soc", is_flag=True, default=False)
-@click.option("--out", default="labels.csv", show_default=True)
-@click.pass_context
+@_RECORDS
+@_LAMBDA_HOST
+@_NO_SOC
+@_LABELS_OUT
 @_stage
 def classify(ctx, records, lambda_host, no_soc, out):
     """Label candidates and attach GPC class probabilities."""
@@ -649,22 +619,15 @@ def classify(ctx, records, lambda_host, no_soc, out):
     features = feature_matrix(candidates)
     model = gpc_train(features.values, good.astype(float))
     probs = gpc_predict(model, features.values)
-    out_path = _out(ctx, out)
-    _write_csv(out_path, ["id", "label", "probability"], (
+    _write_csv(_out(ctx, out), ["id", "label", "probability"], (
         [rec.id, int(g), f"{p:.6f}"]
         for rec, g, p in zip(candidates, good, probs)
     ))
-    _write_stage_manifest(
-        ctx, {"records": records},
-        {"lambda_host": lambda_host, "include_soc": not no_soc,
-         "sigma2": model.sigma2, "lengthscale": model.lengthscale,
-         **_gpc_counters(model)},
-        [out_path],
-    )
-    click.echo(
-        f"classified {len(candidates)} records "
-        f"(sigma2={model.sigma2:.3g}, lengthscale={model.lengthscale:.3g})"
-    )
+    return ({"records": records},
+            {"lambda_host": lambda_host, "include_soc": not no_soc,
+             **_gpc_params(model)},
+            f"classified {len(candidates)} records (sigma2="
+            f"{model.sigma2:.3g}, lengthscale={model.lengthscale:.3g})")
 
 
 # --- report ----------------------------------------------------------------
@@ -674,26 +637,21 @@ _FIG3_METRICS = ("soc", "rsoc", "gssoc", "svc", "e_bind_eV",
 
 
 @main.command()
-@click.option("--records", type=click.Path(exists=True), required=True)
+@_RECORDS
 @click.option("--lambda-host", type=float,
               help="Enables label/PC-score/GPC-grid outputs.")
-@click.option("--no-soc", is_flag=True, default=False)
+@_NO_SOC
 @click.option("--vibronic-dir", type=click.Path(exists=True, file_okay=False),
               help="Directory of per-candidate vibronic JSONs named <id>.json.")
-@click.pass_context
 @_stage
 def report(ctx, records, lambda_host, no_soc, vibronic_dir):
     """Assemble the results table and per-figure CSV data."""
     candidates = _read_records(records)
-    outputs = []
     grid_model = {}   # fit parameters and counters of the fig4-grid GPC
 
-    table_csv = _out(ctx, "table1.csv")
-    write_candidates_csv(candidates, table_csv)
-    table_json = _out(ctx, "table1.json")
-    _write_json(table_json,
+    write_candidates_csv(candidates, _out(ctx, "table1.csv"))
+    _write_json(_out(ctx, "table1.json"),
                 [dict(zip(CANDIDATE_COLUMNS, r.as_row())) for r in candidates])
-    outputs += [table_csv, table_json]
 
     for metric in _FIG3_METRICS:
         path = _out(ctx, f"fig3_{metric}.csv")
@@ -701,7 +659,6 @@ def report(ctx, records, lambda_host, no_soc, vibronic_dir):
             [r.id, f"{r.tanimoto:.4f}", f"{getattr(r, metric):.4f}"]
             for r in candidates
         ))
-        outputs.append(path)
 
     if lambda_host is not None:
         good = label_good(candidates, lambda_host, include_soc=not no_soc)
@@ -712,7 +669,6 @@ def report(ctx, records, lambda_host, no_soc, vibronic_dir):
             [r.id, f"{row[0]:.6f}", f"{row[1]:.6f}", int(g)]
             for r, row, g in zip(candidates, comp.scores, good)
         ))
-        outputs.append(path)
         if 0 < int(good.sum()) < len(candidates):
             model = gpc_train(comp.scores, good.astype(float))
             lo = comp.scores.min(axis=0) - 1.0
@@ -726,10 +682,7 @@ def report(ctx, records, lambda_host, no_soc, vibronic_dir):
                 [f"{x:.6f}", f"{y:.6f}", f"{p:.6f}"]
                 for (x, y), p in zip(grid, probs)
             ))
-            outputs.append(path)
-            grid_model = {"sigma2": model.sigma2,
-                          "lengthscale": model.lengthscale,
-                          **_gpc_counters(model)}
+            grid_model = _gpc_params(model)
 
     if vibronic_dir is not None:
         rows = []
@@ -742,21 +695,16 @@ def report(ctx, records, lambda_host, no_soc, vibronic_dir):
             rows.append((r.id, r.svc, data["sum_weighted_hr"],
                          data["sum_g"]))
         for name, col in (("fig5_svc_vs_hr.csv", 2), ("fig6_svc_vs_g.csv", 3)):
-            path = _out(ctx, name)
             header = ["id", "svc",
                       "sum_weighted_hr" if col == 2 else "sum_g"]
-            _write_csv(path, header, (
+            _write_csv(_out(ctx, name), header, (
                 [row[0], f"{row[1]:.4f}", f"{row[col]:.4f}"] for row in rows
             ))
-            outputs.append(path)
 
-    _write_stage_manifest(
-        ctx, {"records": records},
-        {"lambda_host": lambda_host, "include_soc": not no_soc,
-         **grid_model},
-        outputs,
-    )
-    click.echo(f"wrote {len(outputs)} report files")
+    return ({"records": records},
+            {"lambda_host": lambda_host, "include_soc": not no_soc,
+             **grid_model},
+            f"wrote {len(ctx.obj['outputs'])} report files")
 
 
 if __name__ == "__main__":

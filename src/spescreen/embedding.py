@@ -83,7 +83,8 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
     rejections by reason: `rejected_count_range` (removed molecules
     outside [min_removed, max_removed]), `rejected_per_count_cap` (that
     count already has structures_per_count trials) and
-    `rejected_containment` (emitter box not strictly inside the host's).
+    `rejected_containment` (emitter box not strictly inside the remaining
+    host's, or no host molecule left).
     """
     from scipy.spatial import cKDTree
 
@@ -144,10 +145,12 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
                 continue
             reduced = host.subset(
                 np.flatnonzero(~removed_mols[c][labels.labels]))
-            # containment: emitter bbox strictly inside remaining-host bbox
-            hmin, hmax = reduced.positions.min(0), reduced.positions.max(0)
+            # containment: emitter bbox strictly inside remaining-host bbox;
+            # a trial that removed every host molecule leaves no box
             emin, emax = positions[c].min(0), positions[c].max(0)
-            if not (np.all(emin > hmin) and np.all(emax < hmax)):
+            if not (len(reduced)
+                    and np.all(emin > reduced.positions.min(0))
+                    and np.all(emax < reduced.positions.max(0))):
                 rejected["containment"] += 1
                 continue
             combined = AtomicStructure(

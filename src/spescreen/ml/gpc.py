@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SIGMA2_BOUNDS = (1e-3, 1e3)
-DEFAULT_LENGTHSCALE_BOUNDS = (1e-2, 1e2)
+SIGMA2_BOUNDS = (1e-3, 1e3)
+LENGTHSCALE_BOUNDS = (1e-2, 1e2)
 
 _NOT_FINITE = "array must not contain infs or NaNs"
 
@@ -138,8 +138,7 @@ def _laplace_mode(K, y, tol=1e-10, max_iter=200):
     return f, a, pi, sw, L, grad_norm, float(logml), steps, converged
 
 
-def _neg_log_q(d2, y, log_theta, sigma2_bounds, lengthscale_bounds,
-               gradient=True):
+def _neg_log_q(d2, y, log_theta, gradient=True):
     """-log q(y | theta) and (unless gradient=False) its gradient in
     (log sigma2, log lengthscale).
 
@@ -148,8 +147,8 @@ def _neg_log_q(d2, y, log_theta, sigma2_bounds, lengthscale_bounds,
     s2 = +1/2 diag((K^-1 + W)^-1) d3, where d3 = -pi (1 - pi) (1 - 2 pi) is
     the third derivative of log p(y|f).
     """
-    s2 = float(np.clip(np.exp(log_theta[0]), *sigma2_bounds))
-    ls = float(np.clip(np.exp(log_theta[1]), *lengthscale_bounds))
+    s2 = float(np.clip(np.exp(log_theta[0]), *SIGMA2_BOUNDS))
+    ls = float(np.clip(np.exp(log_theta[1]), *LENGTHSCALE_BOUNDS))
     K = _rbf(d2, s2, ls)
     f, a, pi, sw, L, _, logml, _, _ = _laplace_mode(K, y)
     if not gradient:
@@ -173,7 +172,6 @@ class GPCModel:
     y_train: np.ndarray
     sigma2: float
     lengthscale: float
-    f_hat: np.ndarray
     pi_hat: np.ndarray
     sqrt_w: np.ndarray
     chol_b: np.ndarray
@@ -188,13 +186,11 @@ class GPCModel:
     laplace_converged: bool       # final fit reached tol before max_iter
 
 
-def gpc_train(x, y, sigma2_bounds=DEFAULT_SIGMA2_BOUNDS,
-              lengthscale_bounds=DEFAULT_LENGTHSCALE_BOUNDS,
-              optimize: bool = True,
-              sigma2: float | None = None,
+def gpc_train(x, y, sigma2: float | None = None,
               lengthscale: float | None = None) -> GPCModel:
     """Fit the Laplace GPC; hyperparameters default to marginal-likelihood
-    maximization within bounds (pass sigma2/lengthscale to pin them)."""
+    maximization within SIGMA2_BOUNDS and LENGTHSCALE_BOUNDS (pass both
+    sigma2 and lengthscale to pin them)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if not np.isfinite(x).all():
@@ -209,13 +205,11 @@ def gpc_train(x, y, sigma2_bounds=DEFAULT_SIGMA2_BOUNDS,
     at_bound = (False, False)
     if sigma2 is not None and lengthscale is not None:
         s2, ls = sigma2, lengthscale
-    elif not optimize:
-        s2, ls = 1.0, 1.0
     else:
         from scipy.optimize import minimize
 
-        lo = np.log([sigma2_bounds[0], lengthscale_bounds[0]])
-        hi = np.log([sigma2_bounds[1], lengthscale_bounds[1]])
+        lo = np.log([SIGMA2_BOUNDS[0], LENGTHSCALE_BOUNDS[0]])
+        hi = np.log([SIGMA2_BOUNDS[1], LENGTHSCALE_BOUNDS[1]])
         bounds = list(zip(lo, hi))
         seen = []          # per search: lowest value reached and where
 
@@ -223,8 +217,7 @@ def gpc_train(x, y, sigma2_bounds=DEFAULT_SIGMA2_BOUNDS,
             nonlocal n_evaluations
             n_evaluations += 1
             try:
-                out = _neg_log_q(d2, y, log_theta, sigma2_bounds,
-                                 lengthscale_bounds, gradient)
+                out = _neg_log_q(d2, y, log_theta, gradient)
             except np.linalg.LinAlgError:
                 return (np.inf, np.zeros(2)) if gradient else np.inf
             if gradient and out[0] < seen[-1][0]:
@@ -261,15 +254,15 @@ def gpc_train(x, y, sigma2_bounds=DEFAULT_SIGMA2_BOUNDS,
         best, optimizer_converged = seen[k][1], success[k]
         at_bound = tuple(bool(t <= l or t >= h)
                          for t, l, h in zip(best, lo, hi))
-        s2 = np.clip(np.exp(best[0]), *sigma2_bounds)
-        ls = np.clip(np.exp(best[1]), *lengthscale_bounds)
+        s2 = np.clip(np.exp(best[0]), *SIGMA2_BOUNDS)
+        ls = np.clip(np.exp(best[1]), *LENGTHSCALE_BOUNDS)
 
     s2, ls = float(s2), float(ls)
-    f, _, pi, sw, L, grad_norm, logml, steps, converged = _laplace_mode(
+    _, _, pi, sw, L, grad_norm, logml, steps, converged = _laplace_mode(
         _rbf(d2, s2, ls), y)
     return GPCModel(
         x_train=x, y_train=y, sigma2=s2, lengthscale=ls,
-        f_hat=f, pi_hat=pi, sqrt_w=sw, chol_b=L,
+        pi_hat=pi, sqrt_w=sw, chol_b=L,
         grad_norm=grad_norm, log_marginal_likelihood=logml,
         n_evaluations=n_evaluations, optimizer_converged=optimizer_converged,
         sigma2_at_bound=at_bound[0], lengthscale_at_bound=at_bound[1],

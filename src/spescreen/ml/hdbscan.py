@@ -46,6 +46,12 @@ def hdbscan(x, min_cluster_size: int = 5) -> HDBSCANResult:
     # core distance: to the min_cluster_size-th nearest point, itself counted
     core = np.sort(d, axis=1)[:, min_cluster_size - 1]
     mreach = np.maximum(d, np.maximum(core[:, None], core[None, :]))
+    # csr_matrix drops zeros, and with them the edges between
+    # min_cluster_size or more coincident points: the smallest positive
+    # float keeps those edges, ahead of every other
+    zero = mreach == 0.0
+    np.fill_diagonal(zero, False)
+    mreach[zero] = np.nextafter(0.0, 1.0)
     mst = minimum_spanning_tree(csr_matrix(mreach)).tocoo()
 
     comp = np.arange(n)                       # point -> component

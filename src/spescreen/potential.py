@@ -1,14 +1,16 @@
 """Energy/force providers, quasi-Newton relaxation, analytic Hessians.
 
 Shipped providers: a Lennard-Jones pair potential and an adapter that
-replays externally computed energies/forces/Hessians from a JSON file.
-Both expose energy(structure) -> eV, forces(structure) -> (N, 3) eV/A,
-energy_and_forces(structure) -> (eV, (N, 3) eV/A), hessian(structure) ->
-(3N, 3N) eV/A^2, and evaluator(structure), which returns a function of
-positions (N, 3) -> (eV, (N, 3) eV/A) for that structure's elements, cell
-and pbc. Relaxation takes one evaluator per call and probes it once per
-trial step, so everything that does not move with the atoms is built
-once per relaxation, not once per probe.
+replays an externally computed single point from a JSON file. Both expose
+forces(structure) -> (N, 3) eV/A and hessian(structure) -> (3N, 3N)
+eV/A^2. The Lennard-Jones potential also exposes energy(structure) -> eV,
+energy_and_forces(structure) -> (eV, (N, 3) eV/A) and evaluator(structure),
+which returns a function of positions (N, 3) -> (eV, (N, 3) eV/A) for that
+structure's elements, cell and pbc. Relaxation takes one evaluator per
+call and probes it once per trial step, so everything that does not move
+with the atoms is built once per relaxation, not once per probe. A
+replayed single point holds forces at one geometry only, so it has no
+evaluator and cannot be relaxed.
 
 The Lennard-Jones potential builds one pair table per evaluator (the
 i < j index arrays, 4 eps and sigma of each pair, and the flat 3N
@@ -148,13 +150,15 @@ class ExternalPotential:
 
     File schema (JSON): {"n_atoms": N, "energy_eV": float,
     "forces_eV_per_A": N x 3, "hessian_eV_per_A2": 3N x 3N (optional)}.
+    The energy is checked finite; only the forces and the Hessian are
+    served.
     """
 
     def __init__(self, path):
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         self.n_atoms = int(data["n_atoms"])
-        self._energy = float(data["energy_eV"])
+        energy = float(data["energy_eV"])
         self._forces = np.asarray(data["forces_eV_per_A"], dtype=float)
         if self._forces.shape != (self.n_atoms, 3):
             raise ValueError(
@@ -166,7 +170,7 @@ class ExternalPotential:
             self._hessian = np.asarray(data["hessian_eV_per_A2"], dtype=float)
             if self._hessian.shape != (3 * self.n_atoms, 3 * self.n_atoms):
                 raise ValueError("hessian shape does not match 3N x 3N")
-        if not (np.isfinite(self._energy) and np.isfinite(self._forces).all()
+        if not (np.isfinite(energy) and np.isfinite(self._forces).all()
                 and (self._hessian is None
                      or np.isfinite(self._hessian).all())):
             raise ValueError(f"{path}: non-finite energy, force or Hessian")
@@ -177,22 +181,9 @@ class ExternalPotential:
                 f"structure has {len(structure)} atoms, file has {self.n_atoms}"
             )
 
-    def energy(self, structure) -> float:
-        self._check(structure)
-        return self._energy
-
     def forces(self, structure) -> np.ndarray:
         self._check(structure)
         return self._forces.copy()
-
-    def evaluator(self, structure):
-        """positions -> (the file's energy, a copy of its forces), after one
-        atom-count check."""
-        self._check(structure)
-        return lambda positions: (self._energy, self._forces.copy())
-
-    def energy_and_forces(self, structure):
-        return self.evaluator(structure)(structure.positions)
 
     def hessian(self, structure) -> np.ndarray:
         self._check(structure)

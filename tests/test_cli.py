@@ -211,6 +211,31 @@ class TestEmbed:
             params["trial_relax_iterations"] + n
         assert 0 <= params["trial_relax_unconverged"] <= n
 
+    def test_trial_removing_every_molecule_rejected(self, runner, tmp_path):
+        """Eight Ar atoms 3 A apart and a 3 A cutoff: some trials remove
+        the whole host and count as containment rejections."""
+        host = tmp_path / "host.xyz"
+        emitter = tmp_path / "emitter.xyz"
+        write_xyz(lj_lattice(2, spacing=3.0), host)
+        write_xyz(dimer(r=1.2), emitter)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "embed",
+            "--host", str(host), "--emitter", str(emitter),
+            "--cutoff", "3.0", "--min-removed", "2", "--max-removed", "8",
+            "--max-trials", "50",
+        ])
+        assert result.exit_code == 0, result.output
+        params = json.loads((out / "embed_manifest.json").read_text())[
+            "parameters"]
+        assert result.output == \
+            f"accepted {params['trials_accepted']} embedded structures\n"
+        assert params["trials_drawn"] == 50
+        assert params["rejected_containment"] >= 1
+        assert params["trials_drawn"] == params["trials_accepted"] + sum(
+            params[f"rejected_{k}"]
+            for k in ("count_range", "per_count_cap", "containment"))
+
     def test_bad_lj_params_exit_2(self, runner, tmp_path):
         host = tmp_path / "host.xyz"
         emitter = tmp_path / "emitter.xyz"
@@ -1242,6 +1267,70 @@ class TestSpinStarkVibronicFuzz:
                 argv = argv[:-2] + ([] if atoms is None
                                     else ["--emitter-atoms", atoms])
             _assert_exit_contract(tmp, argv)
+
+
+def _stage_argv(stage, tmp_path, smiles_table, records_csv):
+    """Arguments for one successful call of `stage`; inputs in tmp_path."""
+    lj = tmp_path / "lj.json"
+    lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+    if stage == "embed":
+        write_xyz(lj_lattice(3, spacing=3.8), tmp_path / "host.xyz")
+        write_xyz(dimer(r=1.2), tmp_path / "emitter.xyz")
+        return ["--host", str(tmp_path / "host.xyz"),
+                "--emitter", str(tmp_path / "emitter.xyz"), "--cutoff", "2.0",
+                "--min-removed", "2", "--max-removed", "3", "--per-count", "1",
+                "--max-trials", "4000"]
+    if stage == "modes":
+        write_xyz(dimer(r=3.8), tmp_path / "dimer.xyz")
+        return ["--structure", str(tmp_path / "dimer.xyz"),
+                "--lj-params", str(lj), "--relax"]
+    if stage == "vibronic":
+        return TestVibronic._inputs(tmp_path)[1:] + ["--emitter-atoms", "2:4"]
+    if stage == "spin":
+        states = tmp_path / "states.json"
+        states.write_text(json.dumps({
+            "singlets": [{"energy_eV": 2.2, "fosc": 0.3}],
+            "triplets": [{"energy_eV": 1.5, "soc_s1_cm1": 0.2}],
+        }))
+        return ["--states", str(states)]
+    if stage == "report":
+        (tmp_path / "vib").mkdir()
+        return ["--records", str(records_csv), "--lambda-host", "500",
+                "--vibronic-dir", str(tmp_path / "vib")]
+    return {
+        "similarity": ["--smiles", str(smiles_table), "--reference", "ref"],
+        "map": ["--smiles", str(smiles_table), "--perplexity", "3",
+                "--min-cluster-size", "3"],
+        "stark": ["--delta-mu", "0.0616", "--delta-alpha", "612.15",
+                  "--field", "1.0"],
+        "label": ["--records", str(records_csv), "--lambda-host", "500"],
+        "classify": ["--records", str(records_csv), "--lambda-host", "500"],
+    }[stage]
+
+
+_STAGES = ("similarity", "map", "embed", "modes", "vibronic", "spin", "stark",
+           "label", "classify", "report")
+
+
+class TestStageManifest:
+    def test_every_stage_listed(self):
+        assert set(_STAGES) == set(main.commands)
+
+    @pytest.mark.parametrize("stage", _STAGES)
+    def test_outputs_are_the_files_written(self, runner, tmp_path, stage,
+                                           smiles_table, records_csv):
+        """The manifest lists exactly the files the stage wrote into its
+        out-dir, sorted, the manifest itself left out."""
+        argv = _stage_argv(stage, tmp_path, smiles_table, records_csv)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out-dir", str(out), stage] + argv)
+        assert result.exit_code == 0, result.output
+        manifest_name = f"{stage}_manifest.json"
+        manifest = json.loads((out / manifest_name).read_text())
+        written = sorted(str(out / name) for name in os.listdir(out)
+                         if name != manifest_name)
+        assert written
+        assert manifest["outputs"] == written
 
 
 class TestConfig:

@@ -1,7 +1,6 @@
 """Stochastic guest-in-host embedding and binding energies."""
 
 import json
-import re
 
 import numpy as np
 import pytest
@@ -82,6 +81,10 @@ def ref_embed_emitter(host, emitter, cfg, counters=None):
             rejected["per_count_cap"] += 1
             continue
         reduced = host.subset(np.flatnonzero(~removed_mols[labels.labels]))
+        if not len(reduced):
+            # every host molecule removed: no box to be inside
+            rejected["containment"] += 1
+            continue
         hmin, hmax = reduced.positions.min(0), reduced.positions.max(0)
         emin, emax = walker.positions.min(0), walker.positions.max(0)
         if not (np.all(emin > hmin) and np.all(emax < hmax)):
@@ -302,17 +305,25 @@ class TestReferenceLoop:
     @given(embedding_hosts(), embedding_emitters(), embedding_configs())
     def test_matches_reference(self, host, emitter, cfg):
         got_counters, want_counters = {}, {}
-        try:
-            want = ref_embed_emitter(host, emitter, cfg,
-                                     counters=want_counters)
-        except ValueError as exc:
-            # a trial that removes every host molecule leaves no box
-            with pytest.raises(ValueError, match=re.escape(str(exc))):
-                embed_emitter(host, emitter, cfg)
-            return
+        want = ref_embed_emitter(host, emitter, cfg, counters=want_counters)
         got = embed_emitter(host, emitter, cfg, counters=got_counters)
         assert got_counters == want_counters
         assert_same_trials(got, want)
+
+    def test_every_molecule_removed(self):
+        """A trial that removes all 8 host molecules counts as a
+        containment rejection in both loops."""
+        host, emitter = lj_lattice(2, spacing=3.0), dimer(r=1.2)
+        cfg = EmbeddingConfig(overlap_cutoff=3.0, min_removed=8,
+                              max_removed=8, max_trials=50)
+        got_counters, want_counters = {}, {}
+        assert embed_emitter(host, emitter, cfg, counters=got_counters) == []
+        assert ref_embed_emitter(host, emitter, cfg,
+                                 counters=want_counters) == []
+        assert got_counters == want_counters
+        # only all-removing trials pass the count range [8, 8]
+        assert got_counters["rejected_containment"] == \
+            50 - got_counters["rejected_count_range"] > 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1),

@@ -189,8 +189,9 @@ class TestGPC:
 
 
 # --- slow reference: the GPC fit before the direct-LAPACK rewrite ----------
-# Copied verbatim but for the ref_ names and the SimpleNamespace model, so
-# the rewrite can be held to bit-identical results.
+# Copied verbatim but for the ref_ names, the SimpleNamespace model and the
+# options gpc_train no longer takes (its bounds are the module constants,
+# and no f_hat is kept), so the rewrite can be held to bit-identical results.
 
 _sigmoid = gpc_module._sigmoid
 
@@ -236,11 +237,10 @@ def ref_laplace_mode(K, y, tol=1e-10, max_iter=200):
     return f, pi, sw, L, grad_norm, float(logml)
 
 
-def ref_gpc_train(x, y, sigma2_bounds=gpc_module.DEFAULT_SIGMA2_BOUNDS,
-                  lengthscale_bounds=gpc_module.DEFAULT_LENGTHSCALE_BOUNDS,
-                  grid_size: int = 7, optimize: bool = True,
-                  sigma2: float | None = None,
-                  lengthscale: float | None = None):
+def ref_gpc_train(x, y, sigma2: float | None = None,
+                  lengthscale: float | None = None, grid_size: int = 7):
+    sigma2_bounds = gpc_module.SIGMA2_BOUNDS
+    lengthscale_bounds = gpc_module.LENGTHSCALE_BOUNDS
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if set(np.unique(y)) - {0.0, 1.0}:
@@ -260,8 +260,6 @@ def ref_gpc_train(x, y, sigma2_bounds=gpc_module.DEFAULT_SIGMA2_BOUNDS,
 
     if sigma2 is not None and lengthscale is not None:
         best = (sigma2, lengthscale)
-    elif not optimize:
-        best = (1.0, 1.0)
     else:
         s2_grid = np.exp(np.linspace(*np.log(sigma2_bounds), grid_size))
         ls_grid = np.exp(np.linspace(*np.log(lengthscale_bounds), grid_size))
@@ -283,10 +281,10 @@ def ref_gpc_train(x, y, sigma2_bounds=gpc_module.DEFAULT_SIGMA2_BOUNDS,
 
     s2, ls = float(best[0]), float(best[1])
     K = ref_rbf_kernel(x, x, s2, ls)
-    f, pi, sw, L, grad_norm, logml = ref_laplace_mode(K, y)
+    _, pi, sw, L, grad_norm, logml = ref_laplace_mode(K, y)
     return SimpleNamespace(
         x_train=x, y_train=y, sigma2=s2, lengthscale=ls,
-        f_hat=f, pi_hat=pi, sqrt_w=sw, chol_b=L,
+        pi_hat=pi, sqrt_w=sw, chol_b=L,
         grad_norm=grad_norm, log_marginal_likelihood=logml,
     )
 
@@ -315,8 +313,8 @@ def ref_fit(x, y, **kwargs):
     return model, spy.call_count - 1   # minus the final fit
 
 
-_EXACT_FIELDS = ("sigma2", "lengthscale", "f_hat", "pi_hat", "sqrt_w",
-                 "chol_b", "grad_norm", "log_marginal_likelihood")
+_EXACT_FIELDS = ("sigma2", "lengthscale", "pi_hat", "sqrt_w", "chol_b",
+                 "grad_norm", "log_marginal_likelihood")
 
 
 def assert_same_fit(model, ref, ref_evaluations, x_star):
@@ -342,20 +340,14 @@ def gpc_problems(draw):
     else:
         y = (rng.random(n) < 0.5).astype(float)
     y[:2] = (0.0, 1.0) if x[0, 0] <= x[1, 0] else (1.0, 0.0)
-    kind = draw(st.sampled_from(["optimised", "pinned", "fixed"]))
+    kind = draw(st.sampled_from(["optimised", "pinned", "unit"]))
     if kind == "pinned":
         kwargs = {"sigma2": draw(st.floats(1e-2, 1e2)),
                   "lengthscale": draw(st.floats(5e-2, 2e1))}
-    elif kind == "fixed":
-        kwargs = {"optimize": False}
+    elif kind == "unit":
+        kwargs = {"sigma2": 1.0, "lengthscale": 1.0}
     else:
         kwargs = {}
-        if draw(st.booleans()):
-            for key, (lo, hi) in (("sigma2_bounds", (-3.0, 2.0)),
-                                  ("lengthscale_bounds", (-2.0, 1.5))):
-                low = draw(st.floats(lo, hi))
-                kwargs[key] = (10.0**low,
-                               10.0**(low + draw(st.floats(0.25, 2.0))))
     x_star = np.vstack([x, rng.normal(size=(5, d))])
     return x, y, kwargs, x_star
 
@@ -388,13 +380,12 @@ class TestGPCReference:
     @settings(max_examples=30, deadline=None)
     @given(gpc_problems())
     def test_bit_identical_to_reference(self, problem):
-        """Pinned and fixed fits equal the reference bit for bit; an
-        optimised fit ends no lower than the reference's grid + Nelder-Mead
-        optimum."""
+        """Pinned fits equal the reference bit for bit; an optimised fit
+        ends no lower than the reference's grid + Nelder-Mead optimum."""
         x, y, kwargs, x_star = problem
         ref, ref_evaluations = ref_fit(x, y, **kwargs)
         model = gpc_train(x, y, **kwargs)
-        if "sigma2" in kwargs or "optimize" in kwargs:
+        if kwargs:
             assert_same_fit(model, ref, ref_evaluations, x_star)
             assert model.n_evaluations == 0 and model.optimizer_converged
             assert not (model.sigma2_at_bound or model.lengthscale_at_bound)
@@ -409,18 +400,16 @@ class TestGPCReference:
                                                   log_ls):
         x, y, _, _ = problem
         d2 = gpc_module._sqdist(x, x)
-        bounds = (gpc_module.DEFAULT_SIGMA2_BOUNDS,
-                  gpc_module.DEFAULT_LENGTHSCALE_BOUNDS)
         theta = np.array([log_s2, log_ls])
-        _, grad = gpc_module._neg_log_q(d2, y, theta, *bounds)
+        _, grad = gpc_module._neg_log_q(d2, y, theta)
         h = 1e-5
         central = np.empty(2)
         for j in range(2):
             step = np.zeros(2)
             step[j] = h
-            central[j] = (gpc_module._neg_log_q(d2, y, theta + step, *bounds)[0]
-                          - gpc_module._neg_log_q(d2, y, theta - step,
-                                                  *bounds)[0]) / (2.0 * h)
+            central[j] = (gpc_module._neg_log_q(d2, y, theta + step)[0]
+                          - gpc_module._neg_log_q(d2, y, theta - step)[0]
+                          ) / (2.0 * h)
         assert np.allclose(grad, central, rtol=1e-6, atol=1e-6), (grad,
                                                                   central)
 
@@ -521,9 +510,9 @@ class TestGPCReference:
                                      if run[0] <= low + 1e-9)
             assert model.optimizer_converged == success
             assert model.sigma2 == float(np.clip(
-                np.exp(theta[0]), *gpc_module.DEFAULT_SIGMA2_BOUNDS))
+                np.exp(theta[0]), *gpc_module.SIGMA2_BOUNDS))
             assert model.lengthscale == float(np.clip(
-                np.exp(theta[1]), *gpc_module.DEFAULT_LENGTHSCALE_BOUNDS))
+                np.exp(theta[1]), *gpc_module.LENGTHSCALE_BOUNDS))
 
     def test_indefinite_b_raises_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError):
@@ -536,11 +525,10 @@ class TestGPCReference:
         y = np.array([0.0, 1.0, 1.0])
         x_bad = x.copy()
         x_bad[1, 0] = bad
-        for kwargs in ({}, {"optimize": False},
-                       {"sigma2": 1.0, "lengthscale": 1.0}):
+        for kwargs in ({}, {"sigma2": 1.0, "lengthscale": 1.0}):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 gpc_train(x_bad, y, **kwargs)
-        model = gpc_train(x, y, optimize=False)
+        model = gpc_train(x, y, sigma2=1.0, lengthscale=1.0)
         if np.isnan(bad):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 gpc_predict(model, x_bad)
@@ -965,7 +953,8 @@ def ref_condensed_tree(mst_edges, n, min_cluster_size):
     for e in order:
         i, j, w = mst_edges[e]
         ri, rj = uf.find(int(i)), uf.find(int(j))
-        lam = 1.0 / w if w > 0 else np.inf
+        # a float: 1 / the smallest positive float is inf, with no warning
+        lam = 1.0 / float(w)
         mi, mj = members[ri], members[rj]
         ci, cj = comp_cluster[ri], comp_cluster[rj]
         big_i = len(mi) >= min_cluster_size
@@ -1030,6 +1019,10 @@ def ref_hdbscan(x, min_cluster_size: int = 5):
     d = np.sqrt(squared_euclidean(x))
     core = ref_core_distances(d, min_cluster_size)
     mreach = ref_mutual_reachability(d, core)
+    # csr_matrix drops zero entries: keep coincident points' edges
+    zero = mreach == 0.0
+    np.fill_diagonal(zero, False)
+    mreach[zero] = np.nextafter(0.0, 1.0)
     mst = minimum_spanning_tree(csr_matrix(mreach)).tocoo()
     mst_edges = np.column_stack([mst.row, mst.col, mst.data])
     clusters, point_cluster, _ = ref_condensed_tree(mst_edges, n,
@@ -1063,9 +1056,8 @@ def hdbscan_inputs(draw):
     repeated; n may fall below min_cluster_size.
 
     Rounded and grid points tie in mutual reachability; min_cluster_size
-    or more coincident points have core distance 0, and the zero edges
-    between them drop out of the sparse graph, so the spanning tree is a
-    forest.
+    or more coincident points have core distance 0, so the edges between
+    them have mutual reachability 0.
     """
     n = draw(st.integers(1, 120))
     d = draw(st.integers(1, 3))
@@ -1136,3 +1128,15 @@ class TestHDBSCAN:
     def test_min_cluster_size_validation(self):
         with pytest.raises(ValueError):
             hdbscan(np.zeros((10, 2)), min_cluster_size=1)
+
+    @pytest.mark.parametrize("nudge", [0.0, 1e-9])
+    def test_coincident_points_keep_their_edges(self, nudge):
+        """Six coincident points have mutual reachability 0 among
+        themselves; they still form their own cluster, as when nudged
+        apart."""
+        rng = np.random.default_rng(0)
+        x = np.vstack([np.zeros((6, 2)), rng.normal(size=(10, 2)) + 10])
+        x[:6, 0] += nudge * np.arange(6)
+        for res in (hdbscan(x, 5), ref_hdbscan(x, 5)):
+            assert res.labels.tolist() == [0] * 6 + [1] * 10
+            assert res.n_clusters == 2

@@ -467,11 +467,15 @@ class TestExternalPotential:
         p.write_text(json.dumps(payload))
         pot = ExternalPotential(p)
         s = dimer(r=3.0)
-        assert pot.energy(s) == -1.25
+        f = pot.forces(s)
+        assert f[0, 2] == 0.1
+        f[0, 2] = 5.0                     # callers may write to their copy
         assert pot.forces(s)[0, 2] == 0.1
-        e, f = pot.energy_and_forces(s)
-        assert e == -1.25 and np.array_equal(f, pot.forces(s))
         assert pot.hessian(s).shape == (6, 6)
+        three = AtomicStructure(elements=["Ar"] * 3, positions=np.eye(3))
+        for method in (pot.forces, pot.hessian):
+            with pytest.raises(ValueError, match="3 atoms"):
+                method(three)
 
     def test_shape_validation(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -787,18 +791,3 @@ class TestPreparedKernelOracle:
             res = relax(s, potential, fmax=1e-2, max_steps=5)
             ref = ref_relax(s, RefLJ(potential), fmax=1e-2, max_steps=5)
             assert res.energies == ref.energies
-
-    def test_external_evaluator_checks_count_and_copies(self, tmp_path):
-        p = tmp_path / "sp.json"
-        p.write_text(json.dumps({
-            "n_atoms": 2, "energy_eV": -1.0,
-            "forces_eV_per_A": [[0.0, 0.0, 0.1], [0.0, 0.0, -0.1]],
-        }))
-        pot = ExternalPotential(p)
-        evaluate = pot.evaluator(dimer(r=3.0))
-        e, f = evaluate(np.zeros((2, 3)))
-        f[0, 2] = 5.0                     # callers may write to their copy
-        assert evaluate(np.zeros((2, 3)))[1][0, 2] == 0.1
-        with pytest.raises(ValueError, match="3 atoms"):
-            pot.evaluator(AtomicStructure(elements=["Ar"] * 3,
-                                          positions=np.eye(3)))
