@@ -467,15 +467,8 @@ class TestExternalPotential:
         p.write_text(json.dumps(payload))
         pot = ExternalPotential(p)
         s = dimer(r=3.0)
-        f = pot.forces(s)
-        assert f[0, 2] == 0.1
-        f[0, 2] = 5.0                     # callers may write to their copy
         assert pot.forces(s)[0, 2] == 0.1
-        assert pot.hessian(s).shape == (6, 6)
-        three = AtomicStructure(elements=["Ar"] * 3, positions=np.eye(3))
-        for method in (pot.forces, pot.hessian):
-            with pytest.raises(ValueError, match="3 atoms"):
-                method(three)
+        assert np.array_equal(pot.hessian(s), np.eye(6))
 
     def test_shape_validation(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -791,3 +784,24 @@ class TestPreparedKernelOracle:
             res = relax(s, potential, fmax=1e-2, max_steps=5)
             ref = ref_relax(s, RefLJ(potential), fmax=1e-2, max_steps=5)
             assert res.energies == ref.energies
+
+    def test_external_evaluator_checks_count_and_copies(self, tmp_path):
+        # A replayed single point serves forces and a Hessian, not an
+        # evaluator: it holds forces at one geometry and cannot be relaxed.
+        p = tmp_path / "sp.json"
+        p.write_text(json.dumps({
+            "n_atoms": 2, "energy_eV": -1.0,
+            "forces_eV_per_A": [[0.0, 0.0, 0.1], [0.0, 0.0, -0.1]],
+            "hessian_eV_per_A2": np.eye(6).tolist(),
+        }))
+        pot = ExternalPotential(p)
+        assert not hasattr(pot, "evaluator")
+        s = dimer(r=3.0)
+        for method in (pot.forces, pot.hessian):
+            first = method(s)
+            served = first.copy()
+            first[0, 2] = 5.0             # callers may write to their copy
+            assert np.array_equal(method(s), served)
+            with pytest.raises(ValueError, match="3 atoms"):
+                method(AtomicStructure(elements=["Ar"] * 3,
+                                       positions=np.eye(3)))
