@@ -316,37 +316,6 @@ def map_cmd(ctx, smiles, perplexity, min_cluster_size, nbits, radius, out):
 
 # --- embed -----------------------------------------------------------------
 
-def _load_lj_params(path):
-    """Read {"A,B": [eps_eV, sigma_A], ...} into {("A", "B"): (eps, sigma)}.
-
-    Raises ValueError for a key that is not two comma-separated elements, a
-    value that is not two positive numbers, and "A,B" and "B,A" entries
-    that disagree.
-    """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("LJ parameters must be a JSON object")
-    params = {}
-    for key, value in raw.items():
-        pair = tuple(key.split(","))
-        if len(pair) != 2 or not all(pair):
-            raise ValueError(
-                f"LJ key {key!r} is not two comma-separated elements"
-            )
-        if not (isinstance(value, list) and len(value) == 2 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and 0 < v < float("inf") for v in value)):
-            raise ValueError(
-                f"LJ value for {key!r} is not two positive numbers: {value!r}"
-            )
-        canon = tuple(sorted(pair))
-        if params.get(canon, tuple(value)) != tuple(value):
-            raise ValueError(f"conflicting LJ entries for pair {key!r}")
-        params[canon] = tuple(value)
-    return params
-
-
 @main.command()
 @click.option("--host", type=click.Path(exists=True), required=True)
 @click.option("--emitter", type=click.Path(exists=True), required=True)
@@ -377,16 +346,15 @@ def embed(ctx, host, emitter, cutoff, min_removed, max_removed, per_count,
 
     binding = None
     if lj_params is not None:
-        potential = LennardJonesPotential(_load_lj_params(lj_params))
+        potential = LennardJonesPotential.from_json(lj_params)
         _, _, binding = select_most_stable(trials, potential, host_structure,
                                            emitter_structure, fmax=fmax,
                                            counters=counters)
 
     write_manifest(trials, _out(ctx, "embedding.json"), cfg,
                    binding_energies=binding,
-                   xyz_prefix=os.path.join(ctx.obj["out_dir"], "embedded_"))
-    for k in range(len(trials)):
-        _out(ctx, f"embedded_{k:04d}.xyz")
+                   xyz_paths=[_out(ctx, f"embedded_{k:04d}.xyz")
+                              for k in range(len(trials))])
     return ({"host": host, "emitter": emitter, "lj_params": lj_params},
             {"cutoff": cfg.overlap_cutoff, "min_removed": cfg.min_removed,
              "max_removed": cfg.max_removed,
@@ -420,7 +388,7 @@ def modes(ctx, structure, potential_file, lj_params, relax, fmax, out):
     if potential_file is not None:
         potential = ExternalPotential(potential_file)
     else:
-        potential = LennardJonesPotential(_load_lj_params(lj_params))
+        potential = LennardJonesPotential.from_json(lj_params)
 
     params = {"relax": relax, "fmax": fmax}
     if relax:

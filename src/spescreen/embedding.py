@@ -9,9 +9,8 @@ relaxed complexes whose relaxation converged.
 
 Trials are walked in chunks of at most 256, and never more trials than
 slots are open, so the loop stops where a one-trial loop would. One
-`cKDTree.sparse_distance_matrix` query per chunk, against a host tree
-built once per call, proposes host-emitter pairs within a slightly
-inflated cutoff. The tree only proposes: each pair is kept when
+`structure.close_pairs` query per chunk, against a host tree built once
+per call, proposes host-emitter pairs; each is kept when its exact
 `np.linalg.norm(host - walker)` is strictly below the cutoff, the
 expression the dense host x emitter array used, so the accepted trials
 are the same bit for bit. Distances are raw, with no periodic images.
@@ -27,13 +26,16 @@ import numpy as np
 
 from .jsonio import write_json
 from .potential import relax
-from .structure import AtomicStructure, identify_molecules, write_xyz
+from .structure import (AtomicStructure, close_pairs, identify_molecules,
+                        write_xyz)
+
+# largest walk step along each lattice vector, as a fraction of its length
+TRANSLATION_SCALE = 0.05
 
 
 @dataclass
 class EmbeddingConfig:
     overlap_cutoff: float = 1.0        # A
-    translation_scale: float = 0.05    # fraction of cell lengths per step
     min_removed: int = 2
     max_removed: int = 5
     structures_per_count: int = 25
@@ -92,7 +94,7 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
         raise ValueError("host must carry a periodic cell")
     rng = np.random.default_rng(cfg.seed)
     labels = identify_molecules(host)
-    step = cfg.translation_scale * np.linalg.norm(host.cell, axis=1)
+    step = TRANSLATION_SCALE * np.linalg.norm(host.cell, axis=1)
     host_tree = cKDTree(host.positions)
     cutoff = cfg.overlap_cutoff
 
@@ -123,13 +125,11 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
             draws.append((axis, angle, shift))
             positions[c] = walker.positions
 
-        # the tree only proposes pairs; each is kept on the raw distance
-        # computed as the dense host x emitter array would have it
-        flat = positions.reshape(-1, 3)
-        pairs = cKDTree(flat).sparse_distance_matrix(
-            host_tree, cutoff * (1 + 1e-9), output_type="ndarray")
-        w, h = pairs["i"], pairs["j"]
-        close = np.linalg.norm(host.positions[h] - flat[w], axis=-1) < cutoff
+        # each proposed pair is kept on the raw distance computed as the
+        # dense host x emitter array would have it
+        w, h, d = close_pairs(cKDTree(positions.reshape(-1, 3)), host_tree,
+                              cutoff)
+        close = d < cutoff
         removed_mols = np.zeros((size, labels.count), dtype=bool)
         removed_mols[w[close] // len(walker), labels.labels[h[close]]] = True
         removed_counts = np.count_nonzero(removed_mols, axis=1).tolist()
@@ -143,20 +143,21 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
             if per_count[removed] >= cfg.structures_per_count:
                 rejected["per_count_cap"] += 1
                 continue
-            reduced = host.subset(
-                np.flatnonzero(~removed_mols[c][labels.labels]))
+            keep = ~removed_mols[c][labels.labels]   # remaining host atoms
+            remaining = host.positions[keep]
             # containment: emitter bbox strictly inside remaining-host bbox;
             # a trial that removed every host molecule leaves no box
             emin, emax = positions[c].min(0), positions[c].max(0)
-            if not (len(reduced)
-                    and np.all(emin > reduced.positions.min(0))
-                    and np.all(emax < reduced.positions.max(0))):
+            if not (len(remaining)
+                    and np.all(emin > remaining.min(0))
+                    and np.all(emax < remaining.max(0))):
                 rejected["containment"] += 1
                 continue
             combined = AtomicStructure(
-                elements=list(reduced.elements) + list(walker.elements),
-                positions=np.vstack([reduced.positions, positions[c]]),
-                masses=np.concatenate([reduced.masses, walker.masses]),
+                elements=[e for e, k in zip(host.elements, keep) if k]
+                + list(walker.elements),
+                positions=np.vstack([remaining, positions[c]]),
+                masses=np.concatenate([host.masses[keep], walker.masses]),
                 cell=host.cell.copy(),
                 pbc=host.pbc,
             )
@@ -167,7 +168,7 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
                 rotation_angle_deg=angle,
                 translation=shift,
                 trial_index=trial,
-                n_host_atoms=len(reduced),
+                n_host_atoms=len(remaining),
             ))
             per_count[removed] += 1
         drawn += size
@@ -248,8 +249,9 @@ def select_most_stable(trials, potential, host: AtomicStructure,
 
 
 def write_manifest(trials, path, cfg: EmbeddingConfig, binding_energies=None,
-                   xyz_prefix=None):
-    """Dump accepted trials to a JSON manifest (and optional numbered XYZs).
+                   xyz_paths=None):
+    """Dump accepted trials to a JSON manifest; with `xyz_paths`, one per
+    trial, record k names xyz_paths[k] and trial k's structure goes there.
 
     A NaN or infinity cannot be written as JSON: it raises
     FloatingPointError before any file is written.
@@ -268,14 +270,16 @@ def write_manifest(trials, path, cfg: EmbeddingConfig, binding_energies=None,
         if binding_energies is not None:
             rec["binding_energy_eV"] = round(float(binding_energies[k]), 12)
             rec["relax_converged"] = bool(t.relax_converged)
-        if xyz_prefix is not None:
-            rec["xyz"] = f"{xyz_prefix}{k:04d}.xyz"
+        if xyz_paths is not None:
+            rec["xyz"] = str(xyz_paths[k])
         records.append(rec)
-    # the walk is always cumulative; the key keeps the manifest format
-    payload = {"config": {**asdict(cfg), "cumulative": True},
-               "accepted": records}
+    # the walk is always cumulative and its step fixed; the keys keep the
+    # manifest format
+    config = {**asdict(cfg), "translation_scale": TRANSLATION_SCALE,
+              "cumulative": True}
+    payload = {"config": config, "accepted": records}
     write_json(path, payload, indent=2, sort_keys=True)
-    if xyz_prefix is not None:
+    if xyz_paths is not None:
         for t, rec in zip(trials, records):
             write_xyz(t.structure, rec["xyz"])
     return payload

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..vibronic import canonical_mode_signs
+
 
 @dataclass
 class PCAResult:
@@ -18,8 +20,9 @@ class PCAResult:
 def pca(x, k: int) -> PCAResult:
     """Eigendecomposition of the covariance of (already standardized) data.
 
-    Components come back with descending variance; the sign convention
-    makes each component's largest-magnitude loading positive.
+    Components come back with descending variance, with the sign rule of
+    `vibronic.canonical_mode_signs`: each component's largest-magnitude
+    loading is positive, ties going to the first.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -32,10 +35,7 @@ def pca(x, k: int) -> PCAResult:
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = np.clip(evals[order], 0.0, None)
-    comps = evecs[:, order].T
-    for row in comps:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
+    comps = canonical_mode_signs(evecs[:, order].T)
     total = evals.sum()
     frac = evals / total if total > 0 else np.zeros_like(evals)
     return PCAResult(

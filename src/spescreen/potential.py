@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -82,11 +83,36 @@ class LennardJonesPotential:
     """Pairwise 4*eps*((sigma/r)^12 - (sigma/r)^6) with per-element-pair params."""
 
     def __init__(self, params):
-        # params: {("C","C"): (eps_eV, sigma_A), ...}
-        self.params = {_pair_key(*k): tuple(v) for k, v in params.items()}
-        for eps, sigma in self.params.values():
-            if eps <= 0 or sigma <= 0:
-                raise ValueError("LJ parameters must be positive")
+        """params: {("C", "C"): (eps_eV, sigma_A), ...}, two non-empty
+        elements to two finite positive numbers; ("A", "B") and ("B", "A")
+        name one pair and must agree. ValueError names a breach's key as
+        the params file spells it, "A,B"; `from_json` reads that file."""
+        self.params = {}
+        for key, value in params.items():
+            name = ",".join(map(str, key))
+            if len(key) != 2 or not all(key):
+                raise ValueError(
+                    f"LJ key {name!r} is not two comma-separated elements")
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(isinstance(v, numbers.Real)
+                            and not isinstance(v, bool) and 0 < v < math.inf
+                            for v in value)):
+                raise ValueError(f"LJ value for {name!r} is not two positive "
+                                 f"numbers: {value!r}")
+            pair = _pair_key(*key)
+            if self.params.setdefault(pair, tuple(value)) != tuple(value):
+                raise ValueError(f"conflicting LJ entries for pair {name!r}")
+
+    @classmethod
+    def from_json(cls, path):
+        """Read {"A,B": [eps_eV, sigma_A], ...} under the constructor's rule;
+        the file must hold a JSON object."""
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("LJ parameters must be a JSON object")
+        return cls({tuple(key.split(",")): value
+                    for key, value in raw.items()})
 
     def evaluator(self, structure):
         """positions (N, 3) -> (energy, forces) for the elements, cell and

@@ -157,12 +157,6 @@ def stark_coefficients(inp: StarkInput) -> StarkCoefficients:
 
 # --- candidate records -----------------------------------------------------
 
-CANDIDATE_COLUMNS = (
-    "id", "tanimoto", "fosc_abs", "fosc_em", "lambda_abs_nm", "lambda_em_nm",
-    "rotary_1e40cgs", "soc", "rsoc", "gssoc", "svc", "e_bind_eV",
-)
-
-
 @dataclass
 class CandidateRecord:
     id: str
@@ -193,6 +187,10 @@ class CandidateRecord:
 
     def as_row(self):
         return [getattr(self, c) for c in CANDIDATE_COLUMNS]
+
+
+# the record table's columns, in field order
+CANDIDATE_COLUMNS = tuple(f.name for f in fields(CandidateRecord))
 
 
 def write_candidates_csv(records, path):

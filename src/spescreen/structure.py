@@ -5,8 +5,9 @@ identification via connected components of the covalent-bond graph. The
 periodic-image rule lives here alone: `minimum_image_map` (which the pair
 potential prepares once per cell) and `neighbor_list` both search
 `lattice_translations`, and axis k has images only when `pbc[k]` is
-true. `neighbor_list` and `identify_molecules` import scipy when called,
-so stages that only read and write structures never load it.
+true. `close_pairs` alone finds close pairs, for bonds and embedding
+overlaps. `neighbor_list` and `identify_molecules` import scipy when
+called, so stages that only read and write structures never load it.
 """
 
 from __future__ import annotations
@@ -84,16 +85,6 @@ class AtomicStructure:
         c = self.center_of_mass()
         self.positions = (self.positions - c) @ R.T + c
         return self
-
-    def subset(self, indices):
-        indices = list(indices)
-        return AtomicStructure(
-            elements=[self.elements[i] for i in indices],
-            positions=self.positions[indices],
-            masses=self.masses[indices],
-            cell=None if self.cell is None else self.cell.copy(),
-            pbc=tuple(self.pbc),
-        )
 
 
 @dataclass
@@ -259,12 +250,24 @@ def natural_cutoffs(structure: AtomicStructure):
     return np.array([covalent_radius(e) for e in structure.elements])
 
 
+def close_pairs(a, b, radius):
+    """Pairs (i, j) of `cKDTree`s a, b proposed within radius * (1 + 1e-9),
+    so the tree's rounding drops none, and their distances
+    d = np.linalg.norm(b.data[j] - a.data[i], axis=1) for each caller's own
+    strict cutoff."""
+    pairs = a.sparse_distance_matrix(b, radius * (1 + 1e-9),
+                                     output_type="ndarray")
+    i, j = pairs["i"], pairs["j"]
+    return i, j, np.linalg.norm(b.data[j] - a.data[i], axis=1)
+
+
 def neighbor_list(structure: AtomicStructure) -> np.ndarray:
     """Sorted (m, 2) array of covalently bonded atom pairs (i, j), i < j.
 
     Pair (i, j) is included iff some image of j lies closer to i than the
-    sum of their covalent radii; images are the `lattice_translations` of
-    the positions wrapped into the cell along periodic axes.
+    sum of their covalent radii, strictly, on the `close_pairs` distance;
+    images are the `lattice_translations` of the positions wrapped into the
+    cell along periodic axes.
     """
     from scipy.spatial import cKDTree
 
@@ -278,12 +281,8 @@ def neighbor_list(structure: AtomicStructure) -> np.ndarray:
         pos = frac @ structure.cell
         shifts = lattice_translations(structure.cell, structure.pbc)
     images = (shifts[:, None, :] + pos[None, :, :]).reshape(-1, 3)
-    cand = cKDTree(pos).sparse_distance_matrix(
-        cKDTree(images), 2.0 * cutoffs.max(), output_type="ndarray")
-    i, k = cand["i"], cand["j"]
+    i, k, d = close_pairs(cKDTree(pos), cKDTree(images), 2.0 * cutoffs.max())
     j = k % len(structure)
-    # strict cutoff on distances recomputed here, not on the tree's
-    d = np.linalg.norm(images[k] - pos[i], axis=1)
     close = (i < j) & (d < cutoffs[i] + cutoffs[j])
     return np.unique(np.stack([i[close], j[close]], axis=1), axis=0)
 

@@ -29,8 +29,8 @@ MASS_WEIGHTED_ORTHONORMAL = "mass-weighted-orthonormal"
 INVERSE_MASS_NORMALIZED = "inverse-mass-normalized"
 MASS_WEIGHTED_THEN_NORMALIZED = "mass-weighted-then-normalized"
 
-# modes below this threshold count as rigid-body / numerically zero
-DEFAULT_FREQUENCY_FLOOR_CM1 = 10.0
+# modes at or below this frequency count as rigid-body / numerically zero
+FREQUENCY_FLOOR_CM1 = 10.0
 _SYMMETRY_TOL = 1e-6   # largest |K - K^T| entry normal_modes accepts, eV/A^2
 _FC_CHECK_TOL = 1e-8   # relative agreement of direct_fc_metric's two forms
 
@@ -67,8 +67,9 @@ class NormalModeSet:
     def frequencies_cm1(self):
         return self.frequencies * VIB_FREQ_TO_CM1
 
-    def real_mode_mask(self, floor_cm1: float = DEFAULT_FREQUENCY_FLOOR_CM1):
-        return self.frequencies_cm1 > floor_cm1
+    def real_mode_mask(self):
+        """True for the real vibrations: above FREQUENCY_FLOOR_CM1."""
+        return self.frequencies_cm1 > FREQUENCY_FLOOR_CM1
 
 
 def canonical_mode_signs(modes) -> np.ndarray:
@@ -76,6 +77,7 @@ def canonical_mode_signs(modes) -> np.ndarray:
 
     Ties go to the lowest index (the rule of scikit-learn's svd_flip), so
     the signs no longer depend on the ones an eigensolver happens to return.
+    `ml.pca` fixes the signs of its components with it too.
     """
     modes = np.asarray(modes, dtype=float)
     lead = modes[np.arange(len(modes)), np.argmax(np.abs(modes), axis=1)]
@@ -197,13 +199,13 @@ def vibronic_coupling_entropy(g, s_proj) -> float:
     return float(g @ s)
 
 
-def huang_rhys(r_ground, r_excited, masses, modes: NormalModeSet,
-               floor_cm1: float = DEFAULT_FREQUENCY_FLOOR_CM1) -> np.ndarray:
+def huang_rhys(r_ground, r_excited, masses, modes: NormalModeSet
+               ) -> np.ndarray:
     """Dimensionless per-mode displacement factors S_k between two geometries.
 
     S_k = (w_k / 2) * ((R_g - R_e) . sqrt(M) . u_k)^2 evaluated in Hartree
     atomic units (hbar = 1). Geometries in Angstrom, masses in amu. Rigid
-    and imaginary modes (frequency at or below `floor_cm1`) get S_k = 0.
+    and imaginary modes (outside `real_mode_mask`) get S_k = 0.
     """
     rg = np.asarray(r_ground, dtype=float).reshape(-1, 3)
     re = np.asarray(r_excited, dtype=float).reshape(-1, 3)
@@ -215,21 +217,20 @@ def huang_rhys(r_ground, r_excited, masses, modes: NormalModeSet,
     dk_au = dk * np.sqrt(AMU_TO_ME) * ANGSTROM_TO_BOHR
     w_au = np.abs(modes.frequencies) * VIB_FREQ_TO_AU
     s = 0.5 * w_au * dk_au**2
-    s[~modes.real_mode_mask(floor_cm1)] = 0.0
+    s[~modes.real_mode_mask()] = 0.0
     return s
 
 
-def weighted_hr(s_k, frequencies,
-                floor_cm1: float = DEFAULT_FREQUENCY_FLOOR_CM1) -> np.ndarray:
-    """Frequency-weighted factors w_k^2 S_k / w_max^2."""
+def weighted_hr(s_k, modes: NormalModeSet) -> np.ndarray:
+    """Frequency-weighted factors w_k^2 S_k / w_max^2 over the real modes
+    of `modes` (its `real_mode_mask`); the other modes get 0."""
     s_k = np.asarray(s_k, dtype=float)
-    freqs = np.asarray(frequencies, dtype=float)
-    real = freqs * VIB_FREQ_TO_CM1 > floor_cm1
+    real = modes.real_mode_mask()
     if not np.any(real):
         raise ValueError("no real vibrational modes above the frequency floor")
-    w_max = freqs[real].max()
+    w = modes.frequencies[real]
     out = np.zeros_like(s_k)
-    out[real] = (freqs[real] ** 2) * s_k[real] / w_max**2
+    out[real] = (w ** 2) * s_k[real] / w.max()**2
     return out
 
 
@@ -276,7 +277,7 @@ def vibronic_report(isolated: NormalModeSet, embedded: NormalModeSet,
                     emitter_atoms, forces, r_ground, r_excited
                     ) -> VibronicReport:
     """Assemble all per-candidate vibronic quantities in one pass; modes at
-    or below DEFAULT_FREQUENCY_FLOOR_CM1 carry no weight."""
+    or below FREQUENCY_FLOOR_CM1 carry no weight."""
     rho = mode_overlap_matrix(isolated, embedded, emitter_atoms)
     s_proj = np.array([projection_entropy(row) for row in rho])
     g = force_projection(forces, isolated)
@@ -285,7 +286,7 @@ def vibronic_report(isolated: NormalModeSet, embedded: NormalModeSet,
     s_proj_masked = np.where(mask, s_proj, 0.0)
     svc = vibronic_coupling_entropy(g, s_proj_masked)
     s_k = huang_rhys(r_ground, r_excited, isolated.masses, isolated)
-    whr = weighted_hr(s_k, isolated.frequencies)
+    whr = weighted_hr(s_k, isolated)
     fc = direct_fc_metric(forces, embedded, emitter_atoms, isolated=isolated)
     return VibronicReport(
         g=g,

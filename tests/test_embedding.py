@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spescreen.embedding import (
+    TRANSLATION_SCALE,
     EmbeddingConfig,
     EmbeddingTrial,
     _random_unit_vector,
@@ -65,7 +66,7 @@ def ref_embed_emitter(host, emitter, cfg, counters=None):
         axis = ref_random_unit_vector(rng)
         angle = float(rng.uniform(0.0, 360.0))
         ref_rotate(walker, axis, angle)
-        shift = cfg.translation_scale * lengths * rng.uniform(-1.0, 1.0, size=3)
+        shift = TRANSLATION_SCALE * lengths * rng.uniform(-1.0, 1.0, size=3)
         walker.translate(shift)
 
         d = np.linalg.norm(
@@ -80,7 +81,9 @@ def ref_embed_emitter(host, emitter, cfg, counters=None):
         if per_count[removed] >= cfg.structures_per_count:
             rejected["per_count_cap"] += 1
             continue
-        reduced = host.subset(np.flatnonzero(~removed_mols[labels.labels]))
+        idx = np.flatnonzero(~removed_mols[labels.labels])
+        reduced = AtomicStructure([host.elements[i] for i in idx],
+                                  host.positions[idx], masses=host.masses[idx])
         if not len(reduced):
             # every host molecule removed: no box to be inside
             rejected["containment"] += 1
@@ -350,7 +353,8 @@ class TestReferenceLoop:
 
     def test_cutoff_is_strict(self):
         """A host atom at exactly the cutoff stays; one just inside goes."""
-        host, emitter = lj_lattice(4, spacing=3.0), dimer(r=1.2).subset([0])
+        host = lj_lattice(4, spacing=3.0)
+        emitter = AtomicStructure(["Ar"], [[0.0, 0.0, 0.0]])
         cfg = dict(min_removed=0, max_removed=5, max_trials=1, seed=3)
         (probe,) = embed_emitter(host, emitter,
                                  EmbeddingConfig(overlap_cutoff=0.01, **cfg))
@@ -498,15 +502,20 @@ class TestManifest:
         with pytest.raises(FloatingPointError, match="m.json"):
             write_manifest(trials, tmp_path / "m.json", cfg,
                            binding_energies=energies,
-                           xyz_prefix=str(tmp_path / "s_"))
+                           xyz_paths=[str(tmp_path / f"s_{k}.xyz")
+                                      for k in range(len(trials))])
         assert not list(tmp_path.iterdir())
 
     def test_contents(self, tmp_path):
         _, _, cfg, trials = small_run(seed=5, per_count=2, max_trials=800)
         p = tmp_path / "m.json"
-        write_manifest(trials, p, cfg, xyz_prefix=str(tmp_path / "s_"))
+        paths = [str(tmp_path / f"s_{k}.xyz") for k in range(len(trials))]
+        write_manifest(trials, p, cfg, xyz_paths=paths)
         data = json.loads(p.read_text())
         assert len(data["accepted"]) == len(trials)
         assert data["config"]["seed"] == 5
-        for rec in data["accepted"]:
-            assert (tmp_path / rec["xyz"].split("/")[-1]).exists()
+        assert data["config"]["translation_scale"] == TRANSLATION_SCALE
+        assert data["config"]["cumulative"] is True
+        assert [rec["xyz"] for rec in data["accepted"]] == paths
+        assert {f.name for f in tmp_path.iterdir()} == {
+            "m.json", *(f"s_{k}.xyz" for k in range(len(trials)))}

@@ -197,6 +197,44 @@ class TestLennardJones:
         with pytest.raises(KeyError):
             AR_LJ.energy(s)
 
+    @pytest.mark.parametrize("params, message", [
+        ({("Ar", "Ar"): [np.nan, 3.4]}, "not two positive numbers"),
+        ({("Ar", "Ar"): [0.01, np.inf]}, "not two positive numbers"),
+        ({("Ar", "Ar"): [np.inf, 3.4]}, "not two positive numbers"),
+        ({("Ar", "Ar"): [0.0, 3.4]}, "not two positive numbers"),
+        ({("Ar", "Ar"): [0.01, 0]}, "not two positive numbers"),
+        ({("Ar", "Ar"): [-0.01, 3.4]}, "not two positive numbers"),
+        ({("Ar", "Ar"): [0.01, -3.4]}, "not two positive numbers"),
+        ({("Ar", "Ar"): [0.01]}, "not two positive numbers"),
+        ({("Ar", "Ar"): [True, 3.4]}, "not two positive numbers"),
+        ({("Ar", "Ar", "Ar"): [0.01, 3.4]}, "two comma-separated elements"),
+        ({("Ar", ""): [0.01, 3.4]}, "two comma-separated elements"),
+        ({("Ar", "C"): [0.01, 3.0], ("C", "Ar"): [0.02, 3.5]},
+         "conflicting LJ entries for pair 'C,Ar'"),
+    ], ids=["nan-eps", "inf-sigma", "inf-eps", "zero-eps", "zero-sigma",
+            "negative-eps", "negative-sigma", "one-number", "bool",
+            "three-elements", "empty-element", "conflicting"])
+    def test_constructor_rejects_as_the_file_does(self, tmp_path, params,
+                                                  message):
+        """The constructor owns the parameter rule: what it rejects, the
+        params file rejects with the same message."""
+        with pytest.raises(ValueError, match=message) as direct:
+            LennardJonesPotential(params)
+        path = tmp_path / "lj.json"
+        path.write_text(json.dumps(
+            {",".join(key): value for key, value in params.items()}))
+        with pytest.raises(ValueError) as from_file:
+            LennardJonesPotential.from_json(path)
+        assert str(from_file.value) == str(direct.value)
+
+    def test_either_order_names_one_pair(self, tmp_path):
+        both = LennardJonesPotential({("Ar", "C"): (0.01, 3.0),
+                                      ("C", "Ar"): (0.01, 3.0)})
+        path = tmp_path / "lj.json"
+        path.write_text(json.dumps({"C,Ar": [0.01, 3.0]}))
+        assert both.params == LennardJonesPotential.from_json(path).params \
+            == {("Ar", "C"): (0.01, 3.0)}
+
 
 class TestPairKernel:
     @settings(max_examples=60, deadline=None)
@@ -681,7 +719,9 @@ def ref_relax(structure, potential, fmax=0.01, max_steps=500):
 def shuffled_structures(draw):
     """`structures()` with its atoms, and so its element order, permuted."""
     s = draw(structures())
-    return s.subset(draw(st.permutations(range(len(s)))))
+    perm = draw(st.permutations(range(len(s))))
+    return AtomicStructure([s.elements[i] for i in perm], s.positions[perm],
+                           masses=s.masses[perm], cell=s.cell, pbc=s.pbc)
 
 
 def assert_same_probe(potential, structure):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from spescreen.constants import covalent_radius
 from spescreen.structure import (
     AtomicStructure,
+    close_pairs,
     identify_molecules,
     natural_cutoffs,
     neighbor_list,
@@ -100,6 +102,23 @@ def bonded_structures(draw, kinds=("free", "orthorhombic", "skewed"),
                            cell=cell, pbc=draw(pbc))
 
 
+def row_norm(v):
+    """The distance `close_pairs` returns: np.linalg.norm along axis 1,
+    which can round differently from the norm of a 1-D vector."""
+    return np.linalg.norm(np.reshape(v, (1, 3)), axis=1)[0]
+
+
+def pair_across(p, u, limit, inside):
+    """The point q = p + t u at the largest t whose row norm |q - p| is
+    below `limit` (inside) or the smallest at or above it (outside)."""
+    t = limit
+    while True:
+        q = p + t * u
+        if (row_norm(q - p) < limit) == inside:
+            return q
+        t = np.nextafter(t, 0.0 if inside else np.inf)
+
+
 def water():
     return AtomicStructure(
         elements=["O", "H", "H"],
@@ -140,12 +159,6 @@ class TestContainer:
         d1 = np.linalg.norm(w.positions[0] - w.positions[1])
         assert d1 == pytest.approx(d0, rel=1e-12)
         assert np.allclose(w.center_of_mass(), com0)
-
-    def test_subset(self):
-        w = water()
-        s = w.subset([0, 2])
-        assert s.elements == ["O", "H"]
-        assert np.allclose(s.positions[1], w.positions[2])
 
 
 class TestXYZ:
@@ -235,6 +248,40 @@ class TestNeighborList:
                                         pbc=st.just(pbc)))
         assert set(map(tuple, neighbor_list(s))) == brute_neighbor_list(s)
 
+    def test_pair_at_the_ulp_boundary(self):
+        """Two Ar atoms whose true distance, 2.11999999999999973 A, lies
+        below 2 r_Ar = 2.12 A: the 1-D norm rounds it to
+        2.1199999999999997 and the row norm the rule uses to 2.12 (with
+        numpy's three-term sum), so the strict rule bonds it only one step
+        closer along the same line."""
+        p = np.array([2.857857007138075, -0.8534415064432919,
+                      2.3448357178872934])
+        q = np.array([2.909548743233482, 1.25659750766025, 2.543489495551839])
+        bonds = neighbor_list(AtomicStructure(["Ar", "Ar"], [p, q]))
+        assert len(bonds) == (row_norm(q - p) < 2.12)
+        closer = pair_across(p, (q - p) / 2.12, 2.12, inside=True)
+        assert neighbor_list(AtomicStructure(["Ar", "Ar"], [p, closer])
+                             ).tolist() == [[0, 1]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["C", "H", "N", "O", "Ar"]),
+           st.sampled_from(["C", "H", "N", "O", "Ar"]),
+           st.integers(0, 2**32 - 1))
+    def test_exact_norm_decides(self, e1, e2, seed):
+        """Along a random direction, the pair just below r_i + r_j in row
+        norm is bonded and the pair just at or above it is not; like
+        atoms put the pair at the tree's search radius itself."""
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(-10.0, 10.0, size=3)
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        limit = covalent_radius(e1) + covalent_radius(e2)
+        inside = pair_across(p, u, limit, inside=True)
+        outside = pair_across(p, u, limit, inside=False)
+        assert neighbor_list(AtomicStructure([e1, e2], [p, inside])
+                             ).tolist() == [[0, 1]]
+        assert len(neighbor_list(AtomicStructure([e1, e2], [p, outside]))) == 0
+
     def test_no_bond_across_open_axis(self):
         """Atoms 9 A apart along an open y in a 10 A cell are not bonded;
         the same gap along a periodic x is a 1 A bond."""
@@ -249,6 +296,23 @@ class TestNeighborList:
         assert identify_molecules(across_y).count == 2
         assert set(map(tuple, neighbor_list(across_x))) == {(0, 1)}
         assert identify_molecules(across_x).count == 1
+
+
+class TestClosePairs:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 80), st.integers(1, 80), st.floats(0.1, 4.0),
+           st.integers(0, 2**32 - 1))
+    def test_brute_force(self, n, m, radius, seed):
+        """Every pair within the radius is proposed, and the distances are
+        the row norms of b.data[j] - a.data[i], bit for bit."""
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.0, 6.0, size=(n, 3))
+        b = rng.uniform(0.0, 6.0, size=(m, 3))
+        i, j, d = close_pairs(cKDTree(a), cKDTree(b), radius)
+        assert np.array_equal(d, np.linalg.norm(b[j] - a[i], axis=1))
+        inside = np.linalg.norm(b[None, :, :] - a[:, None, :], axis=2) < radius
+        proposed = set(zip(i.tolist(), j.tolist()))
+        assert set(zip(*np.nonzero(inside))) <= proposed
 
 
 class TestMolecules:

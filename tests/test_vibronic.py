@@ -203,11 +203,14 @@ class TestHuangRhys:
         assert np.all(s == 0.0)
 
     def test_weighted_hr(self):
-        freqs = np.array([1.0, 2.0])
-        s_k = np.array([0.5, 0.5])
-        out = weighted_hr(s_k, freqs, floor_cm1=0.0)
+        """Weights w_k^2 / w_max^2 over the real modes: 521 and 1043
+        cm^-1 are above the floor, 5 cm^-1 is below it and gets 0."""
+        ms = NormalModeSet(frequencies=[1.0, 2.0, 5.0 / VIB_FREQ_TO_CM1],
+                           modes=np.eye(3), masses=[12.0])
+        out = weighted_hr(np.array([0.5, 0.5, 0.5]), ms)
         assert out[1] == pytest.approx(0.5)
         assert out[0] == pytest.approx(0.5 / 4.0)
+        assert out[2] == 0.0
 
 
 class TestDirectFC:
