@@ -70,5 +70,5 @@ print(f"vibronic coupling entropy S_VC = {svc:.4f}")
 
 # Huang-Rhys factors for a small fictitious excited-state displacement
 displaced = guest.positions + rng.normal(scale=0.01, size=(3, 3))
-s_k = huang_rhys(guest.positions, displaced, guest.masses, iso)
+s_k = huang_rhys(guest.positions, displaced, iso)
 print("Huang-Rhys factors:", np.round(s_k, 5))

@@ -1,13 +1,16 @@
 """SMILES parsing and aromaticity perception.
 
-Supported grammar: the organic subset (B C N O P S F Cl Br I and the
-aromatic forms b c n o p s), bracket atoms with isotope/charge/H-count,
-bond symbols - = # :, branches, ring closures including %nn, and the dot
-disconnect. Stereo markers (/ \\ @ @@) are consumed and discarded: they
-carry no geometric meaning here.
+Supported grammar: the organic-subset SMILES of Weininger (J. Chem. Inf.
+Comput. Sci. 28:31, 1988). It lives in `_TOKEN`, one named group per
+token kind, and `_BRACKET`, the body of a bracket atom: an isotope, a
+one- or two-letter element (lowercase one-letter: aromatic), chirality
+marks, an H count, charges and an atom class. Stereo markers (/ \\ @ @@)
+and atom classes are consumed and discarded: they carry no meaning here.
 """
 
 from __future__ import annotations
+
+import re
 
 from .graph import (
     AROMATIC,
@@ -26,75 +29,54 @@ class SmilesParseError(ValueError):
         self.position = position
 
 
-_ORGANIC_TWO = ("Cl", "Br")
-_ORGANIC_ONE = set("BCNOPSFI")
-_AROMATIC_ONE = set("bcnops")
 _BOND_CHARS = {"-": 1, "=": 2, "#": 3, ":": AROMATIC, "/": 1, "\\": 1}
 
 _ELEMENT_SYMBOLS = set(DEFAULT_VALENCES) | {
     "H", "He", "Li", "Be", "Ne", "Na", "Mg", "Al", "Si", "Ar", "K", "Ca",
     "Ti", "Cr", "Mn", "Fe", "Co", "Ni", "Cu", "Zn",
 }
+_ONE_LETTER = "".join(sorted(e for e in _ELEMENT_SYMBOLS if len(e) == 1))
+_TWO_LETTER = "|".join(sorted(e for e in _ELEMENT_SYMBOLS if len(e) == 2))
+
+# Every character starts exactly one token; `other` catches the rest.
+_TOKEN = re.compile(r"""
+    (?P<bracket>\[[^\]]*\])
+  | (?P<unterminated>\[)
+  | (?P<organic>Cl|Br|[BCNOPSFI])
+  | (?P<aromatic>[bcnops])
+  | (?P<bond>[-=#:/\\])
+  | (?P<open>\()
+  | (?P<close>\))
+  | (?P<dot>\.)
+  | (?P<ring>[0-9]|%[0-9][0-9])
+  | (?P<percent>%)
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+
+# charges are signs with optional magnitudes, summed; the atom class is
+# everything after ':'
+_BRACKET = re.compile(
+    r"(?P<isotope>[0-9]+)?"
+    rf"(?:(?P<element>{_TWO_LETTER}|[{_ONE_LETTER}])"
+    rf"|(?P<aromatic>[{_ONE_LETTER.lower()}]))"
+    r"@*(?P<h>H[0-9]*)?(?P<charge>(?:[+-][0-9]*)*)(?::.*)?",
+    re.DOTALL)
+_CHARGE = re.compile(r"([+-])([0-9]*)")
 
 
-def _parse_bracket(text, start):
-    """Parse a bracket atom starting at text[start] == '['. Returns (Atom, end)."""
-    pos = start + 1
-    end = text.find("]", pos)
-    if end < 0:
-        raise SmilesParseError("unterminated bracket atom", start)
-    body = text[pos:end]
-    i = 0
-    isotope = None
-    while i < len(body) and body[i].isdigit():
-        i += 1
-    if i > 0:
-        isotope = int(body[:i])
-    # element symbol (aromatic lowercase allowed for single letters)
-    aromatic = False
-    if i < len(body) and body[i : i + 2] in _ELEMENT_SYMBOLS:
-        element = body[i : i + 2]
-        i += 2
-    elif i < len(body) and body[i].upper() in _ELEMENT_SYMBOLS and body[i].islower():
-        element = body[i].upper()
-        aromatic = True
-        i += 1
-    elif i < len(body) and body[i] in _ELEMENT_SYMBOLS:
-        element = body[i]
-        i += 1
-    else:
-        raise SmilesParseError(f"unknown element token in bracket '{body}'", start)
-    # chirality markers: consumed, not interpreted
-    while i < len(body) and body[i] == "@":
-        i += 1
-    h_count = 0
-    if i < len(body) and body[i] == "H":
-        i += 1
-        j = i
-        while j < len(body) and body[j].isdigit():
-            j += 1
-        h_count = int(body[i:j]) if j > i else 1
-        i = j
-    charge = 0
-    while i < len(body) and body[i] in "+-":
-        sign = 1 if body[i] == "+" else -1
-        i += 1
-        j = i
-        while j < len(body) and body[j].isdigit():
-            j += 1
-        if j > i:
-            charge += sign * int(body[i:j])
-            i = j
-        else:
-            charge += sign
-    if i < len(body) and body[i] == ":":
-        # atom class: consumed and discarded
-        i = len(body)
-    if i != len(body):
-        raise SmilesParseError(f"unrecognized bracket content '{body[i:]}'", start + 1 + i)
-    atom = Atom(element=element, charge=charge, h_count=h_count,
-                aromatic=aromatic, isotope=isotope, bracket=True)
-    return atom, end + 1
+def _bracket_atom(token, start):
+    """The Atom of a bracket token such as '[13CH4]' found at `start`."""
+    m = _BRACKET.fullmatch(token, 1, len(token) - 1)
+    if m is None:
+        raise SmilesParseError(f"malformed bracket atom '{token}'", start)
+    isotope, h = m["isotope"], m["h"]
+    return Atom(element=m["element"] or m["aromatic"].upper(),
+                charge=sum(int(sign + (size or "1"))
+                           for sign, size in _CHARGE.findall(m["charge"])),
+                h_count=int(h[1:] or 1) if h else 0,
+                aromatic=m["aromatic"] is not None,
+                isotope=None if isotope is None else int(isotope),
+                bracket=True)
 
 
 def parse_smiles(text: str) -> MolecularGraph:
@@ -114,14 +96,6 @@ def parse_smiles(text: str) -> MolecularGraph:
     stack = []
     ring_open = {}       # closure number -> (atom index, bond symbol, char pos)
     bond_keys = set()
-    pos = 0
-    n = len(text)
-
-    def add_atom(atom):
-        graph.atoms.append(atom)
-        idx = len(graph.atoms) - 1
-        positions[idx] = pos
-        return idx
 
     def connect(a, b, symbol, at):
         if symbol is None:
@@ -135,43 +109,30 @@ def parse_smiles(text: str) -> MolecularGraph:
         bond_keys.add(key)
         graph.bonds.append(Bond(a, b, order))
 
-    while pos < n:
-        ch = text[pos]
-        if ch in _BOND_CHARS:
+    for m in _TOKEN.finditer(text):
+        kind, token, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bond":
             if pending_bond is not None:
                 raise SmilesParseError("two bond symbols in a row", pos)
-            pending_bond = _BOND_CHARS[ch]
-            pos += 1
-            continue
-        if ch == "(":
+            pending_bond = _BOND_CHARS[token]
+        elif kind == "open":
             if prev is None:
                 raise SmilesParseError("branch with no preceding atom", pos)
             stack.append(prev)
-            pos += 1
-            continue
-        if ch == ")":
+        elif kind == "close":
             if not stack:
                 raise SmilesParseError("unbalanced parentheses", pos)
             prev = stack.pop()
-            pos += 1
-            continue
-        if ch == ".":
+        elif kind == "dot":
             if pending_bond is not None:
                 raise SmilesParseError("bond symbol before dot disconnect", pos)
             prev = None
-            pos += 1
-            continue
-        if ch.isdigit() or ch == "%":
+        elif kind in ("ring", "percent"):
             if prev is None:
                 raise SmilesParseError("ring closure with no preceding atom", pos)
-            if ch == "%":
-                if pos + 2 >= n or not text[pos + 1 : pos + 3].isdigit():
-                    raise SmilesParseError("malformed %nn ring closure", pos)
-                num = int(text[pos + 1 : pos + 3])
-                width = 3
-            else:
-                num = int(ch)
-                width = 1
+            if kind == "percent":
+                raise SmilesParseError("malformed %nn ring closure", pos)
+            num = int(token.lstrip("%"))
             if num in ring_open:
                 other, sym, _ = ring_open.pop(num)
                 if other == prev:
@@ -182,43 +143,32 @@ def parse_smiles(text: str) -> MolecularGraph:
             else:
                 ring_open[num] = (prev, pending_bond, pos)
             pending_bond = None
-            pos += width
-            continue
-        if ch == "[":
-            atom, newpos = _parse_bracket(text, pos)
-            idx = add_atom(atom)
+        elif kind == "unterminated":
+            raise SmilesParseError("unterminated bracket atom", pos)
+        elif kind == "other":
+            raise SmilesParseError(f"unknown element token '{token}'", pos)
+        else:
+            if kind == "bracket":
+                atom = _bracket_atom(token, pos)
+            elif kind == "organic":
+                atom = Atom(element=token)
+            else:
+                atom = Atom(element=token.upper(), aromatic=True)
+            graph.atoms.append(atom)
+            idx = len(graph.atoms) - 1
+            positions[idx] = pos
             if prev is not None:
                 connect(prev, idx, pending_bond, pos)
             pending_bond = None
             prev = idx
-            pos = newpos
-            continue
-        # organic-subset atom
-        if text[pos : pos + 2] in _ORGANIC_TWO:
-            atom = Atom(element=text[pos : pos + 2])
-            width = 2
-        elif ch in _ORGANIC_ONE:
-            atom = Atom(element=ch)
-            width = 1
-        elif ch in _AROMATIC_ONE:
-            atom = Atom(element=ch.upper(), aromatic=True)
-            width = 1
-        else:
-            raise SmilesParseError(f"unknown element token '{ch}'", pos)
-        idx = add_atom(atom)
-        if prev is not None:
-            connect(prev, idx, pending_bond, pos)
-        pending_bond = None
-        prev = idx
-        pos += width
 
     if stack:
-        raise SmilesParseError("unbalanced parentheses", n)
+        raise SmilesParseError("unbalanced parentheses", len(text))
     if ring_open:
         num, (_, _, at) = next(iter(ring_open.items()))
         raise SmilesParseError(f"unmatched ring closure digit {num}", at)
     if pending_bond is not None:
-        raise SmilesParseError("dangling bond symbol", n)
+        raise SmilesParseError("dangling bond symbol", len(text))
 
     assign_implicit_hydrogens(graph, positions)
     perceive_aromaticity(graph)

@@ -33,6 +33,13 @@ import numpy as np
 from .structure import AtomicStructure, minimum_image_map
 
 
+# Coincident atoms (r = 0) make the pair terms inf or nan. Callers test
+# the results for that and say so (relax's isfinite test, the non-finite
+# Hessian check of normal_modes), so numpy's warnings are switched off
+# once per relax, energy_and_forces and hessian call, not per probe.
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
+
 def _pair_key(e1, e2):
     return tuple(sorted((e1, e2)))
 
@@ -136,7 +143,8 @@ class LennardJonesPotential:
         return evaluate
 
     def energy_and_forces(self, structure):
-        return self.evaluator(structure)(structure.positions)
+        with np.errstate(**_QUIET):
+            return self.evaluator(structure)(structure.positions)
 
     def energy(self, structure) -> float:
         return self.energy_and_forces(structure)[0]
@@ -155,14 +163,15 @@ class LennardJonesPotential:
         """
         n = len(structure)
         table = _PairTable(self.params, structure.elements)
-        deltas, r, sr6, dedr = table.terms(
-            structure.positions,
-            minimum_image_map(structure.cell, structure.pbc))
-        u = deltas / r[:, None]
-        uu = u[:, :, None] * u[:, None, :]
-        d2edr2 = table.eps4 * (156.0 * sr6 * sr6 - 42.0 * sr6) / r ** 2
-        block = (d2edr2[:, None, None] * uu
-                 + (dedr / r)[:, None, None] * (np.eye(3) - uu))
+        with np.errstate(**_QUIET):
+            deltas, r, sr6, dedr = table.terms(
+                structure.positions,
+                minimum_image_map(structure.cell, structure.pbc))
+            u = deltas / r[:, None]
+            uu = u[:, :, None] * u[:, None, :]
+            d2edr2 = table.eps4 * (156.0 * sr6 * sr6 - 42.0 * sr6) / r ** 2
+            block = (d2edr2[:, None, None] * uu
+                     + (dedr / r)[:, None, None] * (np.eye(3) - uu))
         H = np.zeros((n, n, 3, 3))
         ii, jj = table.ii, table.jj
         for a, b, sign in ((ii, ii, 1.0), (jj, jj, 1.0),
@@ -250,73 +259,75 @@ def relax(structure: AtomicStructure, potential, fmax: float = 0.01,
     if not (np.isfinite(fmax) and fmax > 0):
         raise ValueError("fmax must be positive and finite")
     evaluate = potential.evaluator(structure)
-    current = structure.copy()
-    x = current.positions.ravel().copy()
-    e, f = evaluate(x.reshape(-1, 3))
-    if not np.isfinite(e):
-        raise ValueError("initial energy is not finite")
-    energies = [e]
-    probes = 1
-    it = 0
+    with np.errstate(**_QUIET):
+        current = structure.copy()
+        x = current.positions.ravel().copy()
+        e, f = evaluate(x.reshape(-1, 3))
+        if not np.isfinite(e):
+            raise ValueError("initial energy is not finite")
+        energies = [e]
+        probes = 1
+        it = 0
 
-    def done(mf, converged):
-        current.positions = x.reshape(-1, 3)
-        return RelaxationResult(current, mf, it, converged, energies, probes)
+        def done(mf, converged):
+            current.positions = x.reshape(-1, 3)
+            return RelaxationResult(current, mf, it, converged, energies,
+                                    probes)
 
-    # (s, y, rho) of the last _LBFGS_MEMORY accepted steps, oldest first;
-    # gamma = s.y / y.y of the newest
-    memory = deque(maxlen=_LBFGS_MEMORY)
-    gamma = None
-    alphas = []
-    buf = np.empty(x.size)
-    g = -f.ravel()  # gradient
-    while it < max_steps:
+        # (s, y, rho) of the last _LBFGS_MEMORY accepted steps, oldest first;
+        # gamma = s.y / y.y of the newest
+        memory = deque(maxlen=_LBFGS_MEMORY)
+        gamma = None
+        alphas = []
+        buf = np.empty(x.size)
+        g = -f.ravel()  # gradient
+        while it < max_steps:
+            mf = max_force_norm(f)
+            if mf <= fmax:
+                return done(mf, True)
+            # two-loop recursion; ndarray.dot is the BLAS ddot that @ calls,
+            # with less dispatch, and the products reuse one buffer
+            q = g.copy()
+            alphas.clear()
+            for s, y, rho in reversed(memory):
+                a = rho * s.dot(q)
+                alphas.append(a)
+                q -= np.multiply(a, y, out=buf)
+            if memory:
+                q *= gamma
+            for (s, y, rho), a in zip(memory, reversed(alphas)):
+                b = rho * y.dot(q)
+                q += np.multiply(a - b, s, out=buf)
+            d = -q
+            if d.dot(g) >= 0:  # not a descent direction; restart
+                d = -g
+                memory.clear()
+            # cap the largest single-atom displacement per trial step
+            dmax = np.linalg.norm(d.reshape(-1, 3), axis=1).max()
+            step = min(1.0, _MAX_DISPLACEMENT / dmax) if dmax > 0 else 1.0
+            accepted = False
+            for _ in range(30):
+                x_new = x + step * d
+                e_new, f_new = evaluate(x_new.reshape(-1, 3))
+                probes += 1
+                if math.isfinite(e_new) and e_new <= e + 1e-12:
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                return done(mf, False)
+            g_new = -f_new.ravel()
+            s_vec = x_new - x
+            y_vec = g_new - g
+            sy = s_vec.dot(y_vec)
+            if sy > 1e-12:
+                memory.append((s_vec, y_vec, 1.0 / sy))
+                gamma = sy / y_vec.dot(y_vec)
+            x, e, f, g = x_new, e_new, f_new, g_new
+            energies.append(e)
+            it += 1
         mf = max_force_norm(f)
-        if mf <= fmax:
-            return done(mf, True)
-        # two-loop recursion; ndarray.dot is the BLAS ddot that @ calls,
-        # with less dispatch, and the products reuse one buffer
-        q = g.copy()
-        alphas.clear()
-        for s, y, rho in reversed(memory):
-            a = rho * s.dot(q)
-            alphas.append(a)
-            q -= np.multiply(a, y, out=buf)
-        if memory:
-            q *= gamma
-        for (s, y, rho), a in zip(memory, reversed(alphas)):
-            b = rho * y.dot(q)
-            q += np.multiply(a - b, s, out=buf)
-        d = -q
-        if d.dot(g) >= 0:  # not a descent direction; restart
-            d = -g
-            memory.clear()
-        # cap the largest single-atom displacement per trial step
-        dmax = np.linalg.norm(d.reshape(-1, 3), axis=1).max()
-        step = min(1.0, _MAX_DISPLACEMENT / dmax) if dmax > 0 else 1.0
-        accepted = False
-        for _ in range(30):
-            x_new = x + step * d
-            e_new, f_new = evaluate(x_new.reshape(-1, 3))
-            probes += 1
-            if math.isfinite(e_new) and e_new <= e + 1e-12:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            return done(mf, False)
-        g_new = -f_new.ravel()
-        s_vec = x_new - x
-        y_vec = g_new - g
-        sy = s_vec.dot(y_vec)
-        if sy > 1e-12:
-            memory.append((s_vec, y_vec, 1.0 / sy))
-            gamma = sy / y_vec.dot(y_vec)
-        x, e, f, g = x_new, e_new, f_new, g_new
-        energies.append(e)
-        it += 1
-    mf = max_force_norm(f)
-    return done(mf, mf <= fmax)
+        return done(mf, mf <= fmax)
 
 
 # --- Hessian ---------------------------------------------------------------

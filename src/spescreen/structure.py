@@ -111,6 +111,8 @@ def parse_xyz(path) -> AtomicStructure:
         count = int(lines[0].strip())
     except ValueError:
         raise ValueError(f"{path}: first line must be the atom count") from None
+    if count < 1:
+        raise ValueError(f"{path}: atom count must be at least 1, got {count}")
     comment = lines[1] if len(lines) > 1 else ""
     rows = [ln for ln in lines[2:] if ln.strip()]
     if len(rows) < count:
@@ -232,15 +234,6 @@ def minimum_image_map(cell, pbc):
         return cand[np.arange(len(best)), idx]
 
     return skewed
-
-
-def minimum_image(structure: AtomicStructure, deltas) -> np.ndarray:
-    """Apply the minimum-image convention to displacement vectors (P, 3).
-
-    One call through `minimum_image_map(structure.cell, structure.pbc)`,
-    which states the rule.
-    """
-    return minimum_image_map(structure.cell, structure.pbc)(deltas)
 
 
 # --- neighbor list ---------------------------------------------------------

@@ -199,20 +199,20 @@ def vibronic_coupling_entropy(g, s_proj) -> float:
     return float(g @ s)
 
 
-def huang_rhys(r_ground, r_excited, masses, modes: NormalModeSet
-               ) -> np.ndarray:
+def huang_rhys(r_ground, r_excited, modes: NormalModeSet) -> np.ndarray:
     """Dimensionless per-mode displacement factors S_k between two geometries.
 
     S_k = (w_k / 2) * ((R_g - R_e) . sqrt(M) . u_k)^2 evaluated in Hartree
-    atomic units (hbar = 1). Geometries in Angstrom, masses in amu. Rigid
-    and imaginary modes (outside `real_mode_mask`) get S_k = 0.
+    atomic units (hbar = 1), M the mode set's masses in amu. Geometries in
+    Angstrom. Rigid and imaginary modes (outside `real_mode_mask`) get
+    S_k = 0.
     """
     rg = np.asarray(r_ground, dtype=float).reshape(-1, 3)
     re = np.asarray(r_excited, dtype=float).reshape(-1, 3)
     if rg.shape != re.shape or len(rg) != len(modes.masses):
         raise ValueError("geometry shapes do not match the mode set")
-    masses = np.asarray(masses, dtype=float)
-    delta = (rg - re).ravel() * np.repeat(np.sqrt(masses), 3)  # sqrt(amu) A
+    # sqrt(amu) A
+    delta = (rg - re).ravel() * np.repeat(np.sqrt(modes.masses), 3)
     dk = modes.modes @ delta
     dk_au = dk * np.sqrt(AMU_TO_ME) * ANGSTROM_TO_BOHR
     w_au = np.abs(modes.frequencies) * VIB_FREQ_TO_AU
@@ -285,7 +285,7 @@ def vibronic_report(isolated: NormalModeSet, embedded: NormalModeSet,
     g = np.where(mask, g, 0.0)
     s_proj_masked = np.where(mask, s_proj, 0.0)
     svc = vibronic_coupling_entropy(g, s_proj_masked)
-    s_k = huang_rhys(r_ground, r_excited, isolated.masses, isolated)
+    s_k = huang_rhys(r_ground, r_excited, isolated)
     whr = weighted_hr(s_k, isolated)
     fc = direct_fc_metric(forces, embedded, emitter_atoms, isolated=isolated)
     return VibronicReport(

@@ -2,14 +2,17 @@
 
 The ring code is checked against the networkx reference it replaced, and
 its atom-order independence per atom and per bond through a known
-permutation of the graph. `TestCanonicalization` checks that parsing brings
-a molecule to one normal form: stable under re-perception, under atom
-renumbering, and across different texts for the same molecule.
+permutation of the graph; the token-pattern parser against the character
+scanner it replaced (`TestTokenGrammar`). `TestCanonicalization` checks
+that parsing brings a molecule to one normal form: stable under
+re-perception, under atom renumbering, and across different texts for
+the same molecule.
 """
 
 import contextlib
 import copy
 import random
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -17,7 +20,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spescreen.chem import (
     AROMATIC,
@@ -35,7 +38,11 @@ from spescreen.chem import (
     tanimoto_matrix,
 )
 from spescreen.chem import smiles as smiles_module
-from spescreen.chem.graph import AROMATIC_ELEMENTS, assign_implicit_hydrogens
+from spescreen.chem.graph import (
+    AROMATIC_ELEMENTS,
+    DEFAULT_VALENCES,
+    assign_implicit_hydrogens,
+)
 
 from conftest import (
     DBT_CENTERS,
@@ -98,6 +105,36 @@ class TestParsing:
         with pytest.raises(SmilesParseError) as exc:
             parse_smiles("CC(C")
         assert exc.value.position is not None
+
+    @pytest.mark.parametrize("smiles, element, isotope, h_count, charge, "
+                             "aromatic", [
+        ("[C]", "C", None, 0, 0, False),
+        ("[O]", "O", None, 0, 0, False),
+        ("[H]", "H", None, 0, 0, False),
+        ("[S]", "S", None, 0, 0, False),
+        ("[13C]", "C", 13, 0, 0, False),
+        ("[2H]C", "H", 2, 0, 0, False),
+        ("C[N]C", "N", None, 0, 0, False),
+        ("[nH]", "N", None, 1, 0, True),
+        ("[NH4+]", "N", None, 4, 1, False),
+        ("[O-]C", "O", None, 0, -1, False),
+        ("[Fe+2]", "Fe", None, 0, 2, False),
+        ("[C@@H]", "C", None, 1, 0, False),
+    ])
+    def test_bracket_atom_fields(self, smiles, element, isotope, h_count,
+                                 charge, aromatic):
+        """Each bracket atom keeps its own fields; a one-letter body such
+        as [C] parses too."""
+        atom, = [a for a in parse_smiles(smiles).atoms if a.bracket]
+        assert (atom.element, atom.isotope, atom.h_count, atom.charge,
+                atom.aromatic) == (element, isotope, h_count, charge,
+                                   aromatic)
+
+    @pytest.mark.parametrize("text", ["C\u0661CC\u0661", "[\u0661\u0663CH4]"])
+    def test_ascii_digits_only(self, text):
+        """Ring closures and isotopes take ASCII digits only."""
+        with pytest.raises(SmilesParseError):
+            parse_smiles(text)
 
 
 def _same_molecule(a, b):
@@ -599,6 +636,265 @@ class TestReferenceRingCode:
         # the extra rings contain sp3 bridgeheads, for which
         # _pi_contribution returns None, so no ring is marked aromatic
         _assert_matches_reference(_kekule_graph(smiles))
+
+
+# --- slow reference: the character scanner the token grammar replaced ------
+
+_REF_ORGANIC_TWO = ("Cl", "Br")
+_REF_ORGANIC_ONE = set("BCNOPSFI")
+_REF_AROMATIC_ONE = set("bcnops")
+_REF_BOND_CHARS = {"-": 1, "=": 2, "#": 3, ":": AROMATIC, "/": 1, "\\": 1}
+_REF_ELEMENT_SYMBOLS = set(DEFAULT_VALENCES) | {
+    "H", "He", "Li", "Be", "Ne", "Na", "Mg", "Al", "Si", "Ar", "K", "Ca",
+    "Ti", "Cr", "Mn", "Fe", "Co", "Ni", "Cu", "Zn",
+}
+
+
+def _ref_parse_bracket(text, start):
+    """Parse a bracket atom starting at text[start] == '['. Returns (Atom, end).
+
+    It raises on a body that ends in a one-letter element ([C], [13C],
+    [2H]): the two-letter test matches the one-character slice at the end
+    and steps past it.
+    """
+    pos = start + 1
+    end = text.find("]", pos)
+    if end < 0:
+        raise SmilesParseError("unterminated bracket atom", start)
+    body = text[pos:end]
+    i = 0
+    isotope = None
+    while i < len(body) and body[i].isdigit():
+        i += 1
+    if i > 0:
+        isotope = int(body[:i])
+    aromatic = False
+    if i < len(body) and body[i : i + 2] in _REF_ELEMENT_SYMBOLS:
+        element = body[i : i + 2]
+        i += 2
+    elif (i < len(body) and body[i].upper() in _REF_ELEMENT_SYMBOLS
+          and body[i].islower()):
+        element = body[i].upper()
+        aromatic = True
+        i += 1
+    elif i < len(body) and body[i] in _REF_ELEMENT_SYMBOLS:
+        element = body[i]
+        i += 1
+    else:
+        raise SmilesParseError(f"unknown element token in bracket '{body}'", start)
+    while i < len(body) and body[i] == "@":
+        i += 1
+    h_count = 0
+    if i < len(body) and body[i] == "H":
+        i += 1
+        j = i
+        while j < len(body) and body[j].isdigit():
+            j += 1
+        h_count = int(body[i:j]) if j > i else 1
+        i = j
+    charge = 0
+    while i < len(body) and body[i] in "+-":
+        sign = 1 if body[i] == "+" else -1
+        i += 1
+        j = i
+        while j < len(body) and body[j].isdigit():
+            j += 1
+        if j > i:
+            charge += sign * int(body[i:j])
+            i = j
+        else:
+            charge += sign
+    if i < len(body) and body[i] == ":":
+        i = len(body)
+    if i != len(body):
+        raise SmilesParseError(f"unrecognized bracket content '{body[i:]}'",
+                               start + 1 + i)
+    atom = Atom(element=element, charge=charge, h_count=h_count,
+                aromatic=aromatic, isotope=isotope, bracket=True)
+    return atom, end + 1
+
+
+def ref_parse_smiles(text):
+    """parse_smiles as a character-by-character scanner, with the same
+    steps after the grammar."""
+    if not text or not text.strip():
+        raise SmilesParseError("empty SMILES", 0)
+    text = text.strip()
+    graph = MolecularGraph(source=text)
+    positions = {}
+    prev = None
+    pending_bond = None
+    stack = []
+    ring_open = {}
+    bond_keys = set()
+    pos = 0
+    n = len(text)
+
+    def add_atom(atom):
+        graph.atoms.append(atom)
+        idx = len(graph.atoms) - 1
+        positions[idx] = pos
+        return idx
+
+    def connect(a, b, symbol, at):
+        if symbol is None:
+            ai, bi = graph.atoms[a], graph.atoms[b]
+            order = AROMATIC if (ai.aromatic and bi.aromatic) else 1
+        else:
+            order = symbol
+        key = (min(a, b), max(a, b))
+        if key in bond_keys:
+            raise SmilesParseError("duplicate bond", at)
+        bond_keys.add(key)
+        graph.bonds.append(Bond(a, b, order))
+
+    while pos < n:
+        ch = text[pos]
+        if ch in _REF_BOND_CHARS:
+            if pending_bond is not None:
+                raise SmilesParseError("two bond symbols in a row", pos)
+            pending_bond = _REF_BOND_CHARS[ch]
+            pos += 1
+            continue
+        if ch == "(":
+            if prev is None:
+                raise SmilesParseError("branch with no preceding atom", pos)
+            stack.append(prev)
+            pos += 1
+            continue
+        if ch == ")":
+            if not stack:
+                raise SmilesParseError("unbalanced parentheses", pos)
+            prev = stack.pop()
+            pos += 1
+            continue
+        if ch == ".":
+            if pending_bond is not None:
+                raise SmilesParseError("bond symbol before dot disconnect", pos)
+            prev = None
+            pos += 1
+            continue
+        if ch.isdigit() or ch == "%":
+            if prev is None:
+                raise SmilesParseError("ring closure with no preceding atom", pos)
+            if ch == "%":
+                if pos + 2 >= n or not text[pos + 1 : pos + 3].isdigit():
+                    raise SmilesParseError("malformed %nn ring closure", pos)
+                num = int(text[pos + 1 : pos + 3])
+                width = 3
+            else:
+                num = int(ch)
+                width = 1
+            if num in ring_open:
+                other, sym, _ = ring_open.pop(num)
+                if other == prev:
+                    raise SmilesParseError("ring closure forms self-loop", pos)
+                if sym is not None and pending_bond is not None and sym != pending_bond:
+                    raise SmilesParseError("conflicting ring-closure bond orders", pos)
+                connect(prev, other, sym if sym is not None else pending_bond, pos)
+            else:
+                ring_open[num] = (prev, pending_bond, pos)
+            pending_bond = None
+            pos += width
+            continue
+        if ch == "[":
+            atom, newpos = _ref_parse_bracket(text, pos)
+            idx = add_atom(atom)
+            if prev is not None:
+                connect(prev, idx, pending_bond, pos)
+            pending_bond = None
+            prev = idx
+            pos = newpos
+            continue
+        if text[pos : pos + 2] in _REF_ORGANIC_TWO:
+            atom = Atom(element=text[pos : pos + 2])
+            width = 2
+        elif ch in _REF_ORGANIC_ONE:
+            atom = Atom(element=ch)
+            width = 1
+        elif ch in _REF_AROMATIC_ONE:
+            atom = Atom(element=ch.upper(), aromatic=True)
+            width = 1
+        else:
+            raise SmilesParseError(f"unknown element token '{ch}'", pos)
+        idx = add_atom(atom)
+        if prev is not None:
+            connect(prev, idx, pending_bond, pos)
+        pending_bond = None
+        prev = idx
+        pos += width
+
+    if stack:
+        raise SmilesParseError("unbalanced parentheses", n)
+    if ring_open:
+        num, (_, _, at) = next(iter(ring_open.items()))
+        raise SmilesParseError(f"unmatched ring closure digit {num}", at)
+    if pending_bond is not None:
+        raise SmilesParseError("dangling bond symbol", n)
+
+    assign_implicit_hydrogens(graph, positions)
+    smiles_module.perceive_aromaticity(graph)
+    assign_implicit_hydrogens(graph, positions)
+    graph.validate()
+    return graph
+
+
+# the bracket bodies on which the reference scanner raises
+_ONE_LETTER_BODY = re.compile(r"\[([0-9]*[A-Z])\]")
+
+
+def _explicit_h0(text):
+    """`text` with each one-letter bracket body spelled with its H count,
+    [13C] as [13CH0], a form the reference scanner reads."""
+    return _ONE_LETTER_BODY.sub(r"[\1H0]", text)
+
+_SMILES_TOKENS = [
+    "[", "]", *"0123456789", "%", "%10", "%01", *"-=#:/\\", "(", ")", ".",
+    "+", "@", "H", *"BCNOPSFI", *"bcnops", "Cl", "Br",
+]
+_BRACKET_ATOMS = st.builds(
+    "[{}{}{}{}{}]".format,
+    st.sampled_from(["", "2", "13"]),
+    st.sampled_from(["C", "N", "O", "S", "H", "F", "c", "n", "Cl", "Fe"]),
+    st.sampled_from(["", "@", "@@"]),
+    st.sampled_from(["", "H", "H2"]),
+    st.sampled_from(["", "+", "-", "+2", "+-"]))
+
+
+def _parsed(parse, text):
+    """(atoms, bonds) of the parse, or "error" for any ValueError."""
+    try:
+        g = parse(text)
+    except ValueError:
+        return "error"
+    return g.atoms, g.bonds
+
+
+class TestTokenGrammar:
+    """The token-pattern parser against the character scanner it
+    replaced: equal graphs, or both raise ValueError."""
+
+    @settings(max_examples=2000, deadline=None)
+    @example("C%10CC0")
+    @example("[13C]1CC1")
+    @given(st.lists(st.one_of(st.sampled_from(_SMILES_TOKENS),
+                              _BRACKET_ATOMS), max_size=14).map("".join))
+    def test_matches_reference_scanner(self, text):
+        got = _parsed(parse_smiles, text)
+        ref = _parsed(ref_parse_smiles, text)
+        if got != ref:
+            # the one allowed difference: the reference raises on a
+            # one-letter body, which then reads as its explicit H0 form
+            assert ref == "error" and _ONE_LETTER_BODY.search(text), text
+            assert got == _parsed(ref_parse_smiles, _explicit_h0(text)), text
+
+    @pytest.mark.parametrize("text", ["[C]", "[2H]c1ccccc1", "C[N]C",
+                                      "C[13C]O", "[H][H]"])
+    def test_one_letter_bodies_the_reference_refused(self, text):
+        with pytest.raises(SmilesParseError):
+            ref_parse_smiles(text)
+        assert _parsed(parse_smiles, text) == _parsed(ref_parse_smiles,
+                                                      _explicit_h0(text))
 
 
 def test_long_chain_canonicalizes():

@@ -69,6 +69,25 @@ class TestSimilarity:
         assert sum(hist["counts"]) == 10
         assert (out / "similarity_manifest.json").exists()
 
+    def test_bracket_isotopes_ranked(self, runner, tmp_path):
+        """Rows with one-letter bracket bodies ([2H], [N]) are ranked, not
+        skipped."""
+        table = tmp_path / "iso.csv"
+        table.write_text("id,smiles\nbenzene,c1ccccc1\nd1,[2H]c1ccccc1\n"
+                         "c13,C[13CH2]O\nradical,C[N]C\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "similarity",
+            "--smiles", str(table), "--reference", "benzene",
+        ])
+        assert result.exit_code == 0, result.output
+        ranked = [line.split(",")[0] for line in
+                  (out / "ranking.csv").read_text().splitlines()[1:]]
+        assert sorted(ranked) == ["benzene", "c13", "d1", "radical"]
+        summary = json.loads((out / "histogram.json").read_text())["summary"]
+        assert summary["skipped_rows"] == 0
+        assert summary["count"] == 4
+
     def test_missing_inputs_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["--out-dir", str(tmp_path),
                                       "similarity"])
@@ -307,6 +326,23 @@ class TestModes:
         assert result.exit_code == 0, result.output
         data = json.loads((out / "modes.json").read_text())
         assert len(data["frequencies_cm1"]) == 6
+
+    def test_negative_atom_count_exit_2(self, runner, tmp_path):
+        """A count line of -1 over three rows is refused, not read as a
+        two-atom structure."""
+        s = tmp_path / "neg.xyz"
+        s.write_text("-1\n\n" + "".join(
+            f"Ar {3.8 * k} 0.0 0.0\n" for k in range(3)))
+        lj = tmp_path / "lj.json"
+        lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "modes", "--structure", str(s),
+            "--lj-params", str(lj),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "neg.xyz" in result.output
+        assert not (out / "modes.json").exists()
 
     @pytest.mark.parametrize("params", [
         {"Ar": [0.0104, 3.4]},                          # one element
@@ -641,6 +677,12 @@ class TestNonFiniteArtifacts:
         assert result.exit_code == 3, result.output
         assert "modes.json" in result.output
         assert not list(out.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    def test_modes_coincident_atoms_no_numpy_warning(self, runner, tmp_path):
+        """The same exit 3 when every warning is an error: the LJ
+        divisions by r = 0 print no RuntimeWarning."""
+        self.test_modes_coincident_atoms_exit_3(runner, tmp_path)
 
     def test_modes_coincident_atoms_exit_3(self, runner, tmp_path):
         """Two atoms at one site make a NaN Hessian: exit 3, nothing

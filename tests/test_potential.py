@@ -22,7 +22,6 @@ from spescreen.structure import (
     _IMAGES,
     AtomicStructure,
     lattice_translations,
-    minimum_image,
     minimum_image_map,
 )
 
@@ -263,7 +262,7 @@ class TestMinimumImage:
         ]) @ SKEWED_CELL
         brute = np.linalg.norm(deltas[:, None] + shifts[None], axis=2).min(1)
         assert np.any(rounded > brute + 1e-6)   # rounding alone falls short
-        kernel = minimum_image(s, deltas)
+        kernel = minimum_image_map(s.cell, s.pbc)(deltas)
         assert np.allclose(np.linalg.norm(kernel, axis=1), brute,
                            rtol=0, atol=1e-12)
         # each returned vector is an image of its input
@@ -280,7 +279,7 @@ class TestMinimumImage:
         near = rng.choice([-1.5, -0.5, 0.5, 1.5], size=(2000, 3))
         near += rng.choice([-1e-9, -1e-12, 1e-12, 1e-9], size=(2000, 3))
         deltas = np.vstack([frac, near]) @ cell
-        assert np.array_equal(minimum_image(s, deltas),
+        assert np.array_equal(minimum_image_map(s.cell, s.pbc)(deltas),
                               ref_min_image(s, deltas))
 
     def test_exact_half_cell_ties_match_search(self):
@@ -290,7 +289,7 @@ class TestMinimumImage:
         ii, jj = np.triu_indices(len(s), k=1)
         deltas = s.positions[jj] - s.positions[ii]
         assert np.any(np.abs(deltas) == 4.0)
-        assert np.array_equal(minimum_image(s, deltas),
+        assert np.array_equal(minimum_image_map(s.cell, s.pbc)(deltas),
                               ref_min_image(s, deltas))
 
     def test_open_axes_lean_over_periodic_one(self):
@@ -308,7 +307,7 @@ class TestMinimumImage:
             s = AtomicStructure(elements=["Ar"] * 28, positions=frac @ cell,
                                 cell=cell, pbc=(False, False, True))
             deltas = s.positions[jj] - s.positions[ii]
-            assert np.array_equal(minimum_image(s, deltas),
+            assert np.array_equal(minimum_image_map(s.cell, s.pbc)(deltas),
                                   ref_min_image(s, deltas))
 
     @settings(max_examples=80, deadline=None)
@@ -319,7 +318,7 @@ class TestMinimumImage:
         assume(s.cell is not None)
         ii, jj = np.triu_indices(len(s), k=1)
         deltas = s.positions[jj] - s.positions[ii]
-        kernel = minimum_image(s, deltas)
+        kernel = minimum_image_map(s.cell, s.pbc)(deltas)
         assert np.array_equal(kernel, ref_min_image(s, deltas))
         brute = np.linalg.norm(
             deltas[:, None] + image_translations(s)[None], axis=2).min(1)
@@ -335,7 +334,8 @@ class TestMinimumImage:
         5 b - 2 a = (2, 50, 0), not (11, 50, 0)."""
         s = AtomicStructure(elements=["Ar"], positions=np.zeros((1, 3)),
                             cell=LEANING_CELL, pbc=(True, False, True))
-        assert np.array_equal(minimum_image(s, np.array([[20.0, 50.0, 0.0]])),
+        image = minimum_image_map(s.cell, s.pbc)
+        assert np.array_equal(image(np.array([[20.0, 50.0, 0.0]])),
                               [[2.0, 50.0, 0.0]])
 
     @pytest.mark.parametrize("cell", [LEANING_CELL, SKEWED_CELL],
@@ -356,7 +356,7 @@ class TestMinimumImage:
         ranges = [range(-8, 9) if p else (0,) for p in pbc]
         shifts = np.array(list(itertools.product(*ranges))) @ cell
         brute = np.linalg.norm(deltas[:, None] + shifts[None], axis=2).min(1)
-        kernel = minimum_image(s, deltas)
+        kernel = minimum_image_map(s.cell, s.pbc)(deltas)
         assert np.allclose(np.linalg.norm(kernel, axis=1), brute,
                            rtol=0, atol=1e-12)
         n_cells = (kernel - deltas) @ np.linalg.inv(cell)
@@ -744,8 +744,6 @@ class TestPreparedKernelOracle:
         image = minimum_image_map(s.cell, s.pbc)
         for d in (deltas, 3.0 * deltas[::-1]):
             assert np.array_equal(image(d), ref_minimum_image(s, d))
-            assert np.array_equal(minimum_image(s, d),
-                                  ref_minimum_image(s, d))
 
     @settings(max_examples=80, deadline=None)
     @given(shuffled_structures())

@@ -187,6 +187,15 @@ class TestXYZ:
         with pytest.raises(ValueError):
             parse_xyz(p)
 
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_count_below_one(self, tmp_path, count):
+        """A count of -1 once read two of three rows, and 0 an empty
+        structure that failed in numpy."""
+        p = tmp_path / "bad.xyz"
+        p.write_text(f"{count}\n\n" + "Ar 0 0 0\n" * 3)
+        with pytest.raises(ValueError, match="bad.xyz.*at least 1"):
+            parse_xyz(p)
+
 
 class TestNeighborList:
     def test_water_bonds(self):

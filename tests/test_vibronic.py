@@ -184,7 +184,7 @@ class TestHuangRhys:
             rg = np.zeros((2, 3))
             re = rg.copy()
             re[0, 0] = d
-            s = huang_rhys(rg, re, modes.masses, modes)
+            s = huang_rhys(rg, re, modes)
             m_au = m * AMU_TO_ME
             w_au = w * VIB_FREQ_TO_AU
             d_au = d * ANGSTROM_TO_BOHR
@@ -198,8 +198,7 @@ class TestHuangRhys:
             frequencies=np.full(6, 1.0 / VIB_FREQ_TO_CM1),  # 1 cm^-1
             modes=ms.modes, masses=ms.masses,
         )
-        s = huang_rhys(np.zeros((2, 3)), np.ones((2, 3)) * 0.01,
-                       soft.masses, soft)
+        s = huang_rhys(np.zeros((2, 3)), np.ones((2, 3)) * 0.01, soft)
         assert np.all(s == 0.0)
 
     def test_weighted_hr(self):
