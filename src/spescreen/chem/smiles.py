@@ -3,9 +3,10 @@
 Supported grammar: the organic-subset SMILES of Weininger (J. Chem. Inf.
 Comput. Sci. 28:31, 1988). It lives in `_TOKEN`, one named group per
 token kind, and `_BRACKET`, the body of a bracket atom: an isotope, a
-one- or two-letter element (lowercase one-letter: aromatic), chirality
-marks, an H count, charges and an atom class. Stereo markers (/ \\ @ @@)
-and atom classes are consumed and discarded: they carry no meaning here.
+one- or two-letter element (lowercase: one of the aromatic elements b c n
+o p s), chirality marks, an H count, charges and an atom class (':' and
+digits). Stereo markers (/ \\ @ @@) and atom classes are consumed and
+discarded: they carry no meaning here.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ _ELEMENT_SYMBOLS = set(DEFAULT_VALENCES) | {
 }
 _ONE_LETTER = "".join(sorted(e for e in _ELEMENT_SYMBOLS if len(e) == 1))
 _TWO_LETTER = "|".join(sorted(e for e in _ELEMENT_SYMBOLS if len(e) == 2))
+_AROMATIC = "".join(sorted(AROMATIC_ELEMENTS)).lower()
 
 # Every character starts exactly one token; `other` catches the rest.
-_TOKEN = re.compile(r"""
+_TOKEN = re.compile(rf"""
     (?P<bracket>\[[^\]]*\])
   | (?P<unterminated>\[)
   | (?P<organic>Cl|Br|[BCNOPSFI])
-  | (?P<aromatic>[bcnops])
+  | (?P<aromatic>[{_AROMATIC}])
   | (?P<bond>[-=#:/\\])
   | (?P<open>\()
   | (?P<close>\))
@@ -54,13 +56,12 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 # charges are signs with optional magnitudes, summed; the atom class is
-# everything after ':'
+# ':' and digits
 _BRACKET = re.compile(
     r"(?P<isotope>[0-9]+)?"
     rf"(?:(?P<element>{_TWO_LETTER}|[{_ONE_LETTER}])"
-    rf"|(?P<aromatic>[{_ONE_LETTER.lower()}]))"
-    r"@*(?P<h>H[0-9]*)?(?P<charge>(?:[+-][0-9]*)*)(?::.*)?",
-    re.DOTALL)
+    rf"|(?P<aromatic>[{_AROMATIC}]))"
+    r"@*(?P<h>H[0-9]*)?(?P<charge>(?:[+-][0-9]*)*)(?::[0-9]+)?")
 _CHARGE = re.compile(r"([+-])([0-9]*)")
 
 

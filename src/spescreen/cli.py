@@ -52,7 +52,7 @@ from .spectro import (
     stark_coefficients,
     write_candidates_csv,
 )
-from .structure import parse_xyz
+from .structure import coincident_pair, parse_xyz
 from .vibronic import load_mode_set, normal_modes, save_mode_set, vibronic_report
 
 EXIT_VALIDATION = 2
@@ -109,6 +109,7 @@ def _gpc_params(model):
         "log_marginal_likelihood": model.log_marginal_likelihood,
         "grad_norm": model.grad_norm,
         "n_evaluations": model.n_evaluations,
+        "search_newton_steps": model.search_newton_steps,
         "optimizer_converged": model.optimizer_converged,
         "sigma2_at_bound": model.sigma2_at_bound,
         "lengthscale_at_bound": model.lengthscale_at_bound,
@@ -384,6 +385,11 @@ def modes(ctx, structure, potential_file, lj_params, relax, fmax, out):
         # the file holds forces at its one geometry: nothing to relax on
         raise ValueError("--relax needs --lj-params, not --potential-file")
     geometry = parse_xyz(structure)
+    pair = coincident_pair(geometry)
+    if pair is not None:
+        # the pair kernels would divide by r = 0
+        raise ValueError(f"{structure}: atoms {pair[0]} and {pair[1]} are "
+                         "at the same position")
 
     if potential_file is not None:
         potential = ExternalPotential(potential_file)

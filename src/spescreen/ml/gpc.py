@@ -14,8 +14,19 @@ Gaussian with Gauss-Hermite quadrature.
 The posterior mode follows the stable B-matrix Newton scheme of Rasmussen
 & Williams (2006), Alg. 3.1/3.2. A fit computes the squared-distance
 matrix of its inputs once; every marginal-likelihood evaluation only
-rescales it. Factorisations and triangular solves call LAPACK ``potrf`` and
-``trtrs`` directly, with the arguments scipy's ``cholesky`` and
+rescales it. Two rules make a search evaluation cheaper, and only a search
+evaluation. (1) Warm start, as in GPML's infLaplace (Rasmussen & Nickisch
+2010): the mode starts from the previous evaluation's a when that beats
+f = 0, halving any Newton step that lowers the objective; the 49 grid
+points chain in row order and each L-BFGS-B search starts its chain cold.
+(2) Kernel floor: entries whose exponent 0.5 d2 / lengthscale^2 exceeds
+100 are set to 0, which keeps potrf out of subnormal arithmetic at short
+lengthscales. ``GPCModel.search_newton_steps`` counts the Newton steps of
+the search. The final fit of ``gpc_train``, a pinned fit and
+``gpc_predict`` run cold and unfloored.
+
+Factorisations and triangular solves call LAPACK ``potrf`` and ``trtrs``
+directly, with the arguments scipy's ``cholesky`` and
 ``solve_triangular`` would pass, so results are bit-identical to the
 wrapped calls. The finiteness checks those wrappers made live in
 ``gpc_train`` (the inputs, once), in ``_laplace_mode`` (the latent vector,
@@ -36,6 +47,11 @@ SIGMA2_BOUNDS = (1e-3, 1e3)
 LENGTHSCALE_BOUNDS = (1e-2, 1e2)
 
 _NOT_FINITE = "array must not contain infs or NaNs"
+# a search kernel entry whose exponent 0.5 d2 / lengthscale^2 exceeds this
+# is below sigma2 * 4e-44, far under one ulp of B's unit diagonal; set to 0,
+# it keeps potrf's fill-in out of slow subnormal arithmetic
+_EXPONENT_FLOOR = 100.0
+_MAX_HALVINGS = 10    # step halvings per Newton step of a warm-started mode
 
 
 def _sigmoid(z):
@@ -99,60 +115,82 @@ def _factor_b(K, f, eye):
     return pi, W, sw, _cholesky_lower(B)
 
 
-def _laplace_mode(K, y, tol=1e-10, max_iter=200):
+def _laplace_mode(K, y, tol=1e-10, max_iter=200, a0=None):
     """Newton iteration for the posterior mode (stable B-matrix form).
 
-    Returns f, a (with f = K a), pi, sqrt(W), chol(B), grad_norm, the log
-    marginal likelihood, the number of Newton steps and whether the
-    objective reached tol.
+    Starts from f = K a0 when Psi(K a0) = -a0.f/2 + log p(y|f) beats
+    Psi(0) = -n log 2, else from f = 0. A cold solve takes full Newton
+    steps; a warm one halves (up to _MAX_HALVINGS times) a step that lowers
+    Psi by more than tol. Returns f, a (with f = K a), pi, sqrt(W), chol(B),
+    grad_norm, the log marginal likelihood, the number of Newton steps and
+    whether the objective reached tol.
     """
     n = len(y)
     eye = np.eye(n)
     sign = -(2.0 * y - 1.0)
+
+    def psi(a, f):
+        # -a.f / 2 + log p(y|f) for the logistic link
+        return -0.5 * (a @ f) - np.logaddexp(0.0, sign * f).sum()
+
     f = np.zeros(n)
     a = np.zeros(n)
     obj_prev = -np.inf
+    warm = False
+    if a0 is not None:
+        f0 = K @ a0
+        obj0 = psi(a0, f0)
+        if obj0 > -n * np.log(2.0):
+            f, a, obj_prev, warm = f0, a0, obj0, True
     steps = 0
     converged = False
     while steps < max_iter:
         pi, W, sw, L = _factor_b(K, f, eye)
         b = W * f + (y - pi)
         v = _solve_lower(L, sw * (K @ b))
-        a = b - sw * _solve_lower(L, v, trans=1)
-        f = K @ a
+        a_new = b - sw * _solve_lower(L, v, trans=1)
+        f_new = K @ a_new
         steps += 1
-        if not np.isfinite(f).all():
+        if not np.isfinite(f_new).all():
             raise ValueError(_NOT_FINITE)
-        # log p(y|f) for logistic link
-        loglik = -np.logaddexp(0.0, sign * f).sum()
-        obj = -0.5 * (a @ f) + loglik
+        obj = psi(a_new, f_new)
+        halvings = 0
+        while warm and obj < obj_prev - tol and halvings < _MAX_HALVINGS:
+            a_new = 0.5 * (a + a_new)
+            f_new = K @ a_new
+            obj = psi(a_new, f_new)
+            halvings += 1
+        a, f = a_new, f_new
         if abs(obj - obj_prev) < tol:
             converged = True
             break
         obj_prev = obj
     pi, _, sw, L = _factor_b(K, f, eye)
     grad_norm = float(np.linalg.norm((y - pi) - a))
-    logml = (-0.5 * (a @ f)
-             - np.logaddexp(0.0, sign * f).sum()
-             - np.log(np.diagonal(L)).sum())
+    logml = psi(a, f) - np.log(np.diagonal(L)).sum()
     return f, a, pi, sw, L, grad_norm, float(logml), steps, converged
 
 
-def _neg_log_q(d2, y, log_theta, gradient=True):
-    """-log q(y | theta) and (unless gradient=False) its gradient in
-    (log sigma2, log lengthscale).
+def _neg_log_q(d2, y, log_theta, gradient=True, a0=None, d2_max=None):
+    """-log q(y | theta), its gradient in (log sigma2, log lengthscale) (None
+    if gradient=False), the mode's a and the Newton steps taken.
 
     Rasmussen & Williams (2006), Alg. 5.1, from the Laplace mode's f, a, pi,
     sqrt(W) and chol(B). With W = pi (1 - pi) the implicit term is
     s2 = +1/2 diag((K^-1 + W)^-1) d3, where d3 = -pi (1 - pi) (1 - 2 pi) is
-    the third derivative of log p(y|f).
+    the third derivative of log p(y|f). The mode starts from a0 (see
+    `_laplace_mode`). Given d2_max = d2.max(), kernel entries whose exponent
+    0.5 d2 / lengthscale^2 exceeds _EXPONENT_FLOOR are set to 0.
     """
     s2 = float(np.clip(np.exp(log_theta[0]), *SIGMA2_BOUNDS))
     ls = float(np.clip(np.exp(log_theta[1]), *LENGTHSCALE_BOUNDS))
     K = _rbf(d2, s2, ls)
-    f, a, pi, sw, L, _, logml, _, _ = _laplace_mode(K, y)
+    cut = 2.0 * _EXPONENT_FLOOR * ls**2
+    if d2_max is not None and d2_max > cut:
+        K[d2 > cut] = 0.0
+    f, a, pi, sw, L, _, logml, steps, _ = _laplace_mode(K, y, a0=a0)
     if not gradient:
-        return -logml
+        return -logml, None, a, steps
     R = sw[:, None] * _solve_lower(L, _solve_lower(L, np.diag(sw)), trans=1)
     C = _solve_lower(L, sw[:, None] * K)
     d3 = -pi * (1.0 - pi) * (1.0 - 2.0 * pi)
@@ -163,7 +201,7 @@ def _neg_log_q(d2, y, log_theta, gradient=True):
         explicit = 0.5 * (a @ dK @ a) - 0.5 * (R * dK).sum()
         b = dK @ dlogp
         grad[j] = explicit + implicit @ (b - K @ (R @ b))
-    return -logml, -grad
+    return -logml, -grad, a, steps
 
 
 @dataclass
@@ -178,6 +216,7 @@ class GPCModel:
     grad_norm: float
     log_marginal_likelihood: float
     n_evaluations: int            # marginal-likelihood evaluations
+    search_newton_steps: int      # Newton steps over those evaluations
     optimizer_converged: bool     # success of the L-BFGS-B search that
                                   # reached the returned point; True if not run
     sigma2_at_bound: bool         # search stopped at a sigma2 bound
@@ -201,6 +240,7 @@ def gpc_train(x, y, sigma2: float | None = None,
         raise ValueError("training set must contain both classes")
     d2 = _sqdist(x, x)
     n_evaluations = 0
+    search_newton_steps = 0
     optimizer_converged = True
     at_bound = (False, False)
     if sigma2 is not None and lengthscale is not None:
@@ -212,17 +252,23 @@ def gpc_train(x, y, sigma2: float | None = None,
         hi = np.log([SIGMA2_BOUNDS[1], LENGTHSCALE_BOUNDS[1]])
         bounds = list(zip(lo, hi))
         seen = []          # per search: lowest value reached and where
+        d2_max = float(d2.max())
+        a_prev = None      # the previous evaluation's mode: the next a0
 
         def neg_log_q(log_theta, gradient=True):
-            nonlocal n_evaluations
+            nonlocal n_evaluations, search_newton_steps, a_prev
             n_evaluations += 1
             try:
-                out = _neg_log_q(d2, y, log_theta, gradient)
+                value, grad, a_prev, steps = _neg_log_q(
+                    d2, y, log_theta, gradient, a0=a_prev, d2_max=d2_max)
             except np.linalg.LinAlgError:
                 return (np.inf, np.zeros(2)) if gradient else np.inf
-            if gradient and out[0] < seen[-1][0]:
-                seen[-1] = (out[0], np.array(log_theta, dtype=float))
-            return out
+            search_newton_steps += steps
+            if not gradient:
+                return value
+            if value < seen[-1][0]:
+                seen[-1] = (value, np.array(log_theta, dtype=float))
+            return value, grad
 
         grid = [np.array([a, b]) for a in np.linspace(lo[0], hi[0], 7)
                 for b in np.linspace(lo[1], hi[1], 7)]
@@ -243,6 +289,7 @@ def gpc_train(x, y, sigma2: float | None = None,
         success = []
         for point in starts:
             seen.append((np.inf, point))
+            a_prev = None
             res = minimize(neg_log_q, point, jac=True, method="L-BFGS-B",
                            bounds=bounds, options={"gtol": 1e-8})
             success.append(bool(res.success))
@@ -264,7 +311,8 @@ def gpc_train(x, y, sigma2: float | None = None,
         x_train=x, y_train=y, sigma2=s2, lengthscale=ls,
         pi_hat=pi, sqrt_w=sw, chol_b=L,
         grad_norm=grad_norm, log_marginal_likelihood=logml,
-        n_evaluations=n_evaluations, optimizer_converged=optimizer_converged,
+        n_evaluations=n_evaluations, search_newton_steps=search_newton_steps,
+        optimizer_converged=optimizer_converged,
         sigma2_at_bound=at_bound[0], lengthscale_at_bound=at_bound[1],
         laplace_iterations=steps, laplace_converged=converged,
     )

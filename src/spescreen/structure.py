@@ -243,6 +243,17 @@ def natural_cutoffs(structure: AtomicStructure):
     return np.array([covalent_radius(e) for e in structure.elements])
 
 
+def coincident_pair(structure: AtomicStructure):
+    """The first pair (i, j), i < j, of atoms at exactly the same Cartesian
+    position, or None. Images under the cell are not compared."""
+    pos = structure.positions
+    order = np.lexsort(pos.T[::-1])    # stable: equal rows keep index order
+    k = np.flatnonzero((pos[order[1:]] == pos[order[:-1]]).all(axis=1))
+    if not len(k):
+        return None
+    return min(zip(order[k].tolist(), order[k + 1].tolist()))
+
+
 def close_pairs(a, b, radius):
     """Pairs (i, j) of `cKDTree`s a, b proposed within radius * (1 + 1e-9),
     so the tree's rounding drops none, and their distances

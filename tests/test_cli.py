@@ -685,10 +685,13 @@ class TestNonFiniteArtifacts:
         self.test_modes_coincident_atoms_exit_3(runner, tmp_path)
 
     def test_modes_coincident_atoms_exit_3(self, runner, tmp_path):
-        """Two atoms at one site make a NaN Hessian: exit 3, nothing
-        written."""
+        """Two atoms one lattice vector apart share a site of the crystal
+        but not a Cartesian position, so the file check passes them; the
+        minimum image puts them at r = 0 and the Hessian is NaN: exit 3,
+        nothing written."""
         s = tmp_path / "d.xyz"
-        s.write_text("2\n\nAr 0.0 0.0 0.0\nAr 0.0 0.0 0.0\n")
+        s.write_text('2\nLattice="4.0 0.0 0.0 0.0 4.0 0.0 0.0 0.0 4.0"\n'
+                     "Ar 0.0 0.0 0.0\nAr 4.0 0.0 0.0\n")
         lj = tmp_path / "lj.json"
         lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
         out = tmp_path / "out"
@@ -698,6 +701,28 @@ class TestNonFiniteArtifacts:
         ])
         assert result.exit_code == 3, result.output
         assert "non-finite" in result.output
+        assert not list(out.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("relax", [[], ["--relax"]])
+    def test_modes_coincident_atoms_exit_2(self, runner, tmp_path, relax):
+        """Two atoms at one Cartesian position are refused before any
+        kernel runs, with or without --relax: exit 2 naming the pair,
+        nothing written."""
+        s = tmp_path / "t.xyz"
+        s.write_text("3\n\nAr 0.0 0.0 0.0\nAr 3.8 0.0 0.0\nAr -0.0 0 0\n")
+        lj = tmp_path / "lj.json"
+        lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+        out = tmp_path / "out"
+        with mock.patch.object(LennardJonesPotential, "hessian") as hessian, \
+                mock.patch.object(cli, "relax_structure") as relax_structure:
+            result = runner.invoke(main, [
+                "--out-dir", str(out), "modes", "--structure", str(s),
+                "--lj-params", str(lj), *relax,
+            ])
+        assert result.exit_code == 2, result.output
+        assert "atoms 0 and 2 are at the same position" in result.output
+        assert not (hessian.called or relax_structure.called)
         assert not list(out.iterdir())
 
 
@@ -929,9 +954,9 @@ class TestLabelClassifyReport:
 
     def test_gpc_counters_in_manifests(self, runner, tmp_path, records_csv):
         counters = {"log_marginal_likelihood", "grad_norm", "n_evaluations",
-                    "optimizer_converged", "sigma2_at_bound",
-                    "lengthscale_at_bound", "laplace_iterations",
-                    "laplace_converged"}
+                    "search_newton_steps", "optimizer_converged",
+                    "sigma2_at_bound", "lengthscale_at_bound",
+                    "laplace_iterations", "laplace_converged"}
         for stage in ("classify", "report"):
             out = tmp_path / stage
             result = runner.invoke(main, [
@@ -943,6 +968,8 @@ class TestLabelClassifyReport:
                 (out / f"{stage}_manifest.json").read_text())["parameters"]
             assert counters | {"sigma2", "lengthscale"} <= set(params)
             assert params["n_evaluations"] >= 1
+            # every evaluation takes at least one Newton step
+            assert params["search_newton_steps"] >= params["n_evaluations"]
             assert params["optimizer_converged"] is True
             assert params["laplace_iterations"] >= 1
             assert params["laplace_converged"] is True

@@ -401,7 +401,7 @@ class TestGPCReference:
         x, y, _, _ = problem
         d2 = gpc_module._sqdist(x, x)
         theta = np.array([log_s2, log_ls])
-        _, grad = gpc_module._neg_log_q(d2, y, theta)
+        _, grad, _, _ = gpc_module._neg_log_q(d2, y, theta)
         h = 1e-5
         central = np.empty(2)
         for j in range(2):
@@ -429,9 +429,9 @@ class TestGPCReference:
         failed = []
         laplace_mode = gpc_module._laplace_mode
 
-        def recording(K, y_):
+        def recording(K, y_, **kwargs):
             try:
-                return laplace_mode(K, y_)
+                return laplace_mode(K, y_, **kwargs)
             except np.linalg.LinAlgError:
                 failed.append(np.max(-K))
                 raise
@@ -547,6 +547,96 @@ class TestGPCReference:
             steps, True)
         fitted = gpc_train(x, y)
         assert fitted.n_evaluations >= 1 and fitted.optimizer_converged
+
+    def test_search_newton_steps_sum_the_search(self):
+        """search_newton_steps sums the Newton steps of every search
+        evaluation; the final fit runs cold and a pinned fit counts none."""
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(20, 2))
+        y = (x[:, 0] > 0).astype(float)
+        calls = []
+        laplace_mode = gpc_module._laplace_mode
+
+        def recording(K, y_, **kwargs):
+            out = laplace_mode(K, y_, **kwargs)
+            calls.append((kwargs.get("a0"), out[7]))
+            return out
+
+        with mock.patch.object(gpc_module, "_laplace_mode", recording):
+            model = gpc_train(x, y)
+        assert len(calls) == model.n_evaluations + 1
+        assert calls[0][0] is None and calls[-1][0] is None
+        assert any(a0 is not None for a0, _ in calls)
+        assert model.search_newton_steps == sum(n for _, n in calls[:-1])
+        assert model.laplace_iterations == calls[-1][1]
+        assert gpc_train(x, y, sigma2=2.0,
+                         lengthscale=1.0).search_newton_steps == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(gpc_problems(), st.floats(np.log(1e-3), np.log(1e3)),
+           st.one_of(st.floats(np.log(1e-2), np.log(1e2)),
+                     st.sampled_from(list(np.linspace(np.log(1e-2),
+                                                      np.log(1e2), 7)[:3]))))
+    def test_kernel_floor_keeps_the_value_and_gradient(self, problem,
+                                                       log_s2, log_ls):
+        """Zeroing the search kernel's entries with exponent above 100 (the
+        subnormal band of short lengthscales) leaves -log q and its
+        gradient within 1e-12 relative, and the floored kernel holds no
+        subnormal entry."""
+        x, y, _, _ = problem
+        d2 = gpc_module._sqdist(x, x)
+        theta = np.array([log_s2, log_ls])
+        kernels = []
+        laplace_mode = gpc_module._laplace_mode
+
+        def recording(K, y_, **kwargs):
+            kernels.append(K.copy())
+            return laplace_mode(K, y_, **kwargs)
+
+        with mock.patch.object(gpc_module, "_laplace_mode", recording):
+            value, grad, _, _ = gpc_module._neg_log_q(d2, y, theta)
+            floored, floored_grad, _, _ = gpc_module._neg_log_q(
+                d2, y, theta, d2_max=float(d2.max()))
+        full, cut = kernels
+        exponent = 0.5 * d2 / np.exp(log_ls) ** 2
+        assert np.array_equal(cut, np.where(exponent > 100.0, 0.0, full))
+        assert not ((cut != 0.0) & (np.abs(cut) < np.finfo(float).tiny)).any()
+        assert abs(floored - value) <= 1e-12 * abs(value)
+        assert (np.abs(floored_grad - grad).max()
+                <= 1e-12 * np.abs(grad).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(gpc_problems(), st.floats(1e-2, 1e2), st.floats(5e-2, 2e1))
+    def test_warm_start_from_the_mode(self, problem, sigma2, lengthscale):
+        """Started from its own converged a, the mode stops within 2 Newton
+        steps at the cold solve's log q (to 1e-10 relative: the cold stop
+        on the objective leaves the mode that far from exact)."""
+        x, y, _, _ = problem
+        K = rbf_kernel(x, x, sigma2, lengthscale)
+        cold = gpc_module._laplace_mode(K, y)
+        warm = gpc_module._laplace_mode(K, y, a0=cold[1])
+        assert warm[8] and warm[7] <= 2
+        assert abs(warm[6] - cold[6]) <= 1e-10 * abs(cold[6])
+
+    @settings(max_examples=60, deadline=None)
+    @given(gpc_problems(), st.floats(1e-2, 1e2), st.floats(5e-2, 2e1),
+           st.floats(0.1, 10.0))
+    def test_start_worse_than_zero_is_cold(self, problem, sigma2,
+                                           lengthscale, scale):
+        """An a0 with Psi(K a0) no better than Psi(0) = -n log 2 (here one
+        that pushes every latent towards the wrong class) is ignored: the
+        result is bit-identical to the cold solve."""
+        x, y, _, _ = problem
+        K = rbf_kernel(x, x, sigma2, lengthscale)
+        a0 = -scale * (2.0 * y - 1.0)
+        f0 = K @ a0
+        psi0 = -0.5 * (a0 @ f0) - np.logaddexp(0.0, -(2.0 * y - 1.0)
+                                                * f0).sum()
+        assert psi0 <= -len(y) * np.log(2.0)
+        cold = gpc_module._laplace_mode(K, y)
+        warm = gpc_module._laplace_mode(K, y, a0=a0)
+        for got, want in zip(warm, cold):
+            assert np.array_equal(got, want)
 
 
 @st.composite
