@@ -22,7 +22,6 @@ host = AtomicStructure(
     elements=["Ar"] * 125,
     positions=points,
     cell=np.eye(3) * 5 * spacing,
-    pbc=(True, True, True),
 )
 
 # the guest: a tight diatomic placed by the embedding loop

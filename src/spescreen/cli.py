@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -101,21 +102,11 @@ def _write_csv(path, header, rows):
 
 
 def _gpc_params(model):
-    """Hyperparameters and deterministic fit diagnostics of a GPCModel for
-    a stage manifest."""
-    return {
-        "sigma2": model.sigma2,
-        "lengthscale": model.lengthscale,
-        "log_marginal_likelihood": model.log_marginal_likelihood,
-        "grad_norm": model.grad_norm,
-        "n_evaluations": model.n_evaluations,
-        "search_newton_steps": model.search_newton_steps,
-        "optimizer_converged": model.optimizer_converged,
-        "sigma2_at_bound": model.sigma2_at_bound,
-        "lengthscale_at_bound": model.lengthscale_at_bound,
-        "laplace_iterations": model.laplace_iterations,
-        "laplace_converged": model.laplace_converged,
-    }
+    """Every scalar field of a GPCModel (hyperparameters and deterministic
+    fit diagnostics) for a stage manifest; array fields are skipped."""
+    values = ((f.name, getattr(model, f.name))
+              for f in dataclasses.fields(model))
+    return {name: v for name, v in values if not isinstance(v, np.ndarray)}
 
 
 def _stage(func):

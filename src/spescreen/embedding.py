@@ -159,7 +159,6 @@ def embed_emitter(host: AtomicStructure, emitter: AtomicStructure,
                 positions=np.vstack([remaining, positions[c]]),
                 masses=np.concatenate([host.masses[keep], walker.masses]),
                 cell=host.cell.copy(),
-                pbc=host.pbc,
             )
             accepted.append(EmbeddingTrial(
                 structure=combined,

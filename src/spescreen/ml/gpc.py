@@ -228,8 +228,15 @@ class GPCModel:
 def gpc_train(x, y, sigma2: float | None = None,
               lengthscale: float | None = None) -> GPCModel:
     """Fit the Laplace GPC; hyperparameters default to marginal-likelihood
-    maximization within SIGMA2_BOUNDS and LENGTHSCALE_BOUNDS (pass both
-    sigma2 and lengthscale to pin them)."""
+    maximization within SIGMA2_BOUNDS and LENGTHSCALE_BOUNDS. Pass both
+    sigma2 and lengthscale, finite and positive, to pin them; pinning one
+    alone raises ValueError."""
+    if (sigma2 is None) != (lengthscale is None):
+        raise ValueError("pin both sigma2 and lengthscale, or neither")
+    for name, value in (("sigma2", sigma2), ("lengthscale", lengthscale)):
+        if value is not None and not (np.isfinite(value) and value > 0):
+            raise ValueError(
+                f"{name} must be finite and positive, got {value}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if not np.isfinite(x).all():
@@ -243,7 +250,7 @@ def gpc_train(x, y, sigma2: float | None = None,
     search_newton_steps = 0
     optimizer_converged = True
     at_bound = (False, False)
-    if sigma2 is not None and lengthscale is not None:
+    if sigma2 is not None:
         s2, ls = sigma2, lengthscale
     else:
         from scipy.optimize import minimize

@@ -6,7 +6,7 @@ forces(structure) -> (N, 3) eV/A and hessian(structure) -> (3N, 3N)
 eV/A^2. The Lennard-Jones potential also exposes energy(structure) -> eV,
 energy_and_forces(structure) -> (eV, (N, 3) eV/A) and evaluator(structure),
 which returns a function of positions (N, 3) -> (eV, (N, 3) eV/A) for that
-structure's elements, cell and pbc. Relaxation takes one evaluator per
+structure's elements and cell. Relaxation takes one evaluator per
 call and probes it once per trial step, so everything that does not move
 with the atoms is built once per relaxation, not once per probe. A
 replayed single point holds forces at one geometry only, so it has no
@@ -16,8 +16,10 @@ The Lennard-Jones potential builds one pair table per evaluator (the
 i < j index arrays, 4 eps and sigma of each pair, and the flat 3N
 indices its forces scatter to); energy, forces and the closed-form
 Hessian all evaluate such a table. Periodic displacements go through
-`structure.minimum_image_map`, which decides the images along the
-periodic axes of `pbc` only and is prepared once per evaluator.
+`structure.minimum_image_map`, which is prepared once per evaluator: a
+cell is periodic along a, b and c, and a structure without one is in
+free space. No open axis exists (`parse_xyz` refuses a `pbc=` entry
+other than T).
 """
 
 from __future__ import annotations
@@ -122,14 +124,14 @@ class LennardJonesPotential:
                     for key, value in raw.items()})
 
     def evaluator(self, structure):
-        """positions (N, 3) -> (energy, forces) for the elements, cell and
-        pbc of `structure`; the pair table and image map are built here.
+        """positions (N, 3) -> (energy, forces) for the elements and cell
+        of `structure`; the pair table and image map are built here.
 
         Forces scatter each pair's (dE/dr) d/r to +i and -j with one
         bincount per sign over the flat 3N components.
         """
         table = _PairTable(self.params, structure.elements)
-        image = minimum_image_map(structure.cell, structure.pbc)
+        image = minimum_image_map(structure.cell)
         n3 = 3 * table.n
 
         def evaluate(positions):
@@ -166,7 +168,7 @@ class LennardJonesPotential:
         with np.errstate(**_QUIET):
             deltas, r, sr6, dedr = table.terms(
                 structure.positions,
-                minimum_image_map(structure.cell, structure.pbc))
+                minimum_image_map(structure.cell))
             u = deltas / r[:, None]
             uu = u[:, :, None] * u[:, None, :]
             d2edr2 = table.eps4 * (156.0 * sr6 * sr6 - 42.0 * sr6) / r ** 2

@@ -1,13 +1,16 @@
 """Atomic structures with optional periodic cells.
 
 Provides extended-XYZ read/write, covalent neighbor lists, and molecule
-identification via connected components of the covalent-bond graph. The
-periodic-image rule lives here alone: `minimum_image_map` (which the pair
-potential prepares once per cell) and `neighbor_list` both search
-`lattice_translations`, and axis k has images only when `pbc[k]` is
-true. `close_pairs` alone finds close pairs, for bonds and embedding
-overlaps. `neighbor_list` and `identify_molecules` import scipy when
-called, so stages that only read and write structures never load it.
+identification via connected components of the covalent-bond graph. A
+cell is periodic along a, b and c; without a cell a structure is in free
+space. The periodic-image rule lives here alone: `minimum_image_map`
+(which the pair potential prepares once per cell) and `neighbor_list`
+both search `lattice_translations`, and `wrapped_positions` alone maps
+atoms into the cell. An XYZ comment that declares an open axis
+(`pbc="T F T"`) is refused. `close_pairs` alone finds close pairs, for
+bonds and embedding overlaps. `neighbor_list` and `identify_molecules`
+import scipy when called, so stages that only read and write structures
+never load it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ class AtomicStructure:
     positions: np.ndarray                 # (N, 3) Angstrom
     masses: np.ndarray = None             # (N,) amu
     cell: np.ndarray = None               # (3, 3) rows are lattice vectors
-    pbc: tuple = (False, False, False)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3)
@@ -51,8 +53,6 @@ class AtomicStructure:
                 raise ValueError(f"non-finite cell: {self.cell.tolist()}")
             if abs(np.linalg.det(self.cell)) <= 0.0:
                 raise ValueError("cell volume must be positive")
-            if not any(self.pbc):
-                self.pbc = (True, True, True)
 
     def __len__(self):
         return len(self.elements)
@@ -63,7 +63,6 @@ class AtomicStructure:
             positions=self.positions.copy(),
             masses=self.masses.copy(),
             cell=None if self.cell is None else self.cell.copy(),
-            pbc=tuple(self.pbc),
         )
 
     def center_of_mass(self):
@@ -99,10 +98,13 @@ class MoleculeLabels:
 # --- XYZ I/O ---------------------------------------------------------------
 
 _LATTICE_RE = re.compile(r'Lattice\s*=\s*"([^"]+)"')
+_PBC_RE = re.compile(r'\bpbc\s*=\s*("[^"]*"|\S+)')
 
 
 def parse_xyz(path) -> AtomicStructure:
-    """Read a (possibly extended) XYZ file; a Lattice="..." comment sets the cell."""
+    """Read a (possibly extended) XYZ file; a Lattice="..." comment sets the
+    cell. A pbc="..." entry other than T raises: a cell is periodic along
+    all three axes, so pbc="T T T" reads as if the key were absent."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -128,6 +130,10 @@ def parse_xyz(path) -> AtomicStructure:
             positions.append([float(x) for x in parts[1:4]])
         except ValueError:
             raise ValueError(f"{path}: non-numeric coordinate in row '{ln}'") from None
+    m = _PBC_RE.search(comment)
+    if m and set(m.group(1).strip('"').split()) != {"T"}:
+        raise ValueError(f"{path}: {m.group(0)} declares an open axis; a cell "
+                         "is periodic along a, b and c")
     cell = None
     m = _LATTICE_RE.search(comment)
     if m:
@@ -158,62 +164,35 @@ def write_xyz(structure: AtomicStructure, path, comment=""):
 _IMAGES = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
 
 
-def lattice_translations(cell, pbc) -> np.ndarray:
-    """Cartesian translations (m, 3) a*cell[0] + b*cell[1] + c*cell[2].
-
-    a, b, c run over {-1, 0, 1} along periodic axes and are 0 along open
-    ones, in `_IMAGES` order: 27 images when all three axes are periodic.
-    """
-    images = _IMAGES
-    if not all(pbc):
-        open_axes = ~np.asarray(pbc, dtype=bool)
-        images = _IMAGES[~_IMAGES[:, open_axes].any(axis=1)]
-    return (images[:, :1] * cell[0] + images[:, 1:2] * cell[1]
-            + images[:, 2:] * cell[2])
+def lattice_translations(cell) -> np.ndarray:
+    """The 27 Cartesian translations (27, 3) a*cell[0] + b*cell[1] + c*cell[2],
+    a, b, c in {-1, 0, 1}, in `_IMAGES` order."""
+    return (_IMAGES[:, :1] * cell[0] + _IMAGES[:, 1:2] * cell[1]
+            + _IMAGES[:, 2:] * cell[2])
 
 
 def _unchanged(deltas):
     return deltas
 
 
-def minimum_image_map(cell, pbc):
-    """The minimum-image convention of one (cell, pbc), prepared once.
+def minimum_image_map(cell):
+    """The minimum-image convention of one cell, prepared once.
 
     Returns a function that maps displacement vectors (P, 3) to their
     shortest images. Everything that depends on the cell alone (its
-    inverse, the diagonal-Gram test, the periodic sub-lattice's
-    pseudo-inverse and images) is computed here, so a relaxation that
-    evaluates one cell many times builds it once.
+    inverse and the diagonal-Gram test) is computed here, so a relaxation
+    that evaluates one cell many times builds it once.
 
-    In a fully periodic cell fractional coordinates are rounded: the exact
-    minimum image when the Gram matrix of the lattice is diagonal, where a
-    pair at exactly half a cell takes -1/2 as the search does. Skewed
-    cells then search the `lattice_translations` for the shortest image.
-    A cell periodic along some axes only rounds the least-squares
-    coordinates in its periodic sub-lattice instead, searches their +-1
-    neighbours and returns deltas - n @ cell, n integer. Without a cell or
-    a periodic axis the map returns its input.
+    Fractional coordinates are rounded: the exact minimum image when the
+    Gram matrix of the lattice is diagonal, where a pair at exactly half a
+    cell takes -1/2 as the search does. Skewed cells then search the
+    `lattice_translations` for the shortest image. Without a cell the map
+    returns its input.
     """
-    if cell is None or not any(pbc):
+    if cell is None:
         return _unchanged
     # a copy: the map must not follow later in-place edits of the cell
     cell = np.array(cell, dtype=float)
-    if not all(pbc):
-        # fractional rounding ignores the tilt of an open axis: a pair
-        # several cells apart along it would land beyond the +-1 search
-        periodic = np.asarray(pbc, dtype=bool)
-        pinv = np.linalg.pinv(cell[periodic])
-        images = _IMAGES[~_IMAGES[:, ~periodic].any(axis=1)]
-        shifts = images @ cell
-
-        def partial(deltas):
-            n = np.zeros((len(deltas), 3))
-            n[:, periodic] = np.round(deltas @ pinv)
-            cand = (deltas - n @ cell)[:, None, :] + shifts[None, :, :]
-            idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
-            return deltas - (n - images[idx]) @ cell
-
-        return partial
     inv = np.linalg.inv(cell)
     if np.count_nonzero(cell @ cell.T) == 3:
         def diagonal(deltas):
@@ -223,7 +202,7 @@ def minimum_image_map(cell, pbc):
             return frac @ cell
 
         return diagonal
-    shifts = lattice_translations(cell, pbc)
+    shifts = lattice_translations(cell)
 
     def skewed(deltas):
         frac = deltas @ inv
@@ -243,10 +222,22 @@ def natural_cutoffs(structure: AtomicStructure):
     return np.array([covalent_radius(e) for e in structure.elements])
 
 
+def wrapped_positions(structure: AtomicStructure) -> np.ndarray:
+    """Positions with fractional coordinates moved into [0, 1) by whole
+    lattice vectors; the positions themselves without a cell."""
+    if structure.cell is None:
+        return structure.positions
+    frac = structure.positions @ np.linalg.inv(structure.cell)
+    frac -= np.floor(frac)
+    return frac @ structure.cell
+
+
 def coincident_pair(structure: AtomicStructure):
-    """The first pair (i, j), i < j, of atoms at exactly the same Cartesian
-    position, or None. Images under the cell are not compared."""
-    pos = structure.positions
+    """The first pair (i, j), i < j, of atoms at exactly the same
+    `wrapped_positions`, or None: in a cell, atoms a lattice vector apart
+    share a site. Wrapped positions that differ by rounding alone are not
+    caught."""
+    pos = wrapped_positions(structure)
     order = np.lexsort(pos.T[::-1])    # stable: equal rows keep index order
     k = np.flatnonzero((pos[order[1:]] == pos[order[:-1]]).all(axis=1))
     if not len(k):
@@ -270,20 +261,15 @@ def neighbor_list(structure: AtomicStructure) -> np.ndarray:
 
     Pair (i, j) is included iff some image of j lies closer to i than the
     sum of their covalent radii, strictly, on the `close_pairs` distance;
-    images are the `lattice_translations` of the positions wrapped into the
-    cell along periodic axes.
+    images are the `lattice_translations` of the `wrapped_positions`.
     """
     from scipy.spatial import cKDTree
 
     cutoffs = natural_cutoffs(structure)
-    pos = structure.positions
+    pos = wrapped_positions(structure)
     shifts = np.zeros((1, 3))
-    if structure.cell is not None and any(structure.pbc):
-        periodic = np.asarray(structure.pbc, dtype=bool)
-        frac = pos @ np.linalg.inv(structure.cell)
-        frac[:, periodic] -= np.floor(frac[:, periodic])
-        pos = frac @ structure.cell
-        shifts = lattice_translations(structure.cell, structure.pbc)
+    if structure.cell is not None:
+        shifts = lattice_translations(structure.cell)
     images = (shifts[:, None, :] + pos[None, :, :]).reshape(-1, 3)
     i, k, d = close_pairs(cKDTree(pos), cKDTree(images), 2.0 * cutoffs.max())
     j = k % len(structure)

@@ -81,7 +81,7 @@ def lj_lattice(n_side: int, spacing: float = 3.0,
     cell = np.eye(3) * n_side * spacing
     return AtomicStructure(
         elements=[element] * n_side**3, positions=pts,
-        cell=cell, pbc=(True, True, True),
+        cell=cell,
     )
 
 

@@ -154,7 +154,7 @@ def test_04_embedding_contract(tmp_path):
             [[i, j, k] for i in range(5) for j in range(5)
              for k in range(8)], dtype=float,
         ) * 3.0,
-        cell=np.diag([15.0, 15.0, 24.0]), pbc=(True, True, True),
+        cell=np.diag([15.0, 15.0, 24.0]),
     )
     emitter = dimer(r=1.2)
     cfg = EmbeddingConfig(

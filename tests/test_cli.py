@@ -685,13 +685,13 @@ class TestNonFiniteArtifacts:
         self.test_modes_coincident_atoms_exit_3(runner, tmp_path)
 
     def test_modes_coincident_atoms_exit_3(self, runner, tmp_path):
-        """Two atoms one lattice vector apart share a site of the crystal
-        but not a Cartesian position, so the file check passes them; the
-        minimum image puts them at r = 0 and the Hessian is NaN: exit 3,
-        nothing written."""
+        """Two atoms one lattice vector apart whose wrapped positions differ
+        in the last bit (0.1 * (1/3) against 3.1 * (1/3) - 1) pass the file
+        check; the minimum image puts them at r = 0 and the Hessian is NaN:
+        exit 3, nothing written."""
         s = tmp_path / "d.xyz"
-        s.write_text('2\nLattice="4.0 0.0 0.0 0.0 4.0 0.0 0.0 0.0 4.0"\n'
-                     "Ar 0.0 0.0 0.0\nAr 4.0 0.0 0.0\n")
+        s.write_text('2\nLattice="3.0 0.0 0.0 0.0 3.0 0.0 0.0 0.0 3.0"\n'
+                     "Ar 0.1 0.0 0.0\nAr 3.1 0.0 0.0\n")
         lj = tmp_path / "lj.json"
         lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
         out = tmp_path / "out"
@@ -723,6 +723,47 @@ class TestNonFiniteArtifacts:
         assert result.exit_code == 2, result.output
         assert "atoms 0 and 2 are at the same position" in result.output
         assert not (hessian.called or relax_structure.called)
+        assert not list(out.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("relax", [[], ["--relax"]])
+    def test_modes_lattice_vector_pair_exit_2(self, runner, tmp_path, relax):
+        """Two atoms at x = 0 and x = 4 in a 4 A cubic cell share one wrapped
+        position: refused before any kernel runs, with or without --relax
+        (once exit 3 without and exit 2 with), naming the pair."""
+        s = tmp_path / "d.xyz"
+        s.write_text('2\nLattice="4.0 0.0 0.0 0.0 4.0 0.0 0.0 0.0 4.0"\n'
+                     "Ar 0.0 0.0 0.0\nAr 4.0 0.0 0.0\n")
+        lj = tmp_path / "lj.json"
+        lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+        out = tmp_path / "out"
+        with mock.patch.object(LennardJonesPotential, "hessian") as hessian, \
+                mock.patch.object(cli, "relax_structure") as relax_structure:
+            result = runner.invoke(main, [
+                "--out-dir", str(out), "modes", "--structure", str(s),
+                "--lj-params", str(lj), *relax,
+            ])
+        assert result.exit_code == 2, result.output
+        assert "atoms 0 and 1 are at the same position" in result.output
+        assert not (hessian.called or relax_structure.called)
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("relax", [[], ["--relax"]])
+    def test_modes_slab_exit_2(self, runner, tmp_path, relax):
+        """An XYZ file with an open axis is refused: exit 2, nothing
+        written."""
+        s = tmp_path / "slab.xyz"
+        s.write_text('2\nLattice="10 0 0 0 10 0 0 0 10" pbc="T F T"\n'
+                     "Ar 0 0.5 0\nAr 0 9.5 0\n")
+        lj = tmp_path / "lj.json"
+        lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "modes", "--structure", str(s),
+            "--lj-params", str(lj), *relax,
+        ])
+        assert result.exit_code == 2, result.output
+        assert "slab.xyz" in result.output and "open axis" in result.output
         assert not list(out.iterdir())
 
 

@@ -98,7 +98,6 @@ def ref_embed_emitter(host, emitter, cfg, counters=None):
             positions=np.vstack([reduced.positions, walker.positions]),
             masses=np.concatenate([reduced.masses, walker.masses]),
             cell=host.cell.copy(),
-            pbc=host.pbc,
         )
         accepted.append(EmbeddingTrial(
             structure=combined,

@@ -187,6 +187,22 @@ class TestGPC:
         with pytest.raises(ValueError):
             gpc_train(np.zeros((2, 1)), np.array([0.0, 2.0]))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sigma2": 5.0}, "or neither"),
+        ({"lengthscale": 2.0}, "or neither"),
+        ({"sigma2": 0.0, "lengthscale": 1.0}, "sigma2 must be finite"),
+        ({"sigma2": 1.0, "lengthscale": -1.0}, "lengthscale must be finite"),
+        ({"sigma2": np.nan, "lengthscale": 1.0}, "sigma2 must be finite"),
+        ({"sigma2": 1.0, "lengthscale": np.inf}, "lengthscale must be finite"),
+    ])
+    def test_pin_needs_both_finite_positive(self, kwargs, message):
+        """A half pin once ran the full search and returned another
+        sigma2 without a word."""
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            gpc_train(x, y, **kwargs)
+
 
 # --- slow reference: the GPC fit before the direct-LAPACK rewrite ----------
 # Copied verbatim but for the ref_ names, the SimpleNamespace model and the

@@ -19,7 +19,6 @@ from spescreen.potential import (
     relax,
 )
 from spescreen.structure import (
-    _IMAGES,
     AtomicStructure,
     lattice_translations,
     minimum_image_map,
@@ -36,54 +35,39 @@ MIXED_LJ = LennardJonesPotential({
 # a monoclinic cell skewed enough that fractional rounding alone often
 # picks a non-minimal image
 SKEWED_CELL = np.array([[9.0, 0.0, 0.0], [0.0, 10.0, 0.0], [-4.0, 0.0, 8.0]])
-# a cell whose open b axis leans along a
+# a cell whose b axis leans along a
 LEANING_CELL = np.array([[9.0, 0.0, 0.0], [4.0, 10.0, 0.0], [0.0, 0.0, 8.0]])
-# the seven non-empty patterns of periodic axes
-PBC_PATTERNS = [p for p in itertools.product((False, True), repeat=3)
-                if any(p)]
 
 
 # --- slow reference implementations: the per-pair loops the vectorised
 # kernel replaced. ref_lj returns (per-pair energies, forces).
 
 def ref_min_image(structure, deltas):
-    """Brute force over integer images along the periodic axes only.
+    """Brute force over integer images.
 
-    Every integer image m (zero along open axes) with |m| <= 2 max|d| /
-    s_min, s_min the smallest singular value of the periodic lattice
-    vectors, is tried: a shorter image would be longer than d itself. A
-    fully periodic cell measures m from the rounded fractional coordinates
-    and returns (frac - round(frac)) @ cell + m @ cell, a partly periodic
-    one returns deltas - m @ cell; each is the kernel's arithmetic for the
-    image it picks. Tie rule: of images of equal squared length, the first
-    in lexicographic order of m (a, then b, then c) wins, which puts a
-    pair at exactly half a cell at -1/2.
+    Every integer image m with |m| <= 2 max|d| / s_min, s_min the smallest
+    singular value of the lattice vectors, is tried: a shorter image would
+    be longer than d itself. m is measured from the rounded fractional
+    coordinates, and the result is (frac - round(frac)) @ cell + m @ cell,
+    the kernel's arithmetic for the image it picks. Tie rule: of images of
+    equal squared length, the first in lexicographic order of m (a, then
+    b, then c) wins, which puts a pair at exactly half a cell at -1/2.
     """
-    if structure.cell is None or not any(structure.pbc):
+    if structure.cell is None:
         return deltas
     cell = structure.cell
-    periodic = np.array(structure.pbc)
-    if periodic.all():
-        frac = deltas @ np.linalg.inv(cell)
-        base = (frac - np.round(frac)) @ cell
-    else:
-        base = deltas
-    s_min = np.linalg.svd(cell[periodic], compute_uv=False).min()
+    frac = deltas @ np.linalg.inv(cell)
+    base = (frac - np.round(frac)) @ cell
+    s_min = np.linalg.svd(cell, compute_uv=False).min()
     reach = int(2.0 * np.linalg.norm(base, axis=1).max() / s_min)
     span = range(-reach, reach + 1)
-    images = np.array([m for m in itertools.product(span, repeat=3)
-                       if not np.any(np.array(m)[~periodic])], dtype=float)
-    if periodic.all():
-        shifts = (images[:, :1] * cell[0] + images[:, 1:2] * cell[1]
-                  + images[:, 2:] * cell[2])
-        cand = base[:, None, :] + shifts[None, :, :]
-    else:
-        cand = base[:, None, :] - (images @ cell)[None, :, :]
+    images = np.array(list(itertools.product(span, repeat=3)), dtype=float)
+    shifts = (images[:, :1] * cell[0] + images[:, 1:2] * cell[1]
+              + images[:, 2:] * cell[2])
+    cand = base[:, None, :] + shifts[None, :, :]
     # argmin returns the first of equal minima: the tie rule above
     idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
-    if periodic.all():
-        return cand[np.arange(len(base)), idx]
-    return deltas - images[idx] @ cell
+    return cand[np.arange(len(base)), idx]
 
 
 def ref_lj(potential, structure):
@@ -109,8 +93,6 @@ def ref_lj(potential, structure):
 def structures(draw):
     """2-40 atoms of 1-3 elements in a free, orthorhombic or skewed cell.
 
-    A cell is periodic along any non-empty set of axes.
-
     Atoms sit on distinct sites of a 4x4x4 fractional grid with a jitter
     of up to 0.05, so no two atoms come closer than about a fifth of the
     shortest cell length.
@@ -130,9 +112,8 @@ def structures(draw):
     elements = rng.choice(["Ar", "C", "Ne"][:n_elements], size=n).tolist()
     if kind == "free":
         return AtomicStructure(elements=elements, positions=frac @ cell)
-    pbc = draw(st.sampled_from(PBC_PATTERNS))
     return AtomicStructure(elements=elements, positions=frac @ cell,
-                           cell=cell, pbc=pbc)
+                           cell=cell)
 
 
 def assert_matches_reference(potential, structure, reference):
@@ -186,7 +167,7 @@ class TestLennardJones:
         s = AtomicStructure(
             elements=["Ar", "Ar"],
             positions=np.array([[0.5, 0, 0], [11.5, 0, 0]]),
-            cell=np.eye(3) * 12.0, pbc=(True, True, True),
+            cell=np.eye(3) * 12.0,
         )
         near = dimer(r=1.0)
         assert AR_LJ.energy(s) == pytest.approx(AR_LJ.energy(near), rel=1e-10)
@@ -251,7 +232,7 @@ class TestPairKernel:
 class TestMinimumImage:
     def test_skewed_cell_is_brute_force_minimum(self):
         s = AtomicStructure(elements=["Ar"], positions=np.zeros((1, 3)),
-                            cell=SKEWED_CELL, pbc=(True, True, True))
+                            cell=SKEWED_CELL)
         rng = np.random.default_rng(0)
         deltas = rng.uniform(-1.0, 1.0, size=(500, 3)) @ SKEWED_CELL
         frac = deltas @ np.linalg.inv(SKEWED_CELL)
@@ -262,7 +243,7 @@ class TestMinimumImage:
         ]) @ SKEWED_CELL
         brute = np.linalg.norm(deltas[:, None] + shifts[None], axis=2).min(1)
         assert np.any(rounded > brute + 1e-6)   # rounding alone falls short
-        kernel = minimum_image_map(s.cell, s.pbc)(deltas)
+        kernel = minimum_image_map(s.cell)(deltas)
         assert np.allclose(np.linalg.norm(kernel, axis=1), brute,
                            rtol=0, atol=1e-12)
         # each returned vector is an image of its input
@@ -272,14 +253,14 @@ class TestMinimumImage:
     def test_orthorhombic_fast_path_equals_search(self):
         cell = np.diag([11.3, 7.9, 13.1])
         s = AtomicStructure(elements=["Ar"], positions=np.zeros((1, 3)),
-                            cell=cell, pbc=(True, True, True))
+                            cell=cell)
         rng = np.random.default_rng(1)
         frac = rng.uniform(-2.0, 2.0, size=(2000, 3))
         # near-half-box separations on every axis
         near = rng.choice([-1.5, -0.5, 0.5, 1.5], size=(2000, 3))
         near += rng.choice([-1e-9, -1e-12, 1e-12, 1e-9], size=(2000, 3))
         deltas = np.vstack([frac, near]) @ cell
-        assert np.array_equal(minimum_image_map(s.cell, s.pbc)(deltas),
+        assert np.array_equal(minimum_image_map(s.cell)(deltas),
                               ref_min_image(s, deltas))
 
     def test_exact_half_cell_ties_match_search(self):
@@ -289,97 +270,26 @@ class TestMinimumImage:
         ii, jj = np.triu_indices(len(s), k=1)
         deltas = s.positions[jj] - s.positions[ii]
         assert np.any(np.abs(deltas) == 4.0)
-        assert np.array_equal(minimum_image_map(s.cell, s.pbc)(deltas),
+        assert np.array_equal(minimum_image_map(s.cell)(deltas),
                               ref_min_image(s, deltas))
-
-    def test_open_axes_lean_over_periodic_one(self):
-        # periodic c only, with open a and b leaning over it: rounding the
-        # full-cell fractional c misses the shortest image for most of
-        # these structures, so the search must not start from it
-        cell = np.array([[11.0, 0.0, 0.0], [2.75, 14.0, 0.0],
-                         [-4.25, -3.10, 6.0]])
-        rng = np.random.default_rng(0)
-        ii, jj = np.triu_indices(28, k=1)
-        for _ in range(20):
-            sites = rng.choice(64, size=28, replace=False)
-            frac = np.stack(np.unravel_index(sites, (4, 4, 4)), axis=1) / 4.0
-            frac += rng.uniform(-0.05, 0.05, size=(28, 3))
-            s = AtomicStructure(elements=["Ar"] * 28, positions=frac @ cell,
-                                cell=cell, pbc=(False, False, True))
-            deltas = s.positions[jj] - s.positions[ii]
-            assert np.array_equal(minimum_image_map(s.cell, s.pbc)(deltas),
-                                  ref_min_image(s, deltas))
 
     @settings(max_examples=80, deadline=None)
     @given(structures())
     def test_brute_force_minimum(self, s):
         """Kernel = reference, and its lengths are the shortest over
-        translations -2..2 along periodic axes, for every pbc pattern."""
+        translations -2..2 along each lattice vector."""
         assume(s.cell is not None)
         ii, jj = np.triu_indices(len(s), k=1)
         deltas = s.positions[jj] - s.positions[ii]
-        kernel = minimum_image_map(s.cell, s.pbc)(deltas)
+        kernel = minimum_image_map(s.cell)(deltas)
         assert np.array_equal(kernel, ref_min_image(s, deltas))
         brute = np.linalg.norm(
             deltas[:, None] + image_translations(s)[None], axis=2).min(1)
         assert np.allclose(np.linalg.norm(kernel, axis=1), brute,
                            rtol=0, atol=1e-12)
-        # each returned vector is an image along the periodic axes only
+        # each returned vector is an image of its input
         n_cells = (kernel - deltas) @ np.linalg.inv(s.cell)
         assert np.allclose(n_cells, np.round(n_cells), atol=1e-9)
-        assert np.all(np.abs(n_cells[:, ~np.array(s.pbc)]) < 1e-9)
-
-    def test_far_along_leaning_open_axis(self):
-        """5 b along an open b that leans along a: the nearest image is
-        5 b - 2 a = (2, 50, 0), not (11, 50, 0)."""
-        s = AtomicStructure(elements=["Ar"], positions=np.zeros((1, 3)),
-                            cell=LEANING_CELL, pbc=(True, False, True))
-        image = minimum_image_map(s.cell, s.pbc)
-        assert np.array_equal(image(np.array([[20.0, 50.0, 0.0]])),
-                              [[2.0, 50.0, 0.0]])
-
-    @pytest.mark.parametrize("cell", [LEANING_CELL, SKEWED_CELL],
-                             ids=["leaning", "skewed"])
-    @pytest.mark.parametrize("pbc", [p for p in PBC_PATTERNS if not all(p)],
-                             ids=lambda p: "".join("TF"[not a] for a in p))
-    def test_partial_pbc_far_pairs_brute_force(self, cell, pbc):
-        """Pairs up to 6 cells apart along open axes and 1 along periodic
-        ones: the kernel's lengths equal a brute force over translations
-        -8..8 along the periodic axes, and each vector is an image of its
-        input along those axes only."""
-        s = AtomicStructure(elements=["Ar"], positions=np.zeros((1, 3)),
-                            cell=cell, pbc=pbc)
-        periodic = np.array(pbc)
-        frac = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2000, 3))
-        frac[:, ~periodic] *= 6.0
-        deltas = frac @ cell
-        ranges = [range(-8, 9) if p else (0,) for p in pbc]
-        shifts = np.array(list(itertools.product(*ranges))) @ cell
-        brute = np.linalg.norm(deltas[:, None] + shifts[None], axis=2).min(1)
-        kernel = minimum_image_map(s.cell, s.pbc)(deltas)
-        assert np.allclose(np.linalg.norm(kernel, axis=1), brute,
-                           rtol=0, atol=1e-12)
-        n_cells = (kernel - deltas) @ np.linalg.inv(cell)
-        assert np.allclose(n_cells, np.round(n_cells), atol=1e-9)
-        assert np.all(np.abs(n_cells[:, ~periodic]) < 1e-9)
-
-    def test_open_axis_has_no_images(self):
-        """Two Ar atoms 9 A apart along an open y in a 10 A cell interact
-        as in free space; the same gap along a periodic x is 1 A."""
-        cell = np.eye(3) * 10.0
-        across_y = AtomicStructure(
-            elements=["Ar", "Ar"], positions=[[0, 0.5, 0], [0, 9.5, 0]],
-            cell=cell, pbc=(True, False, True))
-        free = AtomicStructure(elements=["Ar", "Ar"],
-                               positions=across_y.positions)
-        across_x = AtomicStructure(
-            elements=["Ar", "Ar"], positions=[[0.5, 0, 0], [9.5, 0, 0]],
-            cell=cell, pbc=(True, False, True))
-        assert AR_LJ.energy(across_y) == pytest.approx(AR_LJ.energy(free),
-                                                       rel=1e-12)
-        assert AR_LJ.energy(across_y) < 0.0
-        assert AR_LJ.energy(across_x) == pytest.approx(
-            AR_LJ.energy(dimer(r=1.0)), rel=1e-10)
 
 
 class TestRelax:
@@ -420,10 +330,9 @@ class TestRelax:
 
 
 def image_translations(structure):
-    """Lattice translations with integers -2..2 along periodic axes and 0
-    along open ones."""
-    ranges = [range(-2, 3) if p else (0,) for p in structure.pbc]
-    return np.array(list(itertools.product(*ranges))) @ structure.cell
+    """Lattice translations with integers -2..2 along each lattice vector."""
+    return (np.array(list(itertools.product(range(-2, 3), repeat=3)))
+            @ structure.cell)
 
 
 def image_gap(structure):
@@ -433,7 +342,7 @@ def image_gap(structure):
     a kink, and a central difference whose step straddles the tie is no
     oracle for the Hessian. Free structures have no images: infinite gap.
     """
-    if structure.cell is None or not any(structure.pbc):
+    if structure.cell is None:
         return np.inf
     cell = structure.cell
     ii, jj = np.triu_indices(len(structure), k=1)
@@ -545,26 +454,16 @@ class TestExternalPotential:
 # The prepared kernel must equal them bit for bit.
 
 def ref_minimum_image(structure, deltas):
-    if structure.cell is None or not any(structure.pbc):
+    if structure.cell is None:
         return deltas
     cell = structure.cell
-    if not all(structure.pbc):
-        # fractional rounding ignores the tilt of an open axis: a pair
-        # several cells apart along it would land beyond the +-1 search
-        periodic = np.asarray(structure.pbc, dtype=bool)
-        n = np.zeros((len(deltas), 3))
-        n[:, periodic] = np.round(deltas @ np.linalg.pinv(cell[periodic]))
-        images = _IMAGES[~_IMAGES[:, ~periodic].any(axis=1)]
-        cand = (deltas - n @ cell)[:, None, :] + (images @ cell)[None, :, :]
-        idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
-        return deltas - (n - images[idx]) @ cell
     frac = deltas @ np.linalg.inv(cell)
     frac -= np.round(frac)
     if np.count_nonzero(cell @ cell.T) == 3:
         frac[frac == 0.5] = -0.5
         return frac @ cell
     best = frac @ cell
-    shifts = lattice_translations(structure.cell, structure.pbc)
+    shifts = lattice_translations(structure.cell)
     cand = best[:, None, :] + shifts[None, :, :]
     idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
     return cand[np.arange(len(best)), idx]
@@ -721,7 +620,7 @@ def shuffled_structures(draw):
     s = draw(structures())
     perm = draw(st.permutations(range(len(s))))
     return AtomicStructure([s.elements[i] for i in perm], s.positions[perm],
-                           masses=s.masses[perm], cell=s.cell, pbc=s.pbc)
+                           masses=s.masses[perm], cell=s.cell)
 
 
 def assert_same_probe(potential, structure):
@@ -741,7 +640,7 @@ class TestPreparedKernelOracle:
     def test_minimum_image_bit_identical(self, s):
         ii, jj = np.triu_indices(len(s), k=1)
         deltas = s.positions[jj] - s.positions[ii]
-        image = minimum_image_map(s.cell, s.pbc)
+        image = minimum_image_map(s.cell)
         for d in (deltas, 3.0 * deltas[::-1]):
             assert np.array_equal(image(d), ref_minimum_image(s, d))
 
@@ -791,7 +690,7 @@ class TestPreparedKernelOracle:
                                                    ref.converged)
 
     def test_no_stale_table(self):
-        """One instance follows changes of elements, cell and pbc between
+        """One instance follows changes of elements and cell between
         calls, and an evaluator keeps the structure it was built for."""
         potential = LennardJonesPotential(MIXED_LJ.params)
         rng = np.random.default_rng(5)
@@ -799,16 +698,14 @@ class TestPreparedKernelOracle:
                                                     replace=False),
                                          (4, 4, 4)), axis=1) / 4.0
         s = AtomicStructure(elements=["Ar"] * 12, positions=frac @ SKEWED_CELL,
-                            cell=SKEWED_CELL.copy(), pbc=(True, True, True))
+                            cell=SKEWED_CELL.copy())
         steps = [
             lambda s: None,
             lambda s: s.elements.__setitem__(3, "Ne"),           # in place
             lambda s: setattr(s, "elements", ["C"] * 6 + ["Ar"] * 6),
             lambda s: s.cell.__setitem__((0, 1), 0.5),          # in place
             lambda s: setattr(s, "cell", np.diag([9.0, 10.0, 8.0])),
-            lambda s: setattr(s, "pbc", (True, False, True)),
             lambda s: setattr(s, "cell", LEANING_CELL),
-            lambda s: setattr(s, "pbc", (True, True, True)),
         ]
         for change in steps:
             evaluate = potential.evaluator(s)

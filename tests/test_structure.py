@@ -18,10 +18,6 @@ from spescreen.structure import (
     write_xyz,
 )
 
-# the seven non-empty patterns of periodic axes
-PBC_PATTERNS = [p for p in itertools.product((False, True), repeat=3)
-                if any(p)]
-
 
 def ref_neighbor_list(structure):
     """The neighbor list the one-query version replaced: a query_pairs
@@ -31,7 +27,7 @@ def ref_neighbor_list(structure):
     pos = structure.positions
     rmax = 2.0 * cutoffs.max()
     pairs = set()
-    if structure.cell is None or not any(structure.pbc):
+    if structure.cell is None:
         tree = cKDTree(pos)
         candidates = tree.query_pairs(rmax)
         for i, j in candidates:
@@ -60,13 +56,13 @@ def ref_neighbor_list(structure):
 
 def brute_neighbor_list(structure):
     """Every pair i < j with some image of j, over translations -2..2
-    along periodic axes, closer to i than the summed covalent radii."""
+    along each lattice vector, closer to i than the summed covalent radii."""
     cutoffs = natural_cutoffs(structure)
     pos = structure.positions
     shifts = np.zeros((1, 3))
     if structure.cell is not None:
-        ranges = [range(-2, 3) if p else (0,) for p in structure.pbc]
-        shifts = np.array(list(itertools.product(*ranges))) @ structure.cell
+        shifts = (np.array(list(itertools.product(range(-2, 3), repeat=3)))
+                  @ structure.cell)
     return {
         (i, j)
         for i in range(len(pos)) for j in range(i + 1, len(pos))
@@ -76,10 +72,9 @@ def brute_neighbor_list(structure):
 
 
 @st.composite
-def bonded_structures(draw, kinds=("free", "orthorhombic", "skewed"),
-                      pbc=st.just((True, True, True))):
+def bonded_structures(draw, kinds=("free", "orthorhombic", "skewed")):
     """2-30 atoms of C, H, N, O and Ar at uniform fractional coordinates
-    in [-0.25, 1.25) of a 5-9 A cell, free or periodic along `pbc`.
+    in [-0.25, 1.25) of a 5-9 A cell, free or periodic.
 
     Skewed cells tilt b and c by at most 0.3 of the earlier lengths, so
     every lattice plane spacing exceeds twice the largest radius (Ar,
@@ -99,7 +94,7 @@ def bonded_structures(draw, kinds=("free", "orthorhombic", "skewed"),
     if kind == "free":
         return AtomicStructure(elements=elements, positions=positions)
     return AtomicStructure(elements=elements, positions=positions,
-                           cell=cell, pbc=draw(pbc))
+                           cell=cell)
 
 
 def row_norm(v):
@@ -173,13 +168,37 @@ class TestXYZ:
     def test_cell_roundtrip(self, tmp_path):
         s = AtomicStructure(
             elements=["C"], positions=np.zeros((1, 3)),
-            cell=np.diag([5.0, 6.0, 7.0]), pbc=(True, True, True),
+            cell=np.diag([5.0, 6.0, 7.0]),
         )
         p = tmp_path / "c.xyz"
         write_xyz(s, p)
         back = parse_xyz(p)
         assert np.allclose(back.cell, s.cell)
-        assert all(back.pbc)
+
+    @pytest.mark.parametrize("pbc", ['pbc="T F T"', 'pbc="F F F"',
+                                     'pbc="T T F"', "pbc=F", 'pbc=""'])
+    def test_open_axis_refused(self, tmp_path, pbc):
+        """A slab (an open axis) is refused, naming the file: read as
+        periodic, an Ar pair 9 A apart along an open y would sit 1 A apart
+        through the cell."""
+        p = tmp_path / "slab.xyz"
+        p.write_text(f'2\nLattice="10 0 0 0 10 0 0 0 10" {pbc}\n'
+                     "Ar 0 0.5 0\nAr 0 9.5 0\n")
+        with pytest.raises(ValueError, match="slab.xyz.*open axis"):
+            parse_xyz(p)
+
+    @pytest.mark.parametrize("pbc", ['pbc="T T T"', "pbc=T",
+                                     'pbc = "T  T T"'])
+    def test_periodic_pbc_key_reads_as_absent(self, tmp_path, pbc):
+        plain, declared = tmp_path / "plain.xyz", tmp_path / "declared.xyz"
+        body = "Ar 0 0.5 0\nAr 0 9.5 0\n"
+        lattice = 'Lattice="10 0 0 0 10 0 0 0 10"'
+        plain.write_text(f"2\n{lattice}\n{body}")
+        declared.write_text(f"2\n{lattice} {pbc}\n{body}")
+        a, b = parse_xyz(plain), parse_xyz(declared)
+        assert a.elements == b.elements
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.cell, b.cell)
 
     def test_malformed(self, tmp_path):
         p = tmp_path / "bad.xyz"
@@ -219,7 +238,7 @@ class TestNeighborList:
         s = AtomicStructure(
             elements=["C", "C"],
             positions=np.array([[0.1, 0, 0], [9.9, 0, 0]]),
-            cell=np.eye(3) * 10.0, pbc=(True, True, True),
+            cell=np.eye(3) * 10.0,
         )
         pairs = neighbor_list(s)
         assert (0, 1) in set(map(tuple, pairs))
@@ -229,7 +248,7 @@ class TestNeighborList:
         pos = rng.uniform(0, 8, size=(30, 3))
         s = AtomicStructure(
             elements=["C"] * 30, positions=pos,
-            cell=np.eye(3) * 8.0, pbc=(True, True, True),
+            cell=np.eye(3) * 8.0,
         )
         cuts = natural_cutoffs(s)
         pairs = set(map(tuple, neighbor_list(s)))
@@ -249,12 +268,9 @@ class TestNeighborList:
         assert pairs.shape == (len(pairs), 2)
         assert list(map(tuple, pairs)) == ref_neighbor_list(s)
 
-    @pytest.mark.parametrize("pbc", PBC_PATTERNS)
     @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_periodic_axes_brute_force(self, pbc, data):
-        s = data.draw(bonded_structures(kinds=("orthorhombic", "skewed"),
-                                        pbc=st.just(pbc)))
+    @given(bonded_structures(kinds=("orthorhombic", "skewed")))
+    def test_periodic_cells_brute_force(self, s):
         assert set(map(tuple, neighbor_list(s))) == brute_neighbor_list(s)
 
     def test_pair_at_the_ulp_boundary(self):
@@ -290,21 +306,6 @@ class TestNeighborList:
         assert neighbor_list(AtomicStructure([e1, e2], [p, inside])
                              ).tolist() == [[0, 1]]
         assert len(neighbor_list(AtomicStructure([e1, e2], [p, outside]))) == 0
-
-    def test_no_bond_across_open_axis(self):
-        """Atoms 9 A apart along an open y in a 10 A cell are not bonded;
-        the same gap along a periodic x is a 1 A bond."""
-        cell = np.eye(3) * 10.0
-        across_y = AtomicStructure(
-            elements=["C", "C"], positions=[[0, 0.5, 0], [0, 9.5, 0]],
-            cell=cell, pbc=(True, False, True))
-        across_x = AtomicStructure(
-            elements=["C", "C"], positions=[[0.5, 0, 0], [9.5, 0, 0]],
-            cell=cell, pbc=(True, False, True))
-        assert len(neighbor_list(across_y)) == 0
-        assert identify_molecules(across_y).count == 2
-        assert set(map(tuple, neighbor_list(across_x))) == {(0, 1)}
-        assert identify_molecules(across_x).count == 1
 
 
 class TestClosePairs:
