@@ -59,7 +59,7 @@ from .vibronic import load_mode_set, normal_modes, save_mode_set, vibronic_repor
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ArithmeticError)
+_NUMERICAL_ERRORS = (np.linalg.LinAlgError, ArithmeticError)
 
 
 def _sha256(path):
@@ -75,18 +75,30 @@ def _write_json(path, payload):
     write_json(path, payload, indent=2, sort_keys=True)
 
 
-def _write_stage_manifest(ctx, inputs, params):
-    """Record inputs (with hashes), parameters, and the outputs `_out`
-    recorded for a stage."""
+def _write_stage_manifest(ctx, counters):
+    """Record a stage's options as click parsed them, its counters, and
+    the outputs `_out` recorded.
+
+    An option of type `click.Path(exists=True)` that accepts files is an
+    input: its path and sha256, left out when not given. Every other
+    option is a parameter under its option name, whether the flag, the
+    config or the default set it; the counters join the parameters.
+    """
     stage = ctx.info_name
+    inputs, params = {}, {}
+    for param in ctx.command.params:
+        value = ctx.params[param.name]
+        kind = param.type
+        if not (isinstance(kind, click.Path) and kind.exists
+                and kind.file_okay):
+            params[param.name] = value
+        elif value is not None:
+            inputs[param.name] = {"path": str(value), "sha256": _sha256(value)}
     manifest = {
         "stage": stage,
         "version": __version__,
-        "inputs": {
-            name: {"path": str(p), "sha256": _sha256(p)}
-            for name, p in inputs.items() if p is not None
-        },
-        "parameters": params,
+        "inputs": inputs,
+        "parameters": {**params, **counters},
         "outputs": sorted(str(o) for o in ctx.obj["outputs"]),
     }
     _write_json(os.path.join(ctx.obj["out_dir"], f"{stage}_manifest.json"),
@@ -114,11 +126,12 @@ def _stage(func):
     the documented exit codes.
 
     The body takes the click context, records each path it writes through
-    `_out`, and returns (inputs, parameters, message). Only then is
-    `<stage>_manifest.json` written and the message echoed. Numerical
-    failures exit 3; every other exception exits 2 with a one-line
-    message, so no stage ends in a traceback with exit 1, and a stage
-    that fails leaves no manifest.
+    `_out`, and returns (counters, message): what it counted or fitted,
+    never its options, which `_write_stage_manifest` reads from click's
+    parse. Only then is `<stage>_manifest.json` written and the message
+    echoed. Numerical failures exit 3; every other exception exits 2 with
+    a one-line message, so no stage ends in a traceback with exit 1, and a
+    stage that fails leaves no manifest.
     """
 
     @click.pass_context
@@ -127,13 +140,13 @@ def _stage(func):
         stage = ctx.info_name
         ctx.obj["outputs"] = []
         try:
-            inputs, params, message = func(ctx, *args, **kwargs)
-            _write_stage_manifest(ctx, inputs, params)
+            counters, message = func(ctx, *args, **kwargs)
+            _write_stage_manifest(ctx, counters)
             click.echo(message)
         except _NUMERICAL_ERRORS as exc:
             click.echo(f"[{stage}] numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
-        except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, OSError) as exc:
             click.echo(f"[{stage}] validation error: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
         except Exception as exc:
@@ -259,9 +272,7 @@ def similarity(ctx, smiles, reference, nbits, radius):
         "counts": counts.tolist(),
         "summary": summary,
     })
-    return ({"smiles": smiles},
-            {"reference": reference, "nbits": nbits, "radius": radius},
-            f"ranked {len(ranked)} entries ({skipped} skipped)")
+    return {}, f"ranked {len(ranked)} entries ({skipped} skipped)"
 
 
 # --- map -------------------------------------------------------------------
@@ -295,10 +306,8 @@ def map_cmd(ctx, smiles, perplexity, min_cluster_size, nbits, radius, out):
         [f"{xy[0]:.6f}", f"{xy[1]:.6f}", int(lab), cid]
         for xy, lab, cid in zip(result.embedding, clusters.labels, ids)
     ))
-    return ({"smiles": smiles},
-            {"perplexity": perplexity, "min_cluster_size": min_cluster_size,
-             "nbits": nbits, "radius": radius, "seed": ctx.obj["seed"],
-             "skipped_rows": skipped, "kl_divergence": result.kl_divergence,
+    return ({"seed": ctx.obj["seed"], "skipped_rows": skipped,
+             "kl_divergence": result.kl_divergence,
              "n_iter": result.n_iter, "lr_halvings": result.lr_halvings,
              "perplexity_error": result.perplexity_error,
              "rows_off_target": off_target},
@@ -347,12 +356,7 @@ def embed(ctx, host, emitter, cutoff, min_removed, max_removed, per_count,
                    binding_energies=binding,
                    xyz_paths=[_out(ctx, f"embedded_{k:04d}.xyz")
                               for k in range(len(trials))])
-    return ({"host": host, "emitter": emitter, "lj_params": lj_params},
-            {"cutoff": cfg.overlap_cutoff, "min_removed": cfg.min_removed,
-             "max_removed": cfg.max_removed,
-             "per_count": cfg.structures_per_count,
-             "max_trials": cfg.max_trials, "seed": cfg.seed, "fmax": fmax,
-             **counters},
+    return ({"seed": cfg.seed, **counters},
             f"accepted {len(trials)} embedded structures")
 
 
@@ -387,11 +391,11 @@ def modes(ctx, structure, potential_file, lj_params, relax, fmax, out):
     else:
         potential = LennardJonesPotential.from_json(lj_params)
 
-    params = {"relax": relax, "fmax": fmax}
+    counters = {}
     if relax:
         result = relax_structure(geometry, potential, fmax=fmax)
-        params.update(relax_iterations=result.iterations,
-                      relax_converged=result.converged)
+        counters.update(relax_iterations=result.iterations,
+                        relax_converged=result.converged)
         if not result.converged:
             raise FloatingPointError(
                 f"relaxation stalled at max force {result.max_force:.3e}"
@@ -404,12 +408,10 @@ def modes(ctx, structure, potential_file, lj_params, relax, fmax, out):
     n_im = int((modeset.frequencies < 0).sum())
     # a Hessian describes vibrations only at a stationary point
     max_force = max_force_norm(potential.forces(geometry))
-    params.update(n_atoms=len(geometry), n_imaginary=n_im,
-                  hessian_asymmetry=float(np.abs(hessian - hessian.T).max()),
-                  max_force=max_force, stationary=max_force <= fmax)
-    return ({"structure": structure, "potential_file": potential_file,
-             "lj_params": lj_params},
-            params, f"{len(modeset.frequencies)} modes ({n_im} imaginary)")
+    counters.update(n_atoms=len(geometry), n_imaginary=n_im,
+                    hessian_asymmetry=float(np.abs(hessian - hessian.T).max()),
+                    max_force=max_force, stationary=max_force <= fmax)
+    return counters, f"{len(modeset.frequencies)} modes ({n_im} imaginary)"
 
 
 # --- vibronic --------------------------------------------------------------
@@ -485,10 +487,7 @@ def vibronic(ctx, isolated, embedded, forces, emitter_atoms, r_ground,
         "sum_weighted_hr": report.sum_weighted_hr,
         "direct_fc": report.direct_fc,
     })
-    return ({"isolated": isolated, "embedded": embedded, "forces": forces,
-             "r_ground": r_ground, "r_excited": r_excited},
-            {"emitter_atoms": emitter_atoms},
-            f"svc={report.svc:.4f} direct_fc={report.direct_fc:.4f}")
+    return {}, f"svc={report.svc:.4f} direct_fc={report.direct_fc:.4f}"
 
 
 # --- spin ------------------------------------------------------------------
@@ -511,8 +510,7 @@ def spin(ctx, states, out):
         "n_triplets": len(table.triplets),
     }
     _write_json(_out(ctx, out), payload)
-    return ({"states": states}, {},
-            f"soc={payload['soc']:.4f} rsoc={payload['rsoc']:.4f} "
+    return ({}, f"soc={payload['soc']:.4f} rsoc={payload['rsoc']:.4f} "
             f"gssoc={payload['gssoc']}")
 
 
@@ -540,8 +538,7 @@ def stark(ctx, delta_mu, delta_alpha, field, out):
         ],
     }
     _write_json(_out(ctx, out), payload)
-    return ({}, {"delta_mu": delta_mu, "delta_alpha": delta_alpha},
-            f"a={coeffs.a_mhz_per_kvcm:.3f} MHz/(kV/cm) "
+    return ({}, f"a={coeffs.a_mhz_per_kvcm:.3f} MHz/(kV/cm) "
             f"b={coeffs.b_mhz_per_kvcm2:.4f} MHz/(kV/cm)^2")
 
 
@@ -566,9 +563,7 @@ def label(ctx, records, lambda_host, no_soc, out):
     good = label_good(candidates, lambda_host, include_soc=not no_soc)
     _write_csv(_out(ctx, out), ["id", "label"],
                ([rec.id, int(g)] for rec, g in zip(candidates, good)))
-    return ({"records": records},
-            {"lambda_host": lambda_host, "include_soc": not no_soc},
-            f"labeled {int(good.sum())}/{len(candidates)} as good")
+    return {}, f"labeled {int(good.sum())}/{len(candidates)} as good"
 
 
 @main.command()
@@ -588,9 +583,7 @@ def classify(ctx, records, lambda_host, no_soc, out):
         [rec.id, int(g), f"{p:.6f}"]
         for rec, g, p in zip(candidates, good, probs)
     ))
-    return ({"records": records},
-            {"lambda_host": lambda_host, "include_soc": not no_soc,
-             **_gpc_params(model)},
+    return (_gpc_params(model),
             f"classified {len(candidates)} records (sigma2="
             f"{model.sigma2:.3g}, lengthscale={model.lengthscale:.3g})")
 
@@ -612,7 +605,8 @@ _FIG3_METRICS = ("soc", "rsoc", "gssoc", "svc", "e_bind_eV",
 def report(ctx, records, lambda_host, no_soc, vibronic_dir):
     """Assemble the results table and per-figure CSV data."""
     candidates = _read_records(records)
-    grid_model = {}   # fit parameters and counters of the fig4-grid GPC
+    # the fig4-grid GPC's fit parameters and the vibronic files not found
+    counters = {}
 
     write_candidates_csv(candidates, _out(ctx, "table1.csv"))
     _write_json(_out(ctx, "table1.json"),
@@ -647,13 +641,14 @@ def report(ctx, records, lambda_host, no_soc, vibronic_dir):
                 [f"{x:.6f}", f"{y:.6f}", f"{p:.6f}"]
                 for (x, y), p in zip(grid, probs)
             ))
-            grid_model = _gpc_params(model)
+            counters.update(_gpc_params(model))
 
     if vibronic_dir is not None:
-        rows = []
+        rows, missing = [], []
         for r in candidates:
             path = os.path.join(vibronic_dir, f"{r.id}.json")
             if not os.path.exists(path):
+                missing.append(r.id)
                 continue
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -665,11 +660,10 @@ def report(ctx, records, lambda_host, no_soc, vibronic_dir):
             _write_csv(_out(ctx, name), header, (
                 [row[0], f"{row[1]:.4f}", f"{row[col]:.4f}"] for row in rows
             ))
+        counters.update(vibronic_missing=len(missing),
+                        vibronic_missing_ids=missing[:20])
 
-    return ({"records": records},
-            {"lambda_host": lambda_host, "include_soc": not no_soc,
-             **grid_model},
-            f"wrote {len(ctx.obj['outputs'])} report files")
+    return counters, f"wrote {len(ctx.obj['outputs'])} report files"
 
 
 if __name__ == "__main__":

@@ -1028,6 +1028,52 @@ class TestLabelClassifyReport:
             (out / "report_manifest.json").read_text())["parameters"]
         assert not counters & set(params)
 
+    def test_report_counts_missing_vibronic_files(self, runner, tmp_path):
+        """With --vibronic-dir the manifest counts the records that have no
+        <id>.json there and names the first 20 of them, in table order."""
+        recs = random_records(np.random.default_rng(1), 25)
+        records = tmp_path / "records.csv"
+        write_candidates_csv(recs, records)
+        vib = tmp_path / "vib"
+        vib.mkdir()
+        for rec in (recs[0], recs[2]):
+            (vib / f"{rec.id}.json").write_text(
+                json.dumps({"sum_weighted_hr": 0.5, "sum_g": 1.5}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "report", "--records", str(records),
+            "--vibronic-dir", str(vib),
+        ])
+        assert result.exit_code == 0, result.output
+        params = json.loads(
+            (out / "report_manifest.json").read_text())["parameters"]
+        missing = [r.id for k, r in enumerate(recs) if k not in (0, 2)]
+        assert params["vibronic_missing"] == 23
+        assert params["vibronic_missing_ids"] == missing[:20]
+        rows = (out / "fig5_svc_vs_hr.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [recs[0].id, recs[2].id]
+
+        # files for 2 of 3 records: the third is named
+        write_candidates_csv(recs[:3], records)
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "report", "--records", str(records),
+            "--vibronic-dir", str(vib),
+        ])
+        assert result.exit_code == 0, result.output
+        params = json.loads(
+            (out / "report_manifest.json").read_text())["parameters"]
+        assert params["vibronic_missing"] == 1
+        assert params["vibronic_missing_ids"] == [recs[1].id]
+
+        result = runner.invoke(main, [
+            "--out-dir", str(out), "report", "--records", str(records),
+        ])
+        assert result.exit_code == 0, result.output
+        params = json.loads(
+            (out / "report_manifest.json").read_text())["parameters"]
+        assert "vibronic_missing" not in params
+        assert params["vibronic_dir"] is None
+
     def test_empty_records_exit_2(self, runner, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text(
@@ -1441,6 +1487,58 @@ class TestStageManifest:
                          if name != manifest_name)
         assert written
         assert manifest["outputs"] == written
+
+    @pytest.mark.parametrize("stage", _STAGES)
+    def test_every_option_recorded(self, runner, tmp_path, stage,
+                                   smiles_table, records_csv):
+        """Each option of the stage is in the manifest once: a file it read
+        under `inputs` with its path, any other option under `parameters`
+        with the value click parsed. Only a file option not given is left
+        out."""
+        argv = _stage_argv(stage, tmp_path, smiles_table, records_csv)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out-dir", str(out), stage] + argv)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / f"{stage}_manifest.json").read_text())
+        inputs, params = manifest["inputs"], manifest["parameters"]
+        assert not inputs.keys() & params.keys()
+        command = main.commands[stage]
+        parsed = command.make_context(stage, list(argv)).params
+        assert {p.name for p in command.params} == set(parsed)
+        for param in command.params:
+            value = parsed[param.name]
+            if param.name in inputs:
+                assert inputs[param.name]["path"] == value
+            elif param.name in params:
+                assert params[param.name] == json.loads(json.dumps(value))
+            else:
+                assert value is None and isinstance(param.type, click.Path), \
+                    param.name
+
+    def test_option_values_recorded(self, runner, tmp_path, records_csv):
+        """`stark` records its --field list, `label` the --no-soc flag as
+        given, and `report` its --vibronic-dir."""
+        stark = ["stark", "--delta-mu", "0.0616", "--delta-alpha", "612.15"]
+        label = ["label", "--records", str(records_csv), "--lambda-host",
+                 "500"]
+        (tmp_path / "vib").mkdir()
+        report = ["report", "--records", str(records_csv), "--vibronic-dir",
+                  str(tmp_path / "vib")]
+        for argv, key, value in [
+            (stark, "field", []),
+            (stark + ["--field", "1.5", "--field", "-2"], "field",
+             [1.5, -2.0]),
+            (label, "no_soc", False),
+            (label + ["--no-soc"], "no_soc", True),
+            (report, "vibronic_dir", str(tmp_path / "vib")),
+        ]:
+            out = tmp_path / "out"
+            result = runner.invoke(main, ["--out-dir", str(out)] + argv)
+            assert result.exit_code == 0, result.output
+            params = json.loads(
+                (out / f"{argv[0]}_manifest.json").read_text())["parameters"]
+            assert params[key] == value, argv
+            assert "include_soc" not in params
 
 
 class TestConfig:
