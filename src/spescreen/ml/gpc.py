@@ -14,26 +14,37 @@ Gaussian with Gauss-Hermite quadrature.
 The posterior mode follows the stable B-matrix Newton scheme of Rasmussen
 & Williams (2006), Alg. 3.1/3.2. A fit computes the squared-distance
 matrix of its inputs once; every marginal-likelihood evaluation only
-rescales it. Two rules make a search evaluation cheaper, and only a search
-evaluation. (1) Warm start, as in GPML's infLaplace (Rasmussen & Nickisch
-2010): the mode starts from the previous evaluation's a when that beats
-f = 0, halving any Newton step that lowers the objective; the 49 grid
-points chain in row order and each L-BFGS-B search starts its chain cold.
-(2) Kernel floor: entries whose exponent 0.5 d2 / lengthscale^2 exceeds
-100 are set to 0, which keeps potrf out of subnormal arithmetic at short
-lengthscales. ``GPCModel.search_newton_steps`` counts the Newton steps of
+rescales it. Three rules make a search evaluation cheaper, and only a
+search evaluation; each one goes through ``_laplace_mode``.
+(1) Warm start, as in GPML's infLaplace (Rasmussen & Nickisch 2010): the
+first evaluation starts cold, and every later one starts its mode from the
+a of the evaluated (log sigma2, log lengthscale) nearest to it, the
+earliest on ties, when that beats f = 0, halving any Newton step that
+lowers the objective. (2) Kernel floor: entries whose exponent
+0.5 d2 / lengthscale^2 exceeds 100 are set to 0, which keeps potrf out of
+subnormal arithmetic at short lengthscales. (3) Diagonal kernel: when the
+floor would zero every entry off the diagonal of a value-only (grid)
+evaluation, the mode gets K = sigma2 I as the vector of its diagonal, and
+the Newton loop multiplies, takes square roots and divides where it would
+call matmul, potrf and trtrs; an evaluation with a gradient keeps the
+dense kernel. ``GPCModel.search_newton_steps`` counts the Newton steps of
 the search. The final fit of ``gpc_train``, a pinned fit and
 ``gpc_predict`` run cold and unfloored.
 
 Factorisations and triangular solves call LAPACK ``potrf`` and ``trtrs``
 directly, with the arguments scipy's ``cholesky`` and
 ``solve_triangular`` would pass, so results are bit-identical to the
-wrapped calls. The finiteness checks those wrappers made live in
+wrapped calls. A mode forms B = I + W^½ K W^½ in one Fortran-ordered
+buffer, which each Newton step refills and potrf factors in place. The
+gradient inverts chol(B) = L once with ``trtri``: with the triangular
+Y = L^-1 W^½ it takes W^½ B^-1 W^½ = Y^T Y by matmul and L^-1 W^½ K = Y K
+by BLAS ``trmm``. The finiteness checks scipy's wrappers made live in
 ``gpc_train`` (the inputs, once), in ``_laplace_mode`` (the latent vector,
-after each Newton step) and in ``gpc_predict`` (the query kernel);
-each raises ``ValueError``. The LAPACK routines are looked up at the first
-factorisation and ``gpc_train`` imports ``minimize`` when it searches, so
-importing this module loads no scipy.
+after each Newton step) and in ``gpc_predict`` (the query kernel); each
+raises ``ValueError``. The LAPACK routines (``potrf``, ``trtrs``,
+``trtri``) and ``trmm`` are looked up at their first use and ``gpc_train``
+imports ``minimize`` when it searches, so importing this module loads no
+scipy.
 """
 
 from __future__ import annotations
@@ -79,16 +90,19 @@ def rbf_kernel(xa, xb, sigma2, lengthscale):
 
 @functools.cache
 def _lapack():
-    """LAPACK (potrf, trtrs) for float64, looked up at the first call."""
-    from scipy.linalg import get_lapack_funcs
+    """LAPACK potrf, trtrs and trtri and BLAS trmm for float64, looked up
+    at the first call."""
+    from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-    return get_lapack_funcs(("potrf", "trtrs"), dtype=np.float64)
+    return (*get_lapack_funcs(("potrf", "trtrs", "trtri"), dtype=np.float64),
+            get_blas_funcs("trmm", dtype=np.float64))
 
 
-def _cholesky_lower(B):
-    """Lower Cholesky factor (Fortran order); B may be overwritten."""
-    potrf, _ = _lapack()
-    L, info = potrf(B, lower=1, clean=1, overwrite_a=1)
+def _cholesky_lower(B, clean=1):
+    """Lower Cholesky factor (Fortran order); B may be overwritten. With
+    clean=0 the strict upper triangle keeps B's entries."""
+    potrf = _lapack()[0]
+    L, info = potrf(B, lower=1, clean=clean, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite")
@@ -96,8 +110,11 @@ def _cholesky_lower(B):
 
 
 def _solve_lower(L, rhs, trans=0):
-    """Solve L x = rhs (trans=0) or L^T x = rhs (trans=1)."""
-    _, trtrs = _lapack()
+    """Solve L x = rhs (trans=0) or L^T x = rhs (trans=1); a vector L is a
+    diagonal factor."""
+    if L.ndim == 1:
+        return rhs / L
+    trtrs = _lapack()[1]
     x, info = trtrs(L, rhs, lower=1, trans=trans)
     if info > 0:
         raise np.linalg.LinAlgError(
@@ -105,14 +122,22 @@ def _solve_lower(L, rhs, trans=0):
     return x
 
 
-def _factor_b(K, f, eye):
-    """pi, W, sqrt(W) at f and the Cholesky factor of B = I + W^½ K W^½."""
+def _factor_b(K, f, B, clean=1):
+    """pi, W, sqrt(W) at f and the Cholesky factor of B = I + W^½ K W^½,
+    formed and factored (see `_cholesky_lower`) in the Fortran-ordered
+    buffer B. For a diagonal K, passed as a vector, the factor is the
+    vector sqrt(diag B)."""
     pi = _sigmoid(f)
     W = pi * (1.0 - pi)
     sw = np.sqrt(W)
-    B = sw[:, None] * K * sw[None, :]
-    B += eye    # K >= 0, so 0.0 + x == x: the bits of eye + sw K sw
-    return pi, W, sw, _cholesky_lower(B)
+    if K.ndim == 1:
+        return pi, W, sw, np.sqrt(sw * K * sw + 1.0)
+    # K is symmetric bit for bit, so its Fortran-ordered view K.T gives each
+    # entry the bits of sw_i K_ij sw_j without a transposing copy
+    np.multiply(sw[:, None], K.T, out=B)
+    B *= sw
+    np.einsum("ii->i", B)[:] += 1.0
+    return pi, W, sw, _cholesky_lower(B, clean)
 
 
 def _laplace_mode(K, y, tol=1e-10, max_iter=200, a0=None):
@@ -123,10 +148,13 @@ def _laplace_mode(K, y, tol=1e-10, max_iter=200, a0=None):
     steps; a warm one halves (up to _MAX_HALVINGS times) a step that lowers
     Psi by more than tol. Returns f, a (with f = K a), pi, sqrt(W), chol(B),
     grad_norm, the log marginal likelihood, the number of Newton steps and
-    whether the objective reached tol.
+    whether the objective reached tol. A diagonal K may be passed as the
+    vector of its diagonal: the same loop then multiplies elementwise and
+    its chol(B) is a vector.
     """
     n = len(y)
-    eye = np.eye(n)
+    dot = np.multiply if K.ndim == 1 else np.matmul    # K times a vector
+    B = np.empty((n, n), order="F") if K.ndim == 2 else None
     sign = -(2.0 * y - 1.0)
 
     def psi(a, f):
@@ -138,18 +166,19 @@ def _laplace_mode(K, y, tol=1e-10, max_iter=200, a0=None):
     obj_prev = -np.inf
     warm = False
     if a0 is not None:
-        f0 = K @ a0
+        f0 = dot(K, a0)
         obj0 = psi(a0, f0)
         if obj0 > -n * np.log(2.0):
             f, a, obj_prev, warm = f0, a0, obj0, True
     steps = 0
     converged = False
     while steps < max_iter:
-        pi, W, sw, L = _factor_b(K, f, eye)
+        # the step only solves with L: its upper triangle is never read
+        pi, W, sw, L = _factor_b(K, f, B, clean=0)
         b = W * f + (y - pi)
-        v = _solve_lower(L, sw * (K @ b))
+        v = _solve_lower(L, sw * dot(K, b))
         a_new = b - sw * _solve_lower(L, v, trans=1)
-        f_new = K @ a_new
+        f_new = dot(K, a_new)
         steps += 1
         if not np.isfinite(f_new).all():
             raise ValueError(_NOT_FINITE)
@@ -157,7 +186,7 @@ def _laplace_mode(K, y, tol=1e-10, max_iter=200, a0=None):
         halvings = 0
         while warm and obj < obj_prev - tol and halvings < _MAX_HALVINGS:
             a_new = 0.5 * (a + a_new)
-            f_new = K @ a_new
+            f_new = dot(K, a_new)
             obj = psi(a_new, f_new)
             halvings += 1
         a, f = a_new, f_new
@@ -165,13 +194,14 @@ def _laplace_mode(K, y, tol=1e-10, max_iter=200, a0=None):
             converged = True
             break
         obj_prev = obj
-    pi, _, sw, L = _factor_b(K, f, eye)
+    pi, _, sw, L = _factor_b(K, f, B)
     grad_norm = float(np.linalg.norm((y - pi) - a))
-    logml = psi(a, f) - np.log(np.diagonal(L)).sum()
+    logml = psi(a, f) - np.log(L if L.ndim == 1 else np.diagonal(L)).sum()
     return f, a, pi, sw, L, grad_norm, float(logml), steps, converged
 
 
-def _neg_log_q(d2, y, log_theta, gradient=True, a0=None, d2_max=None):
+def _neg_log_q(d2, y, log_theta, gradient=True, a0=None, d2_max=None,
+               d2_min=None):
     """-log q(y | theta), its gradient in (log sigma2, log lengthscale) (None
     if gradient=False), the mode's a and the Newton steps taken.
 
@@ -180,19 +210,31 @@ def _neg_log_q(d2, y, log_theta, gradient=True, a0=None, d2_max=None):
     s2 = +1/2 diag((K^-1 + W)^-1) d3, where d3 = -pi (1 - pi) (1 - 2 pi) is
     the third derivative of log p(y|f). The mode starts from a0 (see
     `_laplace_mode`). Given d2_max = d2.max(), kernel entries whose exponent
-    0.5 d2 / lengthscale^2 exceeds _EXPONENT_FLOOR are set to 0.
+    0.5 d2 / lengthscale^2 exceeds _EXPONENT_FLOOR are set to 0. Given also
+    d2_min, the smallest entry off the diagonal of d2, a value-only
+    evaluation whose floor zeroes every entry off the diagonal passes the
+    mode the diagonal sigma2 I as a vector.
     """
     s2 = float(np.clip(np.exp(log_theta[0]), *SIGMA2_BOUNDS))
     ls = float(np.clip(np.exp(log_theta[1]), *LENGTHSCALE_BOUNDS))
-    K = _rbf(d2, s2, ls)
     cut = 2.0 * _EXPONENT_FLOOR * ls**2
-    if d2_max is not None and d2_max > cut:
-        K[d2 > cut] = 0.0
+    if not gradient and d2_min is not None and d2_min > cut:
+        K = np.full(len(y), s2)    # the diagonal d2 is 0: K_ii = s2 exactly
+    else:
+        K = _rbf(d2, s2, ls)
+        if d2_max is not None and d2_max > cut:
+            K[d2 > cut] = 0.0
     f, a, pi, sw, L, _, logml, steps, _ = _laplace_mode(K, y, a0=a0)
     if not gradient:
         return -logml, None, a, steps
-    R = sw[:, None] * _solve_lower(L, _solve_lower(L, np.diag(sw)), trans=1)
-    C = _solve_lower(L, sw[:, None] * K)
+    # one inverse factor: Y = L^-1 W^½, so W^½ B^-1 W^½ = Y^T Y and
+    # L^-1 W^½ K = Y K (trmm, on K's Fortran-ordered view K.T); potrf left
+    # L a positive diagonal, so trtri succeeds
+    _, _, trtri, trmm = _lapack()
+    Y, _ = trtri(L, lower=1, overwrite_c=1)
+    Y *= sw
+    R = Y.T @ Y
+    C = trmm(1.0, Y, K.T, lower=1)
     d3 = -pi * (1.0 - pi) * (1.0 - 2.0 * pi)
     implicit = 0.5 * (np.diagonal(K) - (C * C).sum(axis=0)) * d3
     dlogp = y - pi
@@ -260,16 +302,25 @@ def gpc_train(x, y, sigma2: float | None = None,
         bounds = list(zip(lo, hi))
         seen = []          # per search: lowest value reached and where
         d2_max = float(d2.max())
-        a_prev = None      # the previous evaluation's mode: the next a0
+        d2_min = float(d2[~np.eye(len(y), dtype=bool)].min())
+        points = np.empty((0, 2))   # the evaluated log thetas, in order,
+        modes = []                  # and the mode a of each
 
         def neg_log_q(log_theta, gradient=True):
-            nonlocal n_evaluations, search_newton_steps, a_prev
+            nonlocal n_evaluations, search_newton_steps, points
             n_evaluations += 1
+            # warm start from the mode of the nearest evaluated point, the
+            # earliest on ties
+            a0 = (modes[np.argmin(((points - log_theta) ** 2).sum(axis=1))]
+                  if modes else None)
             try:
-                value, grad, a_prev, steps = _neg_log_q(
-                    d2, y, log_theta, gradient, a0=a_prev, d2_max=d2_max)
+                value, grad, a, steps = _neg_log_q(
+                    d2, y, log_theta, gradient, a0=a0, d2_max=d2_max,
+                    d2_min=d2_min)
             except np.linalg.LinAlgError:
                 return (np.inf, np.zeros(2)) if gradient else np.inf
+            points = np.vstack([points, log_theta])
+            modes.append(a)
             search_newton_steps += steps
             if not gradient:
                 return value
@@ -296,7 +347,6 @@ def gpc_train(x, y, sigma2: float | None = None,
         success = []
         for point in starts:
             seen.append((np.inf, point))
-            a_prev = None
             res = minimize(neg_log_q, point, jac=True, method="L-BFGS-B",
                            bounds=bounds, options={"gtol": 1e-8})
             success.append(bool(res.success))

@@ -598,7 +598,9 @@ class TestGPCReference:
         """Zeroing the search kernel's entries with exponent above 100 (the
         subnormal band of short lengthscales) leaves -log q and its
         gradient within 1e-12 relative, and the floored kernel holds no
-        subnormal entry."""
+        subnormal entry. A value-only evaluation given the smallest
+        distance off the diagonal gets the floored kernel, as the vector of
+        its diagonal when nothing off the diagonal survives the floor."""
         x, y, _, _ = problem
         d2 = gpc_module._sqdist(x, x)
         theta = np.array([log_s2, log_ls])
@@ -613,13 +615,19 @@ class TestGPCReference:
             value, grad, _, _ = gpc_module._neg_log_q(d2, y, theta)
             floored, floored_grad, _, _ = gpc_module._neg_log_q(
                 d2, y, theta, d2_max=float(d2.max()))
-        full, cut = kernels
+            value_only, _, _, _ = gpc_module._neg_log_q(
+                d2, y, theta, gradient=False, d2_max=float(d2.max()),
+                d2_min=float(d2[~np.eye(len(y), dtype=bool)].min()))
+        full, cut, passed = kernels
         exponent = 0.5 * d2 / np.exp(log_ls) ** 2
         assert np.array_equal(cut, np.where(exponent > 100.0, 0.0, full))
         assert not ((cut != 0.0) & (np.abs(cut) < np.finfo(float).tiny)).any()
         assert abs(floored - value) <= 1e-12 * abs(value)
         assert (np.abs(floored_grad - grad).max()
                 <= 1e-12 * np.abs(grad).max())
+        assert np.array_equal(np.diag(passed) if passed.ndim == 1 else passed,
+                              cut)
+        assert abs(value_only - floored) <= 1e-12 * abs(floored)
 
     @settings(max_examples=60, deadline=None)
     @given(gpc_problems(), st.floats(1e-2, 1e2), st.floats(5e-2, 2e1))
@@ -653,6 +661,74 @@ class TestGPCReference:
         warm = gpc_module._laplace_mode(K, y, a0=a0)
         for got, want in zip(warm, cold):
             assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gpc_problems())
+    def test_sqdist_symmetric_bit_for_bit(self, problem):
+        """B is built in place from K.T, which needs the squared distances,
+        and so the kernel, symmetric bit for bit."""
+        x = problem[0]
+        d2 = gpc_module._sqdist(x, x)
+        assert np.array_equal(d2, d2.T)
+        assert not np.diagonal(d2).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(gpc_problems(), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    def test_diagonal_kernel_as_a_vector(self, problem, sigma2, other):
+        """sigma2 I passed as its diagonal takes the dense path's Newton
+        steps, cold and warm-started from the mode at another variance, to
+        1e-12 in log q (relative) and in a."""
+        _, y, _, _ = problem
+        diagonal = np.full(len(y), sigma2)
+        a0 = gpc_module._laplace_mode(np.full(len(y), other), y)[1]
+        for start in (None, a0):
+            vector = gpc_module._laplace_mode(diagonal, y, a0=start)
+            dense = gpc_module._laplace_mode(np.diag(diagonal), y, a0=start)
+            assert vector[7:] == dense[7:]          # steps, converged
+            assert abs(vector[6] - dense[6]) <= 1e-12 * abs(dense[6])
+            assert np.abs(vector[1] - dense[1]).max() <= 1e-12
+
+    def test_warm_start_from_the_nearest_mode(self):
+        """Each search evaluation after the first starts from the mode of
+        the nearest evaluated (log sigma2, log lengthscale), the earliest on
+        ties; the final fit and a pinned fit run cold."""
+        records = random_records(np.random.default_rng(38), 12)
+        x = feature_matrix(records).values
+        y = label_good(records, 550.0).astype(float)
+        evaluations = []              # theta, a0 and the returned mode a
+        starts = []                   # a0 of each _laplace_mode call
+        neg_log_q = gpc_module._neg_log_q
+        laplace_mode = gpc_module._laplace_mode
+
+        def recording(d2, y_, log_theta, gradient=True, **kwargs):
+            out = neg_log_q(d2, y_, log_theta, gradient, **kwargs)
+            evaluations.append((np.array(log_theta, dtype=float),
+                                kwargs["a0"], out[2]))
+            return out
+
+        def recording_mode(K, y_, **kwargs):
+            starts.append(kwargs.get("a0"))
+            return laplace_mode(K, y_, **kwargs)
+
+        with mock.patch.object(gpc_module, "_neg_log_q", recording), \
+                mock.patch.object(gpc_module, "_laplace_mode",
+                                  recording_mode):
+            model = gpc_train(x, y)
+        assert len(evaluations) == model.n_evaluations
+        assert evaluations[0][1] is None
+        ties = 0
+        for k, (theta, a0, _) in enumerate(evaluations[1:], start=1):
+            dist = [np.hypot(*(theta - t)) for t, _, _ in evaluations[:k]]
+            nearest = dist.index(min(dist))      # the earliest minimum
+            ties += dist.count(min(dist)) > 1
+            assert a0 is evaluations[nearest][2], k
+        assert ties     # each search evaluates its grid start a second time
+        assert len(starts) == model.n_evaluations + 1
+        assert starts[-1] is None
+        starts.clear()
+        with mock.patch.object(gpc_module, "_laplace_mode", recording_mode):
+            gpc_train(x, y, sigma2=2.0, lengthscale=1.0)
+        assert starts == [None]
 
 
 @st.composite
