@@ -7,7 +7,10 @@ gradient (Rasmussen & Williams 2006, Alg. 5.1). The surface can be flat
 and hold several optima, so L-BFGS-B starts from (1, 1) and from the
 points of a fixed 7x7 log-grid over the bounds whose value lies within one
 nat of the grid's best (above 30 records, only those that no grid
-neighbour beats); the fit keeps the highest point a search reached.
+neighbour beats); the fit keeps the highest point a search reached. A
+search stops on a projected gradient below 1e-8 or on scipy's relative
+decrease test, whose tolerance is scaled down where the grid's best log q
+lies closer to its sigma2 -> 0 limit, -n log 2, than to zero.
 Logistic link; predictive probabilities integrate the link over the latent
 Gaussian with Gauss-Hermite quadrature.
 
@@ -63,6 +66,7 @@ _NOT_FINITE = "array must not contain infs or NaNs"
 # it keeps potrf's fill-in out of slow subnormal arithmetic
 _EXPONENT_FLOOR = 100.0
 _MAX_HALVINGS = 10    # step halvings per Newton step of a warm-started mode
+_LBFGSB_FTOL = 2.220446049250313e-09   # scipy's default: factr 1e7 * eps
 
 
 def _sigmoid(z):
@@ -341,6 +345,16 @@ def gpc_train(x, y, sigma2: float | None = None,
             keep &= values <= np.min([padded[i:i + 7, j:j + 7]
                                       for i in range(3) for j in range(3)],
                                      axis=0)
+        # L-BFGS-B stops a search when an iteration lowers -log q by less
+        # than ftol * |-log q|. Where the grid's best lies nearer the
+        # sigma2 -> 0 limit n log 2 than that, the surface varies by less
+        # than |-log q| and the stop fired up to 4e-4 nats short of the
+        # optimum; there ftol shrinks by the ratio of the two
+        v_best = values.min()
+        ftol = _LBFGSB_FTOL
+        if np.isfinite(v_best):
+            gain = abs(len(y) * np.log(2.0) - v_best)
+            ftol *= min(1.0, gain / max(abs(v_best), 1.0))
         starts = [np.clip(0.0, lo, hi)]                  # (1, 1)
         starts += [point for point, start in zip(grid, keep.ravel())
                    if start and not np.array_equal(point, starts[0])]
@@ -348,7 +362,8 @@ def gpc_train(x, y, sigma2: float | None = None,
         for point in starts:
             seen.append((np.inf, point))
             res = minimize(neg_log_q, point, jac=True, method="L-BFGS-B",
-                           bounds=bounds, options={"gtol": 1e-8})
+                           bounds=bounds,
+                           options={"gtol": 1e-8, "ftol": ftol})
             success.append(bool(res.success))
         # the fit takes the lowest point any search reached; searches within
         # 1e-9 of it tie, and the first wins, so that rounding noise (e.g.

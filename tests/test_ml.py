@@ -564,6 +564,43 @@ class TestGPCReference:
         fitted = gpc_train(x, y)
         assert fitted.n_evaluations >= 1 and fitted.optimizer_converged
 
+    def test_search_runs_on_along_a_flat_ridge(self):
+        """An optimised gpc_problems-style draw (numpy seed 145) whose
+        searches, under L-BFGS-B's default ftol, stopped 4.4e-5 nats below
+        the reference optimum with the projected gradient near 5e-5. Its
+        grid gains far less than |log ML| over the sigma2 -> 0 limit, so
+        its searches get a smaller ftol; the benchmark's candidates seed 3
+        gains more and keeps the default."""
+        rng = np.random.default_rng(145)
+        n, d = int(rng.integers(2, 61)), int(rng.integers(1, 11))
+        x = rng.normal(scale=[0.1, 1.0, 10.0][int(rng.integers(0, 3))],
+                       size=(n, d))
+        if rng.random() < 0.5:
+            x[rng.integers(0, n, size=n // 3)] = x[0]
+        if rng.random() < 0.5:
+            y = (x[:, 0] > np.median(x[:, 0])).astype(float)
+        else:
+            y = (rng.random(n) < 0.5).astype(float)
+        y[:2] = (0.0, 1.0) if x[0, 0] <= x[1, 0] else (1.0, 0.0)
+        records = bench_seed3_records()
+        x3 = feature_matrix(records).values
+        y3 = label_good(records, 550.0).astype(float)
+        ftols = []
+
+        def recording(fun, x0, **kwargs):
+            ftols.append(kwargs["options"].get("ftol"))
+            return scipy_minimize(fun, x0, **kwargs)
+
+        with mock.patch("scipy.optimize.minimize", recording):
+            model = gpc_train(x, y)
+            flat, ftols[:] = set(ftols), []
+            gpc_train(x3, y3)
+        ref, _ = ref_fit(x, y)
+        assert (model.log_marginal_likelihood
+                >= ref.log_marginal_likelihood - 1e-6)
+        assert len(flat) == 1 and 0.0 < flat.pop() < gpc_module._LBFGSB_FTOL
+        assert set(ftols) == {gpc_module._LBFGSB_FTOL}
+
     def test_search_newton_steps_sum_the_search(self):
         """search_newton_steps sums the Newton steps of every search
         evaluation; the final fit runs cold and a pinned fit counts none."""
