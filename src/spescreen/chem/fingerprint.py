@@ -88,14 +88,19 @@ def tanimoto_matrix(fps_a, fps_b) -> np.ndarray:
 
     The common-bit counts come from one float64 product of the bit
     matrices, which is exact because every count is at most nbits, far
-    below 2**53. Two empty fingerprints count as 1.
+    below 2**53. Two empty fingerprints count as 1. Passed the same list
+    twice, it builds the bit matrix once.
     """
-    fps_a, fps_b = list(fps_a), list(fps_b)
+    same = fps_a is fps_b
+    fps_a = list(fps_a)
+    fps_b = fps_a if same else list(fps_b)
     nbits = next((fp.nbits for fp in fps_a + fps_b), 0)
     a = _bit_matrix(fps_a, nbits)
-    b = _bit_matrix(fps_b, nbits)
+    b = a if same else _bit_matrix(fps_b, nbits)
     common = a @ b.T
-    union = a.sum(axis=1)[:, None] + b.sum(axis=1)[None, :] - common
+    counts_a = a.sum(axis=1)
+    counts_b = counts_a if same else b.sum(axis=1)
+    union = counts_a[:, None] + counts_b[None, :] - common
     return np.divide(common, union, out=np.ones_like(common),
                      where=union > 0)
 

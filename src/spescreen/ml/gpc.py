@@ -25,7 +25,9 @@ a of the evaluated (log sigma2, log lengthscale) nearest to it, the
 earliest on ties, when that beats f = 0, halving any Newton step that
 lowers the objective. (2) Kernel floor: entries whose exponent
 0.5 d2 / lengthscale^2 exceeds 100 are set to 0, which keeps potrf out of
-subnormal arithmetic at short lengthscales. (3) Diagonal kernel: when the
+subnormal arithmetic at short lengthscales; where at least 80% of the
+entries are floored, exp runs only on the others, since exp over entries
+that underflow is slow. (3) Diagonal kernel: when the
 floor would zero every entry off the diagonal of a value-only (grid)
 evaluation, the mode gets K = sigma2 I as the vector of its diagonal, and
 the Newton loop multiplies, takes square roots and divides where it would
@@ -33,6 +35,15 @@ call matmul, potrf and trtrs; an evaluation with a gradient keeps the
 dense kernel. ``GPCModel.search_newton_steps`` counts the Newton steps of
 the search. The final fit of ``gpc_train``, a pinned fit and
 ``gpc_predict`` run cold and unfloored.
+
+``gpc_predict`` works through its queries in fixed blocks of
+_PREDICT_BLOCK rows (Rasmussen & Williams 2006, Alg. 3.2, is independent
+per query point), so its memory is bounded by the block and the training
+set, not the number of queries. Each step of a block is per query row: with
+one BLAS thread (the ``OPENBLAS_NUM_THREADS=1`` the reproducibility
+contract asks for) the probabilities are bit-identical to one pass over all
+rows, while threaded BLAS may split a block's products otherwise and move
+last digits.
 
 Factorisations and triangular solves call LAPACK ``potrf`` and ``trtrs``
 directly, with the arguments scipy's ``cholesky`` and
@@ -65,6 +76,10 @@ _NOT_FINITE = "array must not contain infs or NaNs"
 # is below sigma2 * 4e-44, far under one ulp of B's unit diagonal; set to 0,
 # it keeps potrf's fill-in out of slow subnormal arithmetic
 _EXPONENT_FLOOR = 100.0
+# exp over a kernel whose entries underflow is slow; where at least this
+# share of the entries is floored, exp runs only on the kept ones (masked
+# exp costs more per entry, so a sparser floor keeps the full one)
+_SPARSE_EXP_SHARE = 0.8
 _MAX_HALVINGS = 10    # step halvings per Newton step of a warm-started mode
 _LBFGSB_FTOL = 2.220446049250313e-09   # scipy's default: factr 1e7 * eps
 
@@ -79,11 +94,18 @@ def _sigmoid(z):
 
 
 def _sqdist(xa, xb):
-    return ((xa[:, None, :] - xb[None, :, :]) ** 2).sum(axis=2)
+    diff = xa[:, None, :] - xb[None, :, :]
+    return np.square(diff, out=diff).sum(axis=2)     # the ufunc ** 2 calls
 
 
-def _rbf(d2, sigma2, lengthscale):
-    return sigma2 * np.exp(-0.5 * d2 / lengthscale**2)
+def _rbf(d2, sigma2, lengthscale, keep=None):
+    """sigma2 exp(-d2 / (2 lengthscale^2)); given a boolean mask `keep`,
+    exp runs only where it holds and every other entry is 0."""
+    if keep is None:
+        return sigma2 * np.exp(-0.5 * d2 / lengthscale**2)
+    K = np.exp(-0.5 * d2 / lengthscale**2, out=np.zeros_like(d2), where=keep)
+    K *= sigma2
+    return K
 
 
 def rbf_kernel(xa, xb, sigma2, lengthscale):
@@ -214,7 +236,9 @@ def _neg_log_q(d2, y, log_theta, gradient=True, a0=None, d2_max=None,
     s2 = +1/2 diag((K^-1 + W)^-1) d3, where d3 = -pi (1 - pi) (1 - 2 pi) is
     the third derivative of log p(y|f). The mode starts from a0 (see
     `_laplace_mode`). Given d2_max = d2.max(), kernel entries whose exponent
-    0.5 d2 / lengthscale^2 exceeds _EXPONENT_FLOOR are set to 0. Given also
+    0.5 d2 / lengthscale^2 exceeds _EXPONENT_FLOOR are set to 0; where a
+    share of at least _SPARSE_EXP_SHARE is, exp runs only on the others,
+    with the same bits. Given also
     d2_min, the smallest entry off the diagonal of d2, a value-only
     evaluation whose floor zeroes every entry off the diagonal passes the
     mode the diagonal sigma2 I as a vector.
@@ -224,10 +248,15 @@ def _neg_log_q(d2, y, log_theta, gradient=True, a0=None, d2_max=None,
     cut = 2.0 * _EXPONENT_FLOOR * ls**2
     if not gradient and d2_min is not None and d2_min > cut:
         K = np.full(len(y), s2)    # the diagonal d2 is 0: K_ii = s2 exactly
-    else:
+    elif d2_max is None or d2_max <= cut:
         K = _rbf(d2, s2, ls)
-        if d2_max is not None and d2_max > cut:
-            K[d2 > cut] = 0.0
+    else:
+        floored = d2 > cut
+        if np.count_nonzero(floored) >= _SPARSE_EXP_SHARE * floored.size:
+            K = _rbf(d2, s2, ls, ~floored)
+        else:
+            K = _rbf(d2, s2, ls)
+            K[floored] = 0.0
     f, a, pi, sw, L, _, logml, steps, _ = _laplace_mode(K, y, a0=a0)
     if not gradient:
         return -logml, None, a, steps
@@ -391,18 +420,44 @@ def gpc_train(x, y, sigma2: float | None = None,
 
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
+_PREDICT_BLOCK = 256    # query rows per block of gpc_predict
 
 
 def gpc_predict(model: GPCModel, x_star) -> np.ndarray:
-    """Predictive probability of class 1 at each query point."""
+    """Predictive probability of class 1 at each query point.
+
+    Queries run in blocks of _PREDICT_BLOCK rows (a lone last row joins
+    the block before it), so the transient arrays hold block x n_train x d
+    and block x 64 entries whatever the number of queries. Every step is
+    per query row, so with one BLAS thread the result is bit-identical to
+    a single pass over all rows; threaded BLAS may split the products of a
+    block otherwise and move last digits. A query that is not 2-D or whose
+    feature count differs from the training inputs' raises ValueError, as
+    does a non-finite kernel.
+    """
     x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
-    ks = rbf_kernel(x_star, model.x_train, model.sigma2, model.lengthscale)
-    mean = ks @ (model.y_train - model.pi_hat)
-    if not np.isfinite(ks).all():
-        raise ValueError(_NOT_FINITE)
-    v = _solve_lower(model.chol_b, model.sqrt_w[:, None] * ks.T)
-    var = model.sigma2 - (v**2).sum(axis=0)
-    var = np.clip(var, 0.0, None)
-    z = mean[:, None] + np.sqrt(2.0 * var)[:, None] * _GH_NODES[None, :]
-    probs = (_GH_WEIGHTS[None, :] * _sigmoid(z)).sum(axis=1) / np.sqrt(np.pi)
+    d = model.x_train.shape[1]
+    if x_star.ndim != 2 or x_star.shape[1] != d:
+        raise ValueError(f"query points have {x_star.shape[-1]} features "
+                         f"(shape {x_star.shape}); the model has {d}")
+    alpha = model.y_train - model.pi_hat
+    probs = np.empty(len(x_star))
+    bounds = [*range(0, len(x_star), _PREDICT_BLOCK), len(x_star)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        # BLAS takes its one-vector path for a block of one row, which
+        # sums in another order: a lone last row joins the block before
+        del bounds[-2]
+    for start, stop in zip(bounds, bounds[1:]):
+        block = slice(start, stop)
+        ks = rbf_kernel(x_star[block], model.x_train, model.sigma2,
+                        model.lengthscale)
+        mean = ks @ alpha
+        if not np.isfinite(ks).all():
+            raise ValueError(_NOT_FINITE)
+        v = _solve_lower(model.chol_b, model.sqrt_w[:, None] * ks.T)
+        var = model.sigma2 - (v**2).sum(axis=0)
+        var = np.clip(var, 0.0, None)
+        z = mean[:, None] + np.sqrt(2.0 * var)[:, None] * _GH_NODES[None, :]
+        probs[block] = (_GH_WEIGHTS[None, :] * _sigmoid(z)).sum(axis=1)
+    probs /= np.sqrt(np.pi)
     return np.clip(probs, 1e-12, 1.0 - 1e-12)

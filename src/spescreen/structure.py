@@ -26,6 +26,7 @@ from .constants import atomic_mass, covalent_radius
 
 
 _EYE3 = np.eye(3)
+_IMAGE_CHUNK = 32768    # pairs per chunk of the skewed-cell image search
 
 
 @dataclass
@@ -186,8 +187,11 @@ def minimum_image_map(cell):
     Fractional coordinates are rounded: the exact minimum image when the
     Gram matrix of the lattice is diagonal, where a pair at exactly half a
     cell takes -1/2 as the search does. Skewed cells then search the
-    `lattice_translations` for the shortest image. Without a cell the map
-    returns its input.
+    `lattice_translations` for the shortest image, in chunks of
+    _IMAGE_CHUNK pairs, so the candidate array holds at most
+    _IMAGE_CHUNK x 27 x 3 entries. The search, argmin and gather are
+    elementwise and per pair, so chunking changes no bit at any BLAS
+    thread count. Without a cell the map returns its input.
     """
     if cell is None:
         return _unchanged
@@ -208,9 +212,13 @@ def minimum_image_map(cell):
         frac = deltas @ inv
         frac -= np.round(frac)
         best = frac @ cell
-        cand = best[:, None, :] + shifts[None, :, :]
-        idx = np.argmin((cand ** 2).sum(axis=2), axis=1)
-        return cand[np.arange(len(best)), idx]
+        # the search is per pair: chunks bound the (pairs, 27, 3) candidates
+        for start in range(0, len(best), _IMAGE_CHUNK):
+            part = best[start:start + _IMAGE_CHUNK]
+            cand = part[:, None, :] + shifts[None, :, :]
+            idx = np.argmin(np.square(cand, out=cand).sum(axis=2), axis=1)
+            part += shifts[idx]          # the same sum as the candidate's
+        return best
 
     return skewed
 

@@ -37,6 +37,7 @@ from spescreen.chem import (
     tanimoto,
     tanimoto_matrix,
 )
+from spescreen.chem import fingerprint as fingerprint_module
 from spescreen.chem import smiles as smiles_module
 from spescreen.chem.graph import (
     AROMATIC_ELEMENTS,
@@ -965,6 +966,22 @@ class TestTanimotoMatrix:
                 assert m[i, j] == _ref_tanimoto(a[i], b[j])
                 assert tanimoto_matrix([a[i]], [b[j]]) == \
                     [[tanimoto(a[i], b[j])]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40))
+    def test_same_list_builds_the_bits_once(self, seed, n):
+        """tanimoto_matrix(fps, fps) stacks one bit matrix and gives the
+        bits of the same call on a copy of the list."""
+        rng = np.random.default_rng(seed)
+        fps = [Fingerprint(bits=rng.random(256) < rng.choice([0.0, 0.1, 0.5]),
+                           nbits=256, radius=2) for _ in range(n)]
+        with mock.patch.object(fingerprint_module, "_bit_matrix",
+                               wraps=fingerprint_module._bit_matrix) as spy:
+            m = tanimoto_matrix(fps, fps)
+        assert spy.call_count == 1
+        assert m.shape == (n, n)
+        assert np.array_equal(m, tanimoto_matrix(fps, list(fps)))
+        assert np.array_equal(m, m.T)
 
     def test_all_zero_pair(self):
         z = Fingerprint(bits=np.zeros(64, dtype=bool), nbits=64, radius=2)

@@ -1,7 +1,9 @@
 """Labeling, PCA, GPC, t-SNE, and HDBSCAN tests."""
 
 import importlib
+import os
 import sys
+import tracemalloc
 from dataclasses import fields
 from types import SimpleNamespace
 from unittest import mock
@@ -667,6 +669,76 @@ class TestGPCReference:
         assert abs(value_only - floored) <= 1e-12 * abs(floored)
 
     @settings(max_examples=60, deadline=None)
+    @given(gpc_problems(), st.floats(np.log(1e-3), np.log(1e3)),
+           st.floats(np.log(1e-2), np.log(1.0)))
+    def test_masked_exp_keeps_the_bits(self, problem, log_s2, log_ls):
+        """exp taken only on the kept entries gives the bits of the full
+        kernel with its floored entries zeroed; _neg_log_q takes that path
+        exactly where at least _SPARSE_EXP_SHARE of the entries are
+        floored."""
+        x, y, _, _ = problem
+        d2 = gpc_module._sqdist(x, x)
+        s2, ls = float(np.exp(log_s2)), float(np.exp(log_ls))
+        floored = d2 > 2.0 * gpc_module._EXPONENT_FLOOR * ls**2
+        full = gpc_module._rbf(d2, s2, ls)
+        full[floored] = 0.0
+        assert np.array_equal(gpc_module._rbf(d2, s2, ls, ~floored), full)
+        masks = []
+        rbf = gpc_module._rbf
+
+        def recording(*args):
+            masks.append(args[3] if len(args) > 3 else None)
+            return rbf(*args)
+
+        with mock.patch.object(gpc_module, "_rbf", recording):
+            gpc_module._neg_log_q(d2, y, np.array([log_s2, log_ls]),
+                                  gradient=False, d2_max=float(d2.max()))
+        sparse = floored.any() and (np.count_nonzero(floored) >= gpc_module
+                                    ._SPARSE_EXP_SHARE * floored.size)
+        assert len(masks) == 1 and (masks[0] is not None) == sparse
+
+    def test_bench_fit_kernels_keep_their_bits(self):
+        """Every dense search kernel of the benchmark's candidates seed-3
+        classify and report fits (records as `bench_seed3_records`
+        rebuilds them) equals sigma2 exp(-d2 / 2 lengthscale^2) with its
+        floored entries zeroed, bit for bit; both exp paths occur."""
+        records = bench_seed3_records()
+        x = feature_matrix(records).values
+        y = label_good(records, 550.0).astype(float)
+        current, seen = [], []
+        neg_log_q = gpc_module._neg_log_q
+        laplace_mode = gpc_module._laplace_mode
+
+        def recording(d2, y_, log_theta, gradient=True, **kwargs):
+            current.append((d2, np.array(log_theta, dtype=float)))
+            try:
+                return neg_log_q(d2, y_, log_theta, gradient, **kwargs)
+            finally:
+                current.pop()
+
+        def recording_mode(K, y_, **kwargs):
+            if current and K.ndim == 2:
+                seen.append((*current[-1], K))
+            return laplace_mode(K, y_, **kwargs)
+
+        with mock.patch.object(gpc_module, "_neg_log_q", recording), \
+                mock.patch.object(gpc_module, "_laplace_mode",
+                                  recording_mode):
+            gpc_train(x, y)
+            gpc_train(pca(x, k=2).scores, y)
+        shares = []
+        for d2, theta, K in seen:
+            s2 = float(np.clip(np.exp(theta[0]), *gpc_module.SIGMA2_BOUNDS))
+            ls = float(np.clip(np.exp(theta[1]),
+                               *gpc_module.LENGTHSCALE_BOUNDS))
+            floored = d2 > 2.0 * gpc_module._EXPONENT_FLOOR * ls**2
+            want = s2 * np.exp(-0.5 * d2 / ls**2)
+            want[floored] = 0.0
+            assert np.array_equal(K, want)
+            shares.append(floored.mean())
+        assert min(shares) < gpc_module._SPARSE_EXP_SHARE <= max(shares)
+
+    @settings(max_examples=60, deadline=None)
     @given(gpc_problems(), st.floats(1e-2, 1e2), st.floats(5e-2, 2e1))
     def test_warm_start_from_the_mode(self, problem, sigma2, lengthscale):
         """Started from its own converged a, the mode stops within 2 Newton
@@ -766,6 +838,108 @@ class TestGPCReference:
         with mock.patch.object(gpc_module, "_laplace_mode", recording_mode):
             gpc_train(x, y, sigma2=2.0, lengthscale=1.0)
         assert starts == [None]
+
+
+_BLOCK = gpc_module._PREDICT_BLOCK
+
+
+def one_blas_thread():
+    """Whether OpenBLAS runs one thread: the first of its thread variables
+    that is set says so, and without one it uses every core."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        if os.environ.get(var):
+            return os.environ[var] == "1"
+    return os.cpu_count() == 1
+
+
+@st.composite
+def prediction_problems(draw):
+    """A pinned fit of 2-200 records in 1-11 features and a query set whose
+    row count straddles the prediction block: 0, 1, B - 1, B, B + 1 or
+    2B + 7."""
+    n = draw(st.integers(2, 200))
+    d = draw(st.integers(1, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.3, 1.0, 3.0]))
+    x = rng.normal(scale=scale, size=(n, d))
+    y = (rng.random(n) < 0.5).astype(float)
+    y[:2] = (0.0, 1.0)
+    model = gpc_train(x, y, sigma2=draw(st.floats(1e-2, 1e2)),
+                      lengthscale=draw(st.floats(5e-2, 2e1)))
+    m = draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                              2 * _BLOCK + 7]))
+    return model, rng.normal(scale=scale, size=(m, d))
+
+
+class TestGPCPredictBlocks:
+    @pytest.mark.skipif(
+        not one_blas_thread(),
+        reason="bit equality with one pass holds under one BLAS thread, the "
+               "README's contract: threaded BLAS splits a block's products "
+               "by its own row count and moves last digits (at two threads, "
+               "4 of 60 random fits differed at 2500 queries)")
+    @settings(max_examples=100, deadline=None)
+    @given(prediction_problems())
+    def test_blocks_equal_one_pass(self, problem):
+        """Blocked prediction equals the one-pass reference bit for bit."""
+        model, x_star = problem
+        probs = gpc_predict(model, x_star)
+        assert probs.shape == (len(x_star),)
+        assert np.array_equal(probs, ref_gpc_predict(model, x_star))
+
+    @settings(max_examples=20, deadline=None)
+    @given(prediction_problems())
+    def test_blocks_repeat_at_any_thread_count(self, problem):
+        """Two calls give the same bits, and the reference to 1e-12."""
+        model, x_star = problem
+        probs = gpc_predict(model, x_star)
+        assert np.array_equal(probs, gpc_predict(model, x_star))
+        assert np.allclose(probs, ref_gpc_predict(model, x_star),
+                           rtol=0.0, atol=1e-12)
+
+    def test_empty_query_and_feature_count(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(30, 2))
+        model = gpc_train(x, (x[:, 0] > 0).astype(float), sigma2=1.0,
+                          lengthscale=1.0)
+        empty = gpc_predict(model, np.empty((0, 2)))
+        assert empty.shape == (0,) and empty.dtype == float
+        # today's 1-D reading: one query point of two features
+        assert gpc_predict(model, [0.5, -0.5]).shape == (1,)
+        for bad in ([], [0.5], np.zeros((3, 3)), np.zeros((0, 3)),
+                    np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="the model has 2"):
+                gpc_predict(model, bad)
+
+    @pytest.mark.parametrize("row", [0, _BLOCK + 3])
+    def test_non_finite_query_in_any_block(self, row):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(20, 3))
+        model = gpc_train(x, (x[:, 0] > 0).astype(float), sigma2=1.0,
+                          lengthscale=1.0)
+        x_star = rng.normal(size=(2 * _BLOCK, 3))
+        x_star[row, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gpc_predict(model, x_star)
+
+    def test_peak_memory_is_one_block(self):
+        """2500 queries against 160 records in 2 features: numpy's traced
+        allocations peak below 8 block x n_train doubles (the one-pass
+        kernel and its squared differences alone take 39)."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(160, 2))
+        model = gpc_train(x, (x[:, 0] > 0).astype(float), sigma2=2.0,
+                          lengthscale=0.7)
+        x_star = rng.normal(size=(2500, 2))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gpc_predict(model, x_star)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _BLOCK * 160 * 8, peak
 
 
 @st.composite

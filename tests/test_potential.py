@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from spescreen.potential import (
     max_force_norm,
     relax,
 )
+from spescreen import structure as structure_module
 from spescreen.structure import (
     AtomicStructure,
     lattice_translations,
@@ -290,6 +293,58 @@ class TestMinimumImage:
         # each returned vector is an image of its input
         n_cells = (kernel - deltas) @ np.linalg.inv(s.cell)
         assert np.allclose(n_cells, np.round(n_cells), atol=1e-9)
+
+
+class TestSkewedImageChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(structures(), st.integers(1, 50), st.sampled_from([1, 2]),
+           st.sampled_from([-1, 0, 1, 7]))
+    def test_chunks_equal_reference(self, s, chunk, blocks, extra):
+        """The skewed search in chunks of `chunk` pairs, on pair counts
+        that straddle a chunk boundary (blocks * chunk + extra), equals
+        the brute-force reference bit for bit."""
+        assume(s.cell is not None and np.count_nonzero(s.cell @ s.cell.T) > 3)
+        ii, jj = np.triu_indices(len(s), k=1)
+        count = max(blocks * chunk + extra, 0)
+        deltas = np.resize(s.positions[jj] - s.positions[ii], (count, 3))
+        with mock.patch.object(structure_module, "_IMAGE_CHUNK", chunk):
+            kernel = minimum_image_map(s.cell)(deltas)
+        assert kernel.shape == (count, 3)
+        if count:
+            assert np.array_equal(kernel, ref_min_image(s, deltas))
+
+    def test_module_chunk_boundary(self):
+        """One pair past _IMAGE_CHUNK: the chunked map equals the seed's
+        one-shot 27-image search bit for bit."""
+        s = AtomicStructure(elements=["Ar"], positions=np.zeros((1, 3)),
+                            cell=SKEWED_CELL)
+        rng = np.random.default_rng(2)
+        deltas = rng.uniform(-1.5, 1.5,
+                             size=(structure_module._IMAGE_CHUNK + 1, 3))
+        deltas = deltas @ SKEWED_CELL
+        assert np.array_equal(minimum_image_map(s.cell)(deltas),
+                              ref_minimum_image(s, deltas))
+
+    def test_lj_peak_memory_in_skewed_cell(self):
+        """One LJ evaluation of 392 Ar atoms (76636 pairs) in a monoclinic
+        cell, beta = 125 deg: numpy's traced allocations peak below
+        64 MiB. An unchunked search holds the (pairs, 27, 3) candidates and
+        their squares, 101 MiB, at once; the whole evaluation peaked at
+        122 MiB that way."""
+        beta = np.deg2rad(125.0)
+        cell = 3.8 * np.array([[7.0, 0.0, 0.0], [0.0, 7.0, 0.0],
+                               [8.0 * np.cos(beta), 0.0, 8.0 * np.sin(beta)]])
+        frac = np.array(list(np.ndindex(7, 7, 8)), dtype=float) / (7, 7, 8)
+        s = AtomicStructure(["Ar"] * len(frac), frac @ cell, cell=cell)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            AR_LJ.energy_and_forces(s)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak / 2**20
 
 
 class TestRelax:
