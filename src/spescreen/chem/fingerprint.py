@@ -43,31 +43,41 @@ class Fingerprint:
 
 
 def morgan_fingerprint(graph: MolecularGraph, radius: int = 2,
-                       nbits: int = 1024) -> Fingerprint:
-    """Hash circular atom environments of depth 0..radius into a bit vector."""
+                       nbits: int = 1024, *, memo=None) -> Fingerprint:
+    """Hash circular atom environments of depth 0..radius into a bit vector.
+
+    `memo` maps each invariant tuple already hashed to its hash; pass one
+    dict to the fingerprints of a table so that an environment met again
+    is not hashed again. Each position of a tuple has one fixed type, so
+    equal keys have equal reprs (True == 1 as a dict key, so no position
+    mixes bool and int). Without it, each call starts a dict of its own.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if nbits < 8 or nbits & (nbits - 1):
         raise ValueError("nbits must be a power of two >= 8")
+    if memo is None:
+        memo = {}
+
+    def hashed(key):
+        h = memo.get(key)
+        if h is None:
+            h = memo[key] = _stable_hash(key)
+        return h
+
     ring_atoms = graph.ring_atoms()
     neighbors = graph.adjacency()
-    invariants = []
-    for i, a in enumerate(graph.atoms):
-        invariants.append(_stable_hash((
-            a.element, len(neighbors[i]), a.h_count, a.charge,
-            i in ring_atoms, a.aromatic, a.isotope or 0,
-        )))
+    invariants = [hashed((
+        a.element, len(neighbors[i]), a.h_count, a.charge,
+        i in ring_atoms, a.aromatic, a.isotope or 0,
+    )) for i, a in enumerate(graph.atoms)]
     bits = np.zeros(nbits, dtype=bool)
     for h in invariants:
         bits[h % nbits] = True
     for _ in range(radius):
-        new = []
-        for i in range(len(graph)):
-            env = tuple(sorted(
-                (_BOND_RANK[b.order], invariants[j]) for j, b in neighbors[i]
-            ))
-            new.append(_stable_hash((invariants[i], env)))
-        invariants = new
+        invariants = [hashed((invariants[i], tuple(sorted(
+            (_BOND_RANK[b.order], invariants[j]) for j, b in neighbors[i]
+        )))) for i in range(len(graph))]
         for h in invariants:
             bits[h % nbits] = True
     return Fingerprint(bits=bits, nbits=nbits, radius=radius)

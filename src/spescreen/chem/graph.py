@@ -101,7 +101,7 @@ class MolecularGraph:
                         low[parent] = min(low[parent], low[v])
                         if low[v] > disc[parent]:
                             bridges.add(via.key())
-        return {b.key() for b in self.bonds if b.key() not in bridges}
+        return {b.key() for b in self.bonds} - bridges
 
     def ring_atoms(self):
         keys = self.ring_bond_keys()
@@ -151,13 +151,16 @@ def bond_order_sum(atom: Atom, nbrs) -> float:
     return total
 
 
-def assign_implicit_hydrogens(graph: MolecularGraph, positions=None):
+def assign_implicit_hydrogens(graph: MolecularGraph, positions=None,
+                              adj=None):
     """Fill in h_count for non-bracket atoms by lowest-fitting valence.
 
     `positions` optionally maps atom index -> character position in the
-    source text, used for error reporting.
+    source text, used for error reporting. `adj` is the graph's
+    `adjacency()`, built here when not given.
     """
-    adj = graph.adjacency()
+    if adj is None:
+        adj = graph.adjacency()
     for idx, atom in enumerate(graph.atoms):
         if atom.bracket:
             continue

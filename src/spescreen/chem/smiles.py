@@ -171,9 +171,12 @@ def parse_smiles(text: str) -> MolecularGraph:
     if pending_bond is not None:
         raise SmilesParseError("dangling bond symbol", len(text))
 
-    assign_implicit_hydrogens(graph, positions)
+    # perception changes bond orders only, so one adjacency serves both
+    # hydrogen passes
+    adj = graph.adjacency()
+    assign_implicit_hydrogens(graph, positions, adj)
     perceive_aromaticity(graph)
-    assign_implicit_hydrogens(graph, positions)
+    assign_implicit_hydrogens(graph, positions, adj)
     graph.validate()
     return graph
 
@@ -221,6 +224,12 @@ def _chordless_rings(adj):
     to s closes the ring, and the walk stops there, since that bond would
     otherwise be a chord. Each ring is walked in both directions; the
     direction whose second atom is below its last atom is kept.
+
+    `adj` may be the adjacency of a whole graph or one restricted to some
+    connected components of its 2-core (atoms outside them left with no
+    neighbours): since every ring lies inside one such component, the
+    rings of the components kept come out as the whole graph's search
+    finds them, in the same order.
     """
     nbr_sets = [{j for j, _ in nbrs} for nbrs in adj]
     rings = []
@@ -247,6 +256,50 @@ def _chordless_rings(adj):
     return rings
 
 
+def _ring_search_adjacency(graph, adj):
+    """`adj` restricted to the 2-core components that hold a non-aromatic
+    atom, or None when there is none.
+
+    The 2-core is what is left after atoms of degree < 2 are stripped until
+    none is left; every ring lies inside it. A component whose atoms are
+    all aromatic holds only rings that perception skips, so it is dropped:
+    chains and aromatic-written ring systems need no ring search.
+    """
+    degree = [len(nbrs) for nbrs in adj]
+    in_core = [True] * len(adj)
+    stack = [i for i, d in enumerate(degree) if d < 2]
+    while stack:
+        i = stack.pop()
+        if not in_core[i]:
+            continue
+        in_core[i] = False
+        for j, _ in adj[i]:
+            degree[j] -= 1
+            if in_core[j] and degree[j] < 2:
+                stack.append(j)
+    searched = [False] * len(adj)
+    seen = [not core for core in in_core]
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        component, stack = [], [root]
+        while stack:
+            i = stack.pop()
+            component.append(i)
+            for j, _ in adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        if not all(graph.atoms[i].aromatic for i in component):
+            for i in component:
+                searched[i] = True
+    if not any(searched):
+        return None
+    return [[(j, b) for j, b in nbrs if searched[j]] if searched[i] else []
+            for i, nbrs in enumerate(adj)]
+
+
 def perceive_aromaticity(graph: MolecularGraph):
     """Mark Hueckel 4n+2 simple rings aromatic (atoms and ring bonds).
 
@@ -262,9 +315,16 @@ def perceive_aromaticity(graph: MolecularGraph):
     there run through sp3 bridgeheads, which donate no pi electrons. This
     is deliberately simple-ring perception, enough to unify kekulized and
     aromatic spellings of fused polycyclic systems.
+
+    A ring whose atoms are all aromatic is skipped by every pass, and
+    aromaticity is only ever added, so rings are searched only in the
+    2-core components that hold a non-aromatic atom
+    (`_ring_search_adjacency`): chains and aromatic-written ring systems
+    skip the search, Kekule-written ones take it, with the same result.
     """
     adj = graph.adjacency()
-    rings = _chordless_rings(adj)
+    search = _ring_search_adjacency(graph, adj)
+    rings = [] if search is None else _chordless_rings(search)
 
     while True:
         passing = []

@@ -252,9 +252,10 @@ def similarity(ctx, smiles, reference, nbits, radius):
     ref_graph = dict(entries).get(reference)
     if ref_graph is None:
         ref_graph = parse_smiles(reference)
-    ref_fp = morgan_fingerprint(ref_graph, radius, nbits)
+    memo = {}
+    ref_fp = morgan_fingerprint(ref_graph, radius, nbits, memo=memo)
     database = [
-        (cid, morgan_fingerprint(graph, radius, nbits))
+        (cid, morgan_fingerprint(graph, radius, nbits, memo=memo))
         for cid, graph in entries
     ]
     ranked = rank_by_similarity(ref_fp, database)
@@ -289,7 +290,9 @@ def map_cmd(ctx, smiles, perplexity, min_cluster_size, nbits, radius, out):
     """Embed fingerprints with t-SNE and cluster the 2D map."""
     entries, skipped = load_smiles_table(smiles)
     ids = [cid for cid, _ in entries]
-    fps = [morgan_fingerprint(graph, radius, nbits) for _, graph in entries]
+    memo = {}
+    fps = [morgan_fingerprint(graph, radius, nbits, memo=memo)
+           for _, graph in entries]
     d2 = (1.0 - tanimoto_matrix(fps, fps)) ** 2
 
     result = tsne(d2, perplexity=perplexity, seed=ctx.obj["seed"])

@@ -92,9 +92,6 @@ class MoleculeLabels:
     labels: np.ndarray  # component id per atom, contiguous in [0, count)
     count: int
 
-    def sizes(self):
-        return np.bincount(self.labels, minlength=self.count)
-
 
 # --- XYZ I/O ---------------------------------------------------------------
 

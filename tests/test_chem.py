@@ -2,7 +2,9 @@
 
 The ring code is checked against the networkx reference it replaced, and
 its atom-order independence per atom and per bond through a known
-permutation of the graph; the token-pattern parser against the character
+permutation of the graph; the ring search over the 2-core components
+that hold a non-aromatic atom against the whole-graph search it replaced
+(`TestRingSearchSkip`); the token-pattern parser against the character
 scanner it replaced (`TestTokenGrammar`). `TestCanonicalization` checks
 that parsing brings a molecule to one normal form: stable under
 re-perception, under atom renumbering, and across different texts for
@@ -637,6 +639,291 @@ class TestReferenceRingCode:
         # the extra rings contain sp3 bridgeheads, for which
         # _pi_contribution returns None, so no ring is marked aromatic
         _assert_matches_reference(_kekule_graph(smiles))
+
+
+# --- reference: the ring search over every atom, before the 2-core skip ----
+
+def ref_chordless_rings(adj):
+    """Every chordless ring of 3 to 8 atoms, as (atoms, bonds) lists.
+
+    A bounded DFS from each ring's lowest-index atom s walks chordless
+    paths over atoms above s: an atom may join a path only when none of
+    its neighbours lies on it except the path's end and s. An atom bonded
+    to s closes the ring, and the walk stops there, since that bond would
+    otherwise be a chord. Each ring is walked in both directions; the
+    direction whose second atom is below its last atom is kept.
+    """
+    nbr_sets = [{j for j, _ in nbrs} for nbrs in adj]
+    rings = []
+
+    def extend(path, on_path, bonds):
+        s, end = path[0], path[-1]
+        for w, b in adj[end]:
+            if w <= s or w in on_path:
+                continue
+            touching = nbr_sets[w] & on_path
+            if not touching <= {s, end}:
+                continue
+            if s in touching:
+                if path[1] < w:
+                    closing = next(c for j, c in adj[w] if j == s)
+                    rings.append((path + [w], bonds + [b, closing]))
+            elif len(path) + 1 < smiles_module._MAX_RING:
+                extend(path + [w], on_path | {w}, bonds + [b])
+
+    for s, nbrs in enumerate(adj):
+        for v, b in nbrs:
+            if v > s:
+                extend([s, v], {s, v}, [b])
+    return rings
+
+
+def ref_perceive_aromaticity(graph):
+    """Hueckel perception over the chordless rings of the whole graph."""
+    adj = graph.adjacency()
+    rings = ref_chordless_rings(adj)
+
+    while True:
+        passing = []
+        for ring, ring_bonds in rings:
+            if all(graph.atoms[i].aromatic for i in ring):
+                continue
+            pis = [smiles_module._pi_contribution(graph.atoms[i], adj[i])
+                   for i in ring]
+            if any(p is None for p in pis):
+                continue
+            if sum(pis) % 4 != 2:
+                continue
+            passing.append((ring, ring_bonds))
+        if not passing:
+            break
+        for ring, ring_bonds in passing:
+            for i in ring:
+                graph.atoms[i].aromatic = True
+            for b in ring_bonds:
+                b.order = AROMATIC
+    for b in graph.bonds:
+        if b.order == AROMATIC:
+            graph.atoms[b.i].aromatic = True
+            graph.atoms[b.j].aromatic = True
+    return graph
+
+
+def _searched_atoms(graph):
+    """Atoms of the 2-core components holding a non-aromatic atom, from
+    networkx's core decomposition."""
+    core = nx.k_core(_ref_nx_graph(graph), 2)
+    searched = set()
+    for component in nx.connected_components(core):
+        if not all(graph.atoms[i].aromatic for i in component):
+            searched |= component
+    return searched
+
+
+def _assert_skip_matches_reference(graph):
+    """The skipping search marks what the full search marks, and finds the
+    full search's rings, in its order, on every component it searches."""
+    new = _profile(graph)
+    with mock.patch.object(smiles_module, "perceive_aromaticity",
+                           ref_perceive_aromaticity):
+        ref = _profile(graph)
+    assert new == ref, graph
+
+    adj = graph.adjacency()
+    searched = _searched_atoms(graph)
+    full = ref_chordless_rings(adj)
+    search = smiles_module._ring_search_adjacency(graph, adj)
+    if search is None:
+        assert not searched
+        rings = []
+    else:
+        assert {i for i, nbrs in enumerate(search) if nbrs} == searched
+        rings = smiles_module._chordless_rings(search)
+
+    def keyed(found):
+        return [(atoms, [b.key() for b in bonds]) for atoms, bonds in found]
+
+    assert keyed(rings) == keyed([r for r in full if r[0][0] in searched])
+    # the rings left out are the ones every pass skips
+    for atoms, _ in full:
+        if atoms[0] not in searched:
+            assert all(graph.atoms[i].aromatic for i in atoms)
+
+
+def _aromatic_polyhex(rnd, n_cells):
+    """A random polyhex written aromatic, as canonical SMILES write PAHs."""
+    n, bonds = _polyhex_topology(rnd, n_cells)
+    return MolecularGraph(atoms=[Atom("C", aromatic=True) for _ in range(n)],
+                          bonds=[Bond(i, j, AROMATIC) for i, j in bonds])
+
+
+def _kekule_polyhex(rnd, n_cells):
+    """A random polyhex written Kekule: double bonds on a maximum matching,
+    unmatched carbons left sp3."""
+    n, bonds = _polyhex_topology(rnd, n_cells)
+    g = nx.Graph(bonds)
+    doubled = {tuple(sorted(e))
+               for e in nx.max_weight_matching(g, maxcardinality=True)}
+    return MolecularGraph(atoms=[Atom("C") for _ in range(n)],
+                          bonds=[Bond(i, j, 2 if (i, j) in doubled else 1)
+                                 for i, j in bonds])
+
+
+def _aliphatic_ring(rnd):
+    size = rnd.randint(3, 8)
+    return MolecularGraph(atoms=[Atom("C") for _ in range(size)],
+                          bonds=[Bond(k, (k + 1) % size, 1)
+                                 for k in range(size)])
+
+
+def _joined(rnd, parts):
+    """The parts in one graph, each tied to the next by a chain of 0 to 3
+    sp3 carbons between carbons of degree 2, then renumbered at random."""
+    atoms, bonds, ends = [], [], []
+    for part in parts:
+        offset = len(atoms)
+        atoms += [copy.copy(a) for a in part.atoms]
+        bonds += [Bond(b.i + offset, b.j + offset, b.order)
+                  for b in part.bonds]
+        degree = [0] * len(part)
+        for b in part.bonds:
+            degree[b.i] += 1
+            degree[b.j] += 1
+        ends.append([offset + k for k, a in enumerate(part.atoms)
+                     if a.element == "C" and degree[k] == 2])
+    for left, right in zip(ends, ends[1:]):
+        if not left or not right:
+            continue    # left as two fragments, as '.' writes them
+        prev = rnd.choice(left)
+        for _ in range(rnd.randint(0, 3)):
+            atoms.append(Atom("C"))
+            bonds.append(Bond(prev, len(atoms) - 1, 1))
+            prev = len(atoms) - 1
+        bonds.append(Bond(prev, rnd.choice(right), 1))
+    graph = MolecularGraph(atoms=atoms, bonds=bonds)
+    perm = list(range(len(graph)))
+    rnd.shuffle(perm)
+    return _permuted(graph, perm, rnd)
+
+
+class TestRingSearchSkip:
+    """Perception searches rings only in the 2-core components that hold a
+    non-aromatic atom, with the same outcome as the search over every atom
+    (`ref_perceive_aromaticity`)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 7),
+           st.booleans())
+    def test_polyhex(self, rnd, n_cells, aromatic_input):
+        if aromatic_input:
+            graph = _aromatic_polyhex(rnd, n_cells)
+        else:
+            graph = _decorated_graph(rnd, *_polyhex_topology(rnd, n_cells))
+        _assert_skip_matches_reference(graph)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 5))
+    def test_fused_5_6_7(self, rnd, n_rings):
+        _assert_skip_matches_reference(_decorated_graph(
+            rnd, *_fused_ring_topology(rnd, n_rings)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 5),
+           st.sampled_from(["kekule", "decorated", "aliphatic"]))
+    def test_mixed(self, rnd, n_cells, other):
+        """An aromatic-written PAH tied by a chain to a Kekule-written,
+        decorated or aliphatic ring system."""
+        if other == "kekule":
+            second = _kekule_polyhex(rnd, rnd.randint(1, 4))
+        elif other == "decorated":
+            second = _decorated_graph(rnd, *_fused_ring_topology(
+                rnd, rnd.randint(1, 3)))
+        else:
+            second = _aliphatic_ring(rnd)
+        parts = [_aromatic_polyhex(rnd, n_cells), second]
+        if rnd.random() < 0.5:
+            parts.append(_aromatic_polyhex(rnd, rnd.randint(1, 3)))
+        _assert_skip_matches_reference(_joined(rnd, parts))
+
+    @pytest.mark.parametrize("smiles", MOLECULES + [
+        "c1ccc2ccccc2c1CCC1=CC=CC=C1", "c1ccccc1C1CCCCC1",
+        "c1ccc2ccccc2c1.C1=CC=C2C=CC=CC2=C1", "c1cc[nH]c1CCc1ccccc1",
+    ])
+    def test_molecules(self, smiles):
+        _assert_skip_matches_reference(_kekule_graph(smiles))
+
+    @pytest.mark.parametrize("smiles", ["c1ccc2ccccc2c1", "CC(C)OCC"])
+    def test_aromatic_and_chain_search_nothing(self, smiles):
+        with mock.patch.object(smiles_module, "_chordless_rings",
+                               wraps=smiles_module._chordless_rings) as spy:
+            parse_smiles(smiles)
+        assert spy.call_count == 0
+
+    def test_kekule_naphthalene_is_searched(self):
+        with mock.patch.object(smiles_module, "_chordless_rings",
+                               wraps=smiles_module._chordless_rings) as spy:
+            kekule = parse_smiles("C1=CC=C2C=CC=CC2=C1")
+        assert spy.call_count == 1
+        (search,), _ = spy.call_args
+        assert all(search)
+        aromatic = parse_smiles("c1ccc2ccccc2c1")
+        identity = list(range(10))
+        assert _signature(kekule, identity) == _signature(aromatic, identity)
+        assert morgan_fingerprint(kekule) == morgan_fingerprint(aromatic)
+
+
+_MEMO_TABLE = [
+    "C", "CCO", "CCCCCCCC", "CC(C)OCC", "c1ccccc1", "C1=CC=CC=C1",
+    "c1ccc2ccccc2c1", "C1=CC=C2C=CC=CC2=C1", "c1ccc2cc3ccccc3cc2c1",
+    "C1=CC2=CC3=CC=CC=C3C=C2C=C1", "c1cc[nH]c1", "c1ccc2[nH]ccc2c1",
+    "[NH4+]", "[O-]C(=O)C", "C[N+](C)(C)C", "[13CH4]", "[2H]c1ccccc1",
+    "C[13CH2]O", "[CH-]1C=CC=C1", "c1ccsc1", "CC(=O)Oc1ccccc1C(=O)O",
+]
+
+
+class TestFingerprintMemo:
+    def test_shared_memo_matches_fresh_fingerprints(self):
+        """One memo over a table gives the bits of per-molecule fingerprints.
+
+        The memo key is the exact invariant tuple that is hashed, and each
+        of its positions holds one type (str, int or bool, never a mix):
+        as dict keys True == 1, so a position mixing bool and int would
+        share an entry between tuples whose reprs, and hashes, differ.
+        """
+        graphs = [parse_smiles(s) for s in _MEMO_TABLE]
+        for radius in (0, 1, 2, 3):
+            fresh = [morgan_fingerprint(g, radius) for g in graphs]
+            for order in (graphs, graphs[::-1]):
+                memo = {}
+                shared = [morgan_fingerprint(g, radius, memo=memo)
+                          for g in order]
+                if order is not graphs:
+                    shared = shared[::-1]
+                assert shared == fresh
+        for key in memo:
+            types = [type(v) for v in key]
+            assert types in ([str, int, int, int, bool, bool, int],
+                             [int, tuple]), key
+
+    def test_memo_hashes_each_tuple_once(self):
+        graphs = [parse_smiles(s) for s in _MEMO_TABLE]
+        memo = {}
+        with mock.patch.object(fingerprint_module, "_stable_hash",
+                               wraps=fingerprint_module._stable_hash) as spy:
+            for g in graphs:
+                morgan_fingerprint(g, memo=memo)
+        assert spy.call_count == len(memo)
+        assert sorted(map(repr, memo)) == sorted(
+            {repr(call.args[0]) for call in spy.call_args_list})
+
+    def test_default_memo_lives_for_one_call(self):
+        g = parse_smiles("c1ccc2ccccc2c1CCO")
+        with mock.patch.object(fingerprint_module, "_stable_hash",
+                               wraps=fingerprint_module._stable_hash) as spy:
+            morgan_fingerprint(g)
+            first = spy.call_count
+            morgan_fingerprint(g)
+        assert first > 0 and spy.call_count == 2 * first
 
 
 # --- slow reference: the character scanner the token grammar replaced ------

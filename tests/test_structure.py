@@ -337,7 +337,8 @@ class TestMolecules:
         assert labels.count == 2
         assert list(labels.labels[:3]) == [0, 0, 0]
         assert list(labels.labels[3:]) == [1, 1, 1]
-        assert list(labels.sizes()) == [3, 3]
+        assert list(np.bincount(labels.labels, minlength=labels.count)) \
+            == [3, 3]
 
     def test_single_molecule(self):
         labels = identify_molecules(water())
