@@ -9,16 +9,12 @@ candidates with t-SNE + HDBSCAN.
 
 import numpy as np
 
-from spescreen.ml import (
-    feature_matrix,
-    gpc_predict,
-    gpc_train,
-    hdbscan,
-    label_good,
-    pca,
-    tsne,
-)
 from spescreen.ml.distance import squared_euclidean
+from spescreen.ml.gpc import gpc_predict, gpc_train
+from spescreen.ml.hdbscan import hdbscan
+from spescreen.ml.labeling import feature_matrix, label_good
+from spescreen.ml.pca import pca
+from spescreen.ml.tsne import tsne
 from spescreen.spectro import CandidateRecord
 
 # synthesize a candidate table: half "bright, red-shifted, quiet" rows

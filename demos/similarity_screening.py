@@ -8,13 +8,13 @@ workflow the `spescreen similarity` subcommand wraps.
 
 # parse each SMILES string into a molecular graph, hash circular atom
 # environments into bit vectors, then compare with the Tanimoto index
-from spescreen.chem import (
+from spescreen.chem.fingerprint import (
     morgan_fingerprint,
-    parse_smiles,
     rank_by_similarity,
     similarity_summary,
     tanimoto,
 )
+from spescreen.chem.smiles import parse_smiles
 
 TABLE = [
     ("naphthalene", "c1ccc2ccccc2c1"),

@@ -8,6 +8,10 @@ click's default_map: `[global]` keys set the group's options and each
 `[<stage>]` section sets that stage's, under the flag name with dashes
 turned into underscores. A flag beats the config, which beats the built-in
 default. Exit codes: 0 success, 2 validation error, 3 numerical failure.
+
+Every call is a fresh interpreter, so each stage body imports the spescreen
+modules it runs, and only numpy, click and `jsonio`, which every stage
+needs, are imported at the top.
 """
 
 from __future__ import annotations
@@ -25,36 +29,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .chem import (
-    load_smiles_table,
-    morgan_fingerprint,
-    parse_smiles,
-    rank_by_similarity,
-    similarity_summary,
-    tanimoto_matrix,
-)
-from .embedding import EmbeddingConfig, embed_emitter, select_most_stable, write_manifest
 from .jsonio import write_json
-from .ml import feature_matrix, gpc_predict, gpc_train, hdbscan, label_good, pca, tsne
-from .potential import (
-    ExternalPotential,
-    LennardJonesPotential,
-    max_force_norm,
-    relax as relax_structure,
-)
-from .spectro import (
-    CANDIDATE_COLUMNS,
-    StarkInput,
-    gssoc_metric,
-    load_excited_state_table,
-    read_candidates_csv,
-    rsoc_metric,
-    soc_metric,
-    stark_coefficients,
-    write_candidates_csv,
-)
-from .structure import coincident_pair, parse_xyz
-from .vibronic import load_mode_set, normal_modes, save_mode_set, vibronic_report
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -196,7 +171,9 @@ def _read_config(ctx, param, path):
 
 
 def _finite_positive(ctx, param, value):
-    if not (np.isfinite(value) and value > 0):
+    """Option callback: refuse a value that is not finite and positive;
+    an optional option left unset (None) passes."""
+    if value is not None and not (np.isfinite(value) and value > 0):
         raise click.BadParameter(f"{value} is not finite and positive",
                                  ctx, param)
     return value
@@ -216,6 +193,7 @@ _RECORDS = click.option("--records", type=click.Path(exists=True),
 _NO_SOC = click.option("--no-soc", is_flag=True, default=False,
                        help="Drop the SOC condition from the labeling rule.")
 _LAMBDA_HOST = click.option("--lambda-host", type=float, required=True,
+                            callback=_finite_positive,
                             help="Host absorption wavelength threshold (nm).")
 _LABELS_OUT = click.option("--out", default="labels.csv", show_default=True)
 
@@ -248,6 +226,10 @@ def main(ctx, seed, out_dir):
 @_stage
 def similarity(ctx, smiles, reference, nbits, radius):
     """Rank a SMILES table by Tanimoto similarity to a reference."""
+    from .chem.fingerprint import (load_smiles_table, morgan_fingerprint,
+                                   rank_by_similarity, similarity_summary)
+    from .chem.smiles import parse_smiles
+
     entries, skipped = load_smiles_table(smiles)
     ref_graph = dict(entries).get(reference)
     if ref_graph is None:
@@ -288,6 +270,11 @@ def similarity(ctx, smiles, reference, nbits, radius):
 @_stage
 def map_cmd(ctx, smiles, perplexity, min_cluster_size, nbits, radius, out):
     """Embed fingerprints with t-SNE and cluster the 2D map."""
+    from .chem.fingerprint import (load_smiles_table, morgan_fingerprint,
+                                   tanimoto_matrix)
+    from .ml.hdbscan import hdbscan
+    from .ml.tsne import tsne
+
     entries, skipped = load_smiles_table(smiles)
     ids = [cid for cid, _ in entries]
     memo = {}
@@ -305,11 +292,17 @@ def map_cmd(ctx, smiles, perplexity, min_cluster_size, nbits, radius, out):
                    "perplexity target by up to "
                    f"{result.perplexity_error:.3g} nats", err=True)
 
+    labels = clusters.labels
     _write_csv(_out(ctx, out), ["x", "y", "cluster", "id"], (
         [f"{xy[0]:.6f}", f"{xy[1]:.6f}", int(lab), cid]
-        for xy, lab, cid in zip(result.embedding, clusters.labels, ids)
+        for xy, lab, cid in zip(result.embedding, labels, ids)
     ))
     return ({"seed": ctx.obj["seed"], "skipped_rows": skipped,
+             "n_clusters": clusters.n_clusters,
+             "n_noise": int((labels < 0).sum()),
+             "cluster_sizes": np.bincount(labels[labels >= 0],
+                                          minlength=clusters.n_clusters
+                                          ).tolist(),
              "kl_divergence": result.kl_divergence,
              "n_iter": result.n_iter, "lr_halvings": result.lr_halvings,
              "perplexity_error": result.perplexity_error,
@@ -338,6 +331,11 @@ def embed(ctx, host, emitter, cutoff, min_removed, max_removed, per_count,
     With --lj-params, each accepted structure is relaxed and its binding
     energy recorded.
     """
+    from .embedding import (EmbeddingConfig, embed_emitter,
+                            select_most_stable, write_manifest)
+    from .potential import LennardJonesPotential
+    from .structure import parse_xyz
+
     cfg = EmbeddingConfig(overlap_cutoff=cutoff, min_removed=min_removed,
                           max_removed=max_removed,
                           structures_per_count=per_count,
@@ -376,6 +374,11 @@ def embed(ctx, host, emitter, cutoff, min_removed, max_removed, per_count,
 @_stage
 def modes(ctx, structure, potential_file, lj_params, relax, fmax, out):
     """Compute normal modes from an external or Lennard-Jones Hessian."""
+    from .potential import (ExternalPotential, LennardJonesPotential,
+                            max_force_norm, relax as relax_structure)
+    from .structure import coincident_pair, parse_xyz
+    from .vibronic import normal_modes, save_mode_set
+
     if (potential_file is None) == (lj_params is None):
         raise ValueError(
             "modes needs exactly one of --potential-file and --lj-params")
@@ -467,6 +470,9 @@ def _parse_atom_selection(spec, n):
 def vibronic(ctx, isolated, embedded, forces, emitter_atoms, r_ground,
              r_excited, out):
     """Mode projections, entropies, Huang-Rhys factors, and the FC metric."""
+    from .structure import parse_xyz
+    from .vibronic import load_mode_set, vibronic_report
+
     iso_modes = load_mode_set(isolated)
     emb_modes = load_mode_set(embedded)
     with open(forces, encoding="utf-8") as fh:
@@ -502,6 +508,9 @@ def vibronic(ctx, isolated, embedded, forces, emitter_atoms, r_ground,
 @_stage
 def spin(ctx, states, out):
     """Aggregate spin-orbit couplings into SOC / rSOC / gsSOC."""
+    from .spectro import (gssoc_metric, load_excited_state_table, rsoc_metric,
+                          soc_metric)
+
     table = load_excited_state_table(states)
     payload = {
         "soc": soc_metric(table),
@@ -531,6 +540,8 @@ def spin(ctx, states, out):
 @_stage
 def stark(ctx, delta_mu, delta_alpha, field, out):
     """Linear and quadratic Stark shift coefficients."""
+    from .spectro import StarkInput, stark_coefficients
+
     coeffs = stark_coefficients(StarkInput(delta_mu, delta_alpha))
     payload = {
         "a_mhz_per_kvcm": coeffs.a_mhz_per_kvcm,
@@ -548,6 +559,8 @@ def stark(ctx, delta_mu, delta_alpha, field, out):
 # --- label / classify ------------------------------------------------------
 
 def _read_records(records):
+    from .spectro import read_candidates_csv
+
     candidates = read_candidates_csv(records)
     if not candidates:
         raise ValueError("record table is empty")
@@ -562,6 +575,8 @@ def _read_records(records):
 @_stage
 def label(ctx, records, lambda_host, no_soc, out):
     """Label candidates as good/bad emitters."""
+    from .ml.labeling import label_good
+
     candidates = _read_records(records)
     good = label_good(candidates, lambda_host, include_soc=not no_soc)
     _write_csv(_out(ctx, out), ["id", "label"],
@@ -577,6 +592,9 @@ def label(ctx, records, lambda_host, no_soc, out):
 @_stage
 def classify(ctx, records, lambda_host, no_soc, out):
     """Label candidates and attach GPC class probabilities."""
+    from .ml.gpc import gpc_predict, gpc_train
+    from .ml.labeling import feature_matrix, label_good
+
     candidates = _read_records(records)
     good = label_good(candidates, lambda_host, include_soc=not no_soc)
     features = feature_matrix(candidates)
@@ -599,7 +617,7 @@ _FIG3_METRICS = ("soc", "rsoc", "gssoc", "svc", "e_bind_eV",
 
 @main.command()
 @_RECORDS
-@click.option("--lambda-host", type=float,
+@click.option("--lambda-host", type=float, callback=_finite_positive,
               help="Enables label/PC-score/GPC-grid outputs.")
 @_NO_SOC
 @click.option("--vibronic-dir", type=click.Path(exists=True, file_okay=False),
@@ -607,6 +625,8 @@ _FIG3_METRICS = ("soc", "rsoc", "gssoc", "svc", "e_bind_eV",
 @_stage
 def report(ctx, records, lambda_host, no_soc, vibronic_dir):
     """Assemble the results table and per-figure CSV data."""
+    from .spectro import CANDIDATE_COLUMNS, write_candidates_csv
+
     candidates = _read_records(records)
     # the fig4-grid GPC's fit parameters and the vibronic files not found
     counters = {}
@@ -623,6 +643,10 @@ def report(ctx, records, lambda_host, no_soc, vibronic_dir):
         ))
 
     if lambda_host is not None:
+        from .ml.gpc import gpc_predict, gpc_train
+        from .ml.labeling import feature_matrix, label_good
+        from .ml.pca import pca
+
         good = label_good(candidates, lambda_host, include_soc=not no_soc)
         features = feature_matrix(candidates)
         comp = pca(features.values, k=2)

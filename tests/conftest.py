@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spescreen.chem import AROMATIC, Atom, Bond, MolecularGraph
+from spescreen.chem.graph import AROMATIC, Atom, Bond, MolecularGraph
 from spescreen.structure import AtomicStructure
 
 SQ3 = np.sqrt(3.0)

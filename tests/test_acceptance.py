@@ -10,15 +10,14 @@ import time
 
 import numpy as np
 
-from spescreen.chem import (
-    MolecularGraph,
-    morgan_fingerprint,
-    parse_smiles,
-    tanimoto,
-)
+from spescreen.chem.fingerprint import Fingerprint, morgan_fingerprint, tanimoto
+from spescreen.chem.graph import MolecularGraph
+from spescreen.chem.smiles import parse_smiles
 from spescreen.constants import AMU_TO_ME, ANGSTROM_TO_BOHR, VIB_FREQ_TO_AU
 from spescreen.embedding import EmbeddingConfig, binding_energy, embed_emitter, write_manifest
-from spescreen.ml import gpc_predict, gpc_train, label_good, tsne
+from spescreen.ml.gpc import gpc_predict, gpc_train
+from spescreen.ml.labeling import label_good
+from spescreen.ml.tsne import tsne
 from spescreen.ml.distance import squared_euclidean
 from spescreen.potential import LennardJonesPotential, hessian_finite_difference, relax
 from spescreen.spectro import (
@@ -295,7 +294,6 @@ def test_07_fingerprint_suite():
     b = np.zeros(64, dtype=bool)
     a[[1, 2, 3, 10]] = True
     b[[2, 3, 20, 30, 40]] = True
-    from spescreen.chem import Fingerprint
     exact = tanimoto(Fingerprint(a, 64, 2), Fingerprint(b, 64, 2)) \
         == 2 / 7
     dt = time.perf_counter() - t0

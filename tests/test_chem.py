@@ -24,28 +24,27 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spescreen.chem import (
-    AROMATIC,
-    Atom,
-    Bond,
+from spescreen.chem import fingerprint as fingerprint_module
+from spescreen.chem import smiles as smiles_module
+from spescreen.chem.fingerprint import (
     Fingerprint,
-    MolecularGraph,
-    SmilesParseError,
     load_smiles_table,
     morgan_fingerprint,
-    parse_smiles,
     rank_by_similarity,
     similarity_summary,
     tanimoto,
     tanimoto_matrix,
 )
-from spescreen.chem import fingerprint as fingerprint_module
-from spescreen.chem import smiles as smiles_module
 from spescreen.chem.graph import (
+    AROMATIC,
     AROMATIC_ELEMENTS,
     DEFAULT_VALENCES,
+    Atom,
+    Bond,
+    MolecularGraph,
     assign_implicit_hydrogens,
 )
+from spescreen.chem.smiles import SmilesParseError, parse_smiles
 
 from conftest import (
     DBT_CENTERS,

@@ -16,8 +16,8 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import spescreen
-from spescreen import cli
-from spescreen.chem import fingerprint
+from spescreen import embedding, potential, vibronic
+from spescreen.chem import fingerprint, smiles
 from spescreen.cli import _parse_atom_selection, main
 from spescreen.potential import LennardJonesPotential, max_force_norm
 from spescreen.spectro import CANDIDATE_COLUMNS, write_candidates_csv
@@ -97,8 +97,8 @@ class TestSimilarity:
         """An id reference reuses the table's graph; a SMILES is parsed."""
         for reference, ref_parses in (("x3", 0), ("c1ccc2cc3ccccc3cc2c1", 1)):
             out = tmp_path / str(ref_parses)
-            with mock.patch.object(cli, "parse_smiles",
-                                   wraps=cli.parse_smiles) as ref, \
+            with mock.patch.object(smiles, "parse_smiles",
+                                   wraps=smiles.parse_smiles) as ref, \
                     mock.patch.object(fingerprint, "parse_smiles",
                                       wraps=fingerprint.parse_smiles) as rows:
                 result = runner.invoke(main, [
@@ -156,10 +156,10 @@ class TestMap:
         assert outs[0] == outs[1]
 
     def test_manifest_counters(self, runner, tmp_path, smiles_table):
-        """The t-SNE counters land in the manifest, and rows no bandwidth
-        fits are flagged there without failing the stage: x2 and x6 share
-        no fingerprint bit with any other row, so every other row is at
-        distance 1 from them."""
+        """The t-SNE and cluster counters land in the manifest, and rows no
+        bandwidth fits are flagged there without failing the stage: x2 and
+        x6 share no fingerprint bit with any other row, so every other row
+        is at distance 1 from them."""
         out = tmp_path / "out"
         result = runner.invoke(main, [
             "--out-dir", str(out), "--seed", "4", "map",
@@ -174,6 +174,15 @@ class TestMap:
         assert params["n_iter"] == 1000
         assert isinstance(params["lr_halvings"], int)
         assert params["kl_divergence"] > 0.0
+        # HDBSCAN's label counts, in cluster-id order, as map.csv has them
+        labels = [int(line.split(",")[2]) for line in
+                  (out / "map.csv").read_text().splitlines()[1:]]
+        assert len(params["cluster_sizes"]) == params["n_clusters"]
+        assert params["n_noise"] + sum(params["cluster_sizes"]) \
+            == len(labels) == 10
+        assert params["n_noise"] == labels.count(-1)
+        assert params["cluster_sizes"] == [
+            labels.count(k) for k in range(params["n_clusters"])]
 
 
 class TestEmbed:
@@ -646,7 +655,7 @@ class TestNonFiniteArtifacts:
             return None, None, [float("nan")] * len(trials)
 
         out = tmp_path / "out"
-        with mock.patch.object(cli, "select_most_stable", nan_energies):
+        with mock.patch.object(embedding, "select_most_stable", nan_energies):
             result = runner.invoke(main, [
                 "--out-dir", str(out), "--seed", "7", "embed",
                 "--host", str(host), "--emitter", str(emitter),
@@ -669,7 +678,7 @@ class TestNonFiniteArtifacts:
             return modeset
 
         out = tmp_path / "out"
-        with mock.patch.object(cli, "normal_modes", nan_modes):
+        with mock.patch.object(vibronic, "normal_modes", nan_modes):
             result = runner.invoke(main, [
                 "--out-dir", str(out), "modes", "--structure", str(s),
                 "--lj-params", str(lj),
@@ -715,7 +724,7 @@ class TestNonFiniteArtifacts:
         lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
         out = tmp_path / "out"
         with mock.patch.object(LennardJonesPotential, "hessian") as hessian, \
-                mock.patch.object(cli, "relax_structure") as relax_structure:
+                mock.patch.object(potential, "relax") as relax_structure:
             result = runner.invoke(main, [
                 "--out-dir", str(out), "modes", "--structure", str(s),
                 "--lj-params", str(lj), *relax,
@@ -738,7 +747,7 @@ class TestNonFiniteArtifacts:
         lj.write_text(json.dumps({"Ar,Ar": [0.0104, 3.4]}))
         out = tmp_path / "out"
         with mock.patch.object(LennardJonesPotential, "hessian") as hessian, \
-                mock.patch.object(cli, "relax_structure") as relax_structure:
+                mock.patch.object(potential, "relax") as relax_structure:
             result = runner.invoke(main, [
                 "--out-dir", str(out), "modes", "--structure", str(s),
                 "--lj-params", str(lj), *relax,
@@ -1085,6 +1094,21 @@ class TestLabelClassifyReport:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    @pytest.mark.parametrize("stage", ["label", "classify", "report"])
+    def test_bad_lambda_host_exit_2(self, runner, tmp_path, records_csv,
+                                    stage, value):
+        """A wavelength threshold that is not finite and positive exits 2,
+        naming the option, before any file is written."""
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out), stage, "--records", str(records_csv),
+            "--lambda-host", value,
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--lambda-host" in result.output
+        assert not list(out.iterdir())
+
 
 class TestGPCThreads:
     def test_gpc_artifacts_across_blas_threads(self, tmp_path):
@@ -1137,18 +1161,20 @@ class TestGPCThreads:
 _SUBPROCESS_MAIN = """\
 import sys
 from spescreen.cli import main
+code = 0
 try:
-    main(sys.argv[1:], standalone_mode=False)
-    code = 0
+    if sys.argv[1:]:        # no arguments: the import alone
+        main(sys.argv[1:], standalone_mode=False)
 except SystemExit as exc:
     code = exc.code
-print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(code, *sorted(m for m in sys.modules
+                    if m.split(".")[0] in ("scipy", "spescreen")))
 """
 
 
 def _cli_in_subprocess(argv, cwd):
-    """One CLI call in a fresh interpreter: (exit code, the scipy modules
-    it loaded, the completed process)."""
+    """One CLI call in a fresh interpreter: (exit code, the scipy and
+    spescreen modules it loaded, the completed process)."""
     src = os.path.dirname(os.path.dirname(spescreen.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")]))}
@@ -1157,49 +1183,6 @@ def _cli_in_subprocess(argv, cwd):
                           timeout=120)
     code, *modules = proc.stdout.splitlines()[-1].split()
     return int(code), set(modules), proc
-
-
-class TestColdStart:
-    """A stage run in a fresh interpreter loads only the scipy it uses."""
-
-    @staticmethod
-    def _argv(stage, tmp_path, smiles_table, records_csv):
-        write_xyz(dimer(r=3.8), tmp_path / "dimer.xyz")
-        (tmp_path / "lj.json").write_text(
-            json.dumps({"Ar,Ar": [0.0104, 3.4]}))
-        (tmp_path / "states.json").write_text(json.dumps({
-            "singlets": [{"energy_eV": 2.2, "fosc": 0.3}],
-            "triplets": [{"energy_eV": 1.5, "soc_s1_cm1": 0.2}],
-        }))
-        return {
-            "similarity": ["similarity", "--smiles", str(smiles_table),
-                           "--reference", "ref"],
-            "map": ["--seed", "4", "map", "--smiles", str(smiles_table),
-                    "--perplexity", "3"],
-            "modes": ["modes", "--structure", str(tmp_path / "dimer.xyz"),
-                      "--lj-params", str(tmp_path / "lj.json"), "--relax"],
-            "vibronic": (TestVibronic._inputs(tmp_path)
-                         + ["--emitter-atoms", "2:4"]),
-            "spin": ["spin", "--states", str(tmp_path / "states.json")],
-            "stark": ["stark", "--delta-mu", "0.0616", "--delta-alpha",
-                      "612.15", "--field", "1.0"],
-            "label": ["label", "--records", str(records_csv),
-                      "--lambda-host", "500"],
-        }[stage]
-
-    @pytest.mark.parametrize("stage, banned", [
-        ("similarity", "scipy"), ("modes", "scipy"), ("vibronic", "scipy"),
-        ("spin", "scipy"), ("stark", "scipy"), ("label", "scipy"),
-        ("map", "scipy.spatial"),
-    ])
-    def test_stage_leaves_out_scipy(self, tmp_path, smiles_table,
-                                    records_csv, stage, banned):
-        argv = self._argv(stage, tmp_path, smiles_table, records_csv)
-        code, modules, proc = _cli_in_subprocess(["--out-dir", "out"] + argv,
-                                                 tmp_path)
-        assert code == 0, proc.stderr
-        assert not {m for m in modules
-                    if m == banned or m.startswith(banned + ".")}
 
 
 def _exit_code(argv):
@@ -1467,6 +1450,72 @@ def _stage_argv(stage, tmp_path, smiles_table, records_csv):
 _STAGES = ("similarity", "map", "embed", "modes", "vibronic", "spin", "stark",
            "label", "classify", "report")
 
+# what `import spescreen.cli` loads, and what each stage adds to it
+_CLI_MODULES = {"spescreen", "spescreen.cli", "spescreen.jsonio"}
+_CHEM = ("chem", "chem.fingerprint", "chem.graph", "chem.smiles")
+_STAGE_MODULES = {
+    "similarity": _CHEM,
+    "map": _CHEM + ("ml", "ml.distance", "ml.hdbscan", "ml.tsne"),
+    "embed": ("constants", "embedding", "potential", "structure"),
+    "modes": ("constants", "potential", "structure", "vibronic"),
+    "vibronic": ("constants", "structure", "vibronic"),
+    "spin": ("constants", "spectro"),
+    "stark": ("constants", "spectro"),
+    "label": ("constants", "ml", "ml.labeling", "spectro"),
+    "classify": ("constants", "ml", "ml.gpc", "ml.labeling", "spectro"),
+    # fig4's PCA takes canonical_mode_signs from vibronic
+    "report": ("constants", "ml", "ml.gpc", "ml.labeling", "ml.pca",
+               "spectro", "vibronic"),
+}
+
+
+class TestColdStart:
+    """A stage run in a fresh interpreter loads only the scipy and the
+    spescreen modules it uses."""
+
+    @staticmethod
+    def _modules(stage, tmp_path, smiles_table, records_csv):
+        argv = _stage_argv(stage, tmp_path, smiles_table, records_csv)
+        code, modules, proc = _cli_in_subprocess(
+            ["--out-dir", "out", stage] + argv, tmp_path)
+        assert code == 0, proc.stderr
+        return modules
+
+    @pytest.mark.parametrize("stage, banned", [
+        ("similarity", "scipy"), ("modes", "scipy"), ("vibronic", "scipy"),
+        ("spin", "scipy"), ("stark", "scipy"), ("label", "scipy"),
+        ("map", "scipy.spatial"),
+    ])
+    def test_stage_leaves_out_scipy(self, tmp_path, smiles_table,
+                                    records_csv, stage, banned):
+        modules = self._modules(stage, tmp_path, smiles_table, records_csv)
+        assert not {m for m in modules
+                    if m == banned or m.startswith(banned + ".")}
+
+    @pytest.mark.parametrize("stage", _STAGES)
+    def test_stage_loads_only_its_modules(self, tmp_path, smiles_table,
+                                          records_csv, stage):
+        modules = self._modules(stage, tmp_path, smiles_table, records_csv)
+        assert {m for m in modules if m.split(".")[0] == "spescreen"} \
+            == _CLI_MODULES | {f"spescreen.{m}" for m in _STAGE_MODULES[stage]}
+
+    def test_report_without_lambda_host_loads_no_ml(self, tmp_path,
+                                                    records_csv):
+        code, modules, proc = _cli_in_subprocess(
+            ["--out-dir", "out", "report", "--records", str(records_csv)],
+            tmp_path)
+        assert code == 0, proc.stderr
+        assert {m for m in modules if m.split(".")[0] == "spescreen"} \
+            == _CLI_MODULES | {"spescreen.constants", "spescreen.spectro"}
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["--version"]],
+                             ids=["import", "help", "version"])
+    def test_cli_loads_no_stage_module(self, tmp_path, argv):
+        code, modules, proc = _cli_in_subprocess(argv, tmp_path)
+        assert code == 0, proc.stderr
+        assert {m for m in modules
+                if m.split(".")[0] == "spescreen"} == _CLI_MODULES
+
 
 class TestStageManifest:
     def test_every_stage_listed(self):
@@ -1563,10 +1612,10 @@ class TestConfig:
         out = tmp_path / "out"
         result = runner.invoke(main, [
             "--config", str(cfg), "--out-dir", str(out), "label",
-            "--lambda-host", "0",
+            "--lambda-host", "1",
         ])
         assert result.exit_code == 0, result.output
-        # lambda_host = 0 nm admits every wavelength; 10000 nm admits none
+        # lambda_host = 1 nm admits every wavelength; 10000 nm admits none
         labels = [
             int(line.split(",")[1])
             for line in (out / "labels.csv").read_text().splitlines()[1:]

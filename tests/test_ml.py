@@ -1,6 +1,5 @@
 """Labeling, PCA, GPC, t-SNE, and HDBSCAN tests."""
 
-import importlib
 import os
 import sys
 import tracemalloc
@@ -16,20 +15,12 @@ from scipy.optimize import minimize as scipy_minimize
 from scipy.spatial.distance import pdist, squareform
 
 from spescreen.ml import gpc as gpc_module
+from spescreen.ml import tsne as tsne_module
 from spescreen.ml.distance import squared_euclidean
-from spescreen.ml import (
-    FEATURE_COLUMNS,
-    calibrate_bandwidths,
-    feature_matrix,
-    gpc_predict,
-    gpc_train,
-    hdbscan,
-    label_good,
-    pca,
-    perplexity_error,
-    rbf_kernel,
-    tsne,
-)
+from spescreen.ml.gpc import gpc_predict, gpc_train, rbf_kernel
+from spescreen.ml.hdbscan import hdbscan
+from spescreen.ml.labeling import FEATURE_COLUMNS, feature_matrix, label_good
+from spescreen.ml.pca import pca
 from spescreen.ml.tsne import (
     _BANDWIDTH_MAX_ITER,
     _BANDWIDTH_TOL,
@@ -40,11 +31,11 @@ from spescreen.ml.tsne import (
     _LEARNING_RATE,
     _MOMENTUM,
     _N_COMPONENTS,
+    calibrate_bandwidths,
+    perplexity_error,
+    tsne,
 )
 from spescreen.spectro import CandidateRecord
-
-# the module, which `spescreen.ml.tsne` the function shadows
-tsne_module = importlib.import_module("spescreen.ml.tsne")
 
 
 def random_records(rng, n):
